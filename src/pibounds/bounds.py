@@ -67,6 +67,8 @@ class BoundExpr:
     # -- conveniences ------------------------------------------------------
 
     def check_domain(self, x: float) -> None:
+        if not math.isfinite(x):
+            raise DomainError(f"bound {self.name!r} needs a finite x, got x={x}")
         if not x > self.domain_start():
             raise DomainError(
                 f"bound {self.name!r} is undefined at x={x}: requires x > {self.domain_start():g}"

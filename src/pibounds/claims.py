@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Any, Iterable
 from . import primes, scan
 from .bounds import builtin_bounds, chebyshev_constants, evaluate
 from .errors import ResourceLimitError, UnknownNameError
-from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
+from .primes import DEFAULT_CAP
 from .scan import Direction, Status
 
 GUARD_POLICY = "abs_error_bound_plus_psi_summation"
@@ -258,15 +257,6 @@ def _claim_range(claim: Claim) -> tuple[int, int]:
     return 0, 0
 
 
-def _scan_guard(bound, witness: int, *, use_psi: bool) -> float:
-    e1 = evaluate(bound, float(witness)).abs_error_bound
-    e2 = evaluate(bound, float(witness + 1)).abs_error_bound
-    guard = max(e1, e2)
-    if use_psi:
-        guard += PSI_ERR_FACTOR * float(primes.psi_array(witness)[witness])
-    return guard
-
-
 def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
     p = claim.payload
     registry = builtin_bounds()
@@ -276,36 +266,27 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
     problems: list[str] = []
 
     if p.get("method") == "sandwich":
-        verdict = scan.verify_sandwich(lo, hi, cap=cap, threads=threads)
-        guard = None
-        if verdict.witness is not None:
-            w = verdict.witness
-            pi_log = float(primes.cumulative_pi(w)[w]) * math.log(w)
-            psi_w = float(primes.psi_array(w)[w])
-            guard = sys.float_info.epsilon * (2.0 * abs(pi_log) + 8.0 * abs(psi_w))
-        verdicts = [(None, verdict, guard)]
+        verdicts = [(None, scan.verify_sandwich(lo, hi, cap=cap, threads=threads))]
     else:
         parts = p.get("parts") or [(p["bound"], p["direction"])]
         verdicts = []
         for bname, dirname in parts:
             b = registry[bname]
             direction = Direction.UPPER_STRICT if dirname == "upper" else Direction.LOWER_STRICT
-            v = verify(b, direction, lo, hi, cap=cap, threads=threads)
-            g = _scan_guard(b, v.witness, use_psi=use_psi) if v.witness is not None else None
-            verdicts.append((bname, v, g))
+            verdicts.append((bname, verify(b, direction, lo, hi, cap=cap, threads=threads)))
 
     # primary verdict: a FAIL or AMBIGUOUS part if any, else the tightest margin
     def rank(item):
-        _, v, _ = item
+        _, v = item
         order = {Status.FAIL: 0, Status.AMBIGUOUS: 1, Status.PASS: 2}
         return (order[v.status], v.min_margin)
 
-    _, primary, primary_guard = min(verdicts, key=rank)
+    _, primary = min(verdicts, key=rank)
 
     expect = p.get("expect", "PASS")
     if expect == "PASS":
-        if not all(v.status is Status.PASS for _, v, _ in verdicts):
-            bad = [f"{n or 'check'}:{v.status.value}" for n, v, _ in verdicts if v.status is not Status.PASS]
+        if not all(v.status is Status.PASS for _, v in verdicts):
+            bad = [f"{n or 'check'}:{v.status.value}" for n, v in verdicts if v.status is not Status.PASS]
             problems.append("expected PASS, got " + ", ".join(bad))
     else:
         if primary.status is not Status.FAIL:
@@ -354,7 +335,7 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
         min_margin=primary.min_margin,
         scan_range=(lo, hi),
         elapsed_ms=0,
-        guard_at_witness=primary_guard,
+        guard_at_witness=primary.guard_at_witness,
         note="; ".join(problems),
     )
 

@@ -8,6 +8,7 @@ FAIL/MISMATCH outcome, 2 on usage, unknown-name, or domain errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import claims, primes, scan
@@ -85,8 +86,8 @@ def _lookup_bound(name: str):
 
 
 def _cmd_pi(args) -> int:
-    if args.x < 0:
-        raise DomainError("pi requires x >= 0")
+    if not 0 <= args.x < math.inf:
+        raise DomainError(f"pi requires a finite x >= 0, got {args.x}")
     if args.method == "legendre":
         n = int(args.x)
         value = primes.pi_point_legendre(n) if n >= 2 else 0
@@ -169,9 +170,13 @@ def _cmd_table(args) -> int:
             )
     if args.step < 1:
         raise DomainError("table step must be >= 1")
+    rows = range(args.start, args.end + 1, args.step)
+    if rows and rows[0] <= args.cap:
+        # one count table for every row the sieve serves, not one per row
+        primes.cumulative_pi(rows[min(len(rows) - 1, (args.cap - rows[0]) // args.step)])
     header = "x,pi," + ",".join(names) if names else "x,pi"
     print(header)
-    for x in range(args.start, args.end + 1, args.step):
+    for x in rows:
         row = [str(x), str(primes.pi_at(x, cap=args.cap))]
         for name in names:
             row.append(repr(evaluate(registry[name], float(x)).value))
@@ -195,6 +200,8 @@ def main(argv: list[str] | None = None) -> int:
         "table": _cmd_table,
     }
     try:
+        if args.cap < 0:
+            raise DomainError(f"--cap must be >= 0, got {args.cap}")
         return handlers[args.command](args)
     except (DomainError, UnknownNameError, ConfigurationError,
             ResourceLimitError, MonotonicityError, ValueError) as exc:

@@ -202,8 +202,8 @@ def pi_table(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> PiTable:
 
 def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     """pi(floor(x)); sieve lookup below the cap, Legendre query above it."""
-    if x < 0:
-        raise ValueError("pi_at requires x >= 0")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"pi_at requires a finite x >= 0, got {x}")
     n = math.floor(x)
     if n < 2:
         return 0

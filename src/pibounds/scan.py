@@ -13,6 +13,23 @@ extreme sits at a slab endpoint or at that one turning point:
 Comparisons are guarded: a difference within the combined evaluation error
 bound (bound rounding + psi summation error; pi is exact) is reported
 AMBIGUOUS rather than silently decided either way.
+
+Run reduction.  pi is constant between consecutive primes and psi between
+consecutive prime powers, so the integers of a range fall into runs on which
+f is constant.  From floor(turn) + 2 onward every slab lies where the bound
+increases, so within a run the slab margin only grows away from one *worst*
+integer: the run's first integer for an upper check (B(n) is smallest there)
+and its last for a lower check (B(n+1) is largest there).  One guarded
+comparison at the worst integer, with the same slab value and guard the
+per-integer comparison uses, decides the whole run: if the worst slab clears
+f by more than its guard, the bound's true value clears f on every slab of
+the run, because the true bound only moves away from f inside the run and f
+does not move at all.  Runs whose worst integer fails or is ambiguous are
+re-checked integer by integer, so violation counts, the last violation,
+ambiguous points and sign changes stay exact.  The few integers below
+floor(turn) + 2, where the bound may still fall (and the slab extreme may be
+the turning point itself), are always checked one by one.  Verdicts still
+report points_checked as the number of integers covered.
 """
 
 from __future__ import annotations
@@ -56,7 +73,8 @@ class Verdict:
 
     witness is the last violating point for FAIL and the closest-margin point
     otherwise; min_margin is the direction-adjusted difference there (positive
-    means the inequality held with room, negative means violated).
+    means the inequality held with room, negative means violated), and
+    guard_at_witness is the evaluation-error guard that comparison used.
     """
 
     status: Status
@@ -64,6 +82,7 @@ class Verdict:
     min_margin: float
     points_checked: int
     ambiguous_points: list[int] = field(default_factory=list)
+    guard_at_witness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -85,8 +104,10 @@ class _SegmentSummary:
     fail_count: int
     last_fail: int | None
     margin_at_last_fail: float
+    guard_at_last_fail: float
     min_diff: float
     min_diff_n: int
+    guard_at_min: float
     ambiguous: list[int]
     first_state: int  # +1 pass, -1 fail, 0 no definite point
     last_state: int
@@ -101,37 +122,56 @@ def _segments(lo: int, hi: int):
 
 
 def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
-              exact_pass: np.ndarray | None = None) -> _SegmentSummary:
-    """Shared guarded classification of per-point margins."""
+              exact_pass: np.ndarray | None = None,
+              points: int | None = None) -> _SegmentSummary:
+    """Shared guarded classification of per-point margins.
+
+    Each entry stands for the integer ns[i]; points is the number of integers
+    the entries cover (default: one each).
+    """
     fail = diff < -guard
     passing = diff > guard
     if exact_pass is not None:
-        passing = passing | exact_pass
-    amb = ~fail & ~passing
+        passing |= exact_pass
+    fail_count = int(np.count_nonzero(fail))
+    amb_count = diff.size - fail_count - int(np.count_nonzero(passing))
 
-    margin = diff if exact_pass is None else np.where(exact_pass, np.inf, diff)
+    margin = diff
+    if exact_pass is not None and exact_pass.any():
+        margin = np.where(exact_pass, np.inf, diff)
     min_idx = int(np.argmin(margin))
-    fail_idx = np.nonzero(fail)[0]
-    last_fail = int(ns[fail_idx[-1]]) if fail_idx.size else None
-    margin_at_last_fail = float(diff[fail_idx[-1]]) if fail_idx.size else math.inf
 
-    states = np.where(fail, -1, np.where(passing, 1, 0))
-    definite = states[states != 0]
-    if definite.size:
-        first_state = int(definite[0])
-        last_state = int(definite[-1])
+    ambiguous: list[int] = []
+    definite = fail  # True marks a failing point, False a passing one
+    if amb_count:
+        amb = ~(fail | passing)
+        ambiguous = ns[amb].tolist()
+        definite = fail[~amb]
+    last_fail = None
+    margin_at_last_fail = guard_at_last_fail = math.inf
+    changes = 0
+    if fail_count:
+        i = int(np.flatnonzero(fail)[-1])
+        last_fail = int(ns[i])
+        margin_at_last_fail = float(diff[i])
+        guard_at_last_fail = float(guard[i])
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
+    if definite.size:
+        first_state = -1 if definite[0] else 1
+        last_state = -1 if definite[-1] else 1
     else:
-        first_state = last_state = changes = 0
+        first_state = last_state = 0
 
     return _SegmentSummary(
-        points=int(diff.size),
-        fail_count=int(np.count_nonzero(fail)),
+        points=int(diff.size) if points is None else points,
+        fail_count=fail_count,
         last_fail=last_fail,
         margin_at_last_fail=margin_at_last_fail,
+        guard_at_last_fail=guard_at_last_fail,
         min_diff=float(margin[min_idx]),
         min_diff_n=int(ns[min_idx]),
-        ambiguous=[int(v) for v in ns[amb]],
+        guard_at_min=float(guard[min_idx]),
+        ambiguous=ambiguous,
         first_state=first_state,
         last_state=last_state,
         state_changes=changes,
@@ -141,24 +181,20 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
 def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     total = summaries[0]
     for seg in summaries[1:]:
-        last_fail = seg.last_fail if seg.last_fail is not None else total.last_fail
-        margin_lf = (
-            seg.margin_at_last_fail if seg.last_fail is not None else total.margin_at_last_fail
-        )
-        if seg.min_diff < total.min_diff:
-            min_diff, min_diff_n = seg.min_diff, seg.min_diff_n
-        else:
-            min_diff, min_diff_n = total.min_diff, total.min_diff_n
+        latest = seg if seg.last_fail is not None else total
+        closest = seg if seg.min_diff < total.min_diff else total
         changes = total.state_changes + seg.state_changes
         if total.last_state != 0 and seg.first_state != 0 and total.last_state != seg.first_state:
             changes += 1
         total = _SegmentSummary(
             points=total.points + seg.points,
             fail_count=total.fail_count + seg.fail_count,
-            last_fail=last_fail,
-            margin_at_last_fail=margin_lf,
-            min_diff=min_diff,
-            min_diff_n=min_diff_n,
+            last_fail=latest.last_fail,
+            margin_at_last_fail=latest.margin_at_last_fail,
+            guard_at_last_fail=latest.guard_at_last_fail,
+            min_diff=closest.min_diff,
+            min_diff_n=closest.min_diff_n,
+            guard_at_min=closest.guard_at_min,
             ambiguous=total.ambiguous + seg.ambiguous,
             first_state=total.first_state if total.first_state != 0 else seg.first_state,
             last_state=seg.last_state if seg.last_state != 0 else total.last_state,
@@ -196,47 +232,81 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
     else:
         f_table = primes.cumulative_pi(hi)
 
+    upper = direction is Direction.UPPER_STRICT
     turn_patch = None
-    if direction is Direction.UPPER_STRICT:
+    if upper:
         n0 = math.floor(turn)
         if lo <= n0 <= hi and turn > b.domain_start():
             res = evaluate(b, turn)
             turn_patch = (n0, res.value, res.abs_error_bound)
+    run_from = math.floor(turn) + 2  # every slab from here on is increasing
+
+    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slab margin and guard of each integer in ns (ascending)."""
+        xs = np.empty(2 * ns.size, dtype=np.float64)
+        xs[0::2] = ns
+        xs[1::2] = ns + 1
+        vals, errs = b.values_with_error(xs, np.log(xs))
+        err_b = np.maximum(errs[0::2], errs[1::2])
+        f_vals = f_table[ns]
+        if upper:
+            slab = np.minimum(vals[0::2], vals[1::2])
+            if turn_patch is not None:
+                i = int(np.searchsorted(ns, turn_patch[0]))
+                if i < ns.size and ns[i] == turn_patch[0]:
+                    slab[i] = min(slab[i], turn_patch[1])
+                    err_b[i] = max(err_b[i], turn_patch[2])
+            diff = slab - f_vals
+        else:
+            slab = np.maximum(vals[0::2], vals[1::2])
+            diff = f_vals - slab
+        guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
+        return diff, guard
+
+    def runs(s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Margins of [s, e] with each run of constant f checked at its worst
+        integer, and every integer of a run that does not clear its guard."""
+        f_seg = f_table[s : e + 1]
+        starts = s + np.flatnonzero(f_seg[1:] != f_seg[:-1]) + 1
+        starts = np.concatenate(([s], starts))
+        ends = np.append(starts[1:] - 1, e)
+        ns = starts if upper else ends
+        diff, guard = margins(ns)
+        redo = ~(diff > guard)
+        if not redo.any():
+            return ns, diff, guard
+        # one entry per clean run, one per integer of the other runs
+        lengths = np.where(redo, ends - starts + 1, 1)
+        run_of = np.repeat(np.arange(ns.size), lengths)
+        offset = np.arange(run_of.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        expand = redo[run_of]
+        ns = np.where(expand, starts[run_of] + offset, ns[run_of])
+        diff, guard = diff[run_of], guard[run_of]
+        diff[expand], guard[expand] = margins(ns[expand])
+        return ns, diff, guard
 
     def work(seg):
         s, e = seg
-        xs = np.arange(s, e + 2, dtype=np.float64)
-        logs = np.log(xs)
-        vals, errs = b.values_with_error(xs, logs)
-        err_b = np.maximum(errs[:-1], errs[1:])
-        f_vals = f_table[s : e + 1]
-        if direction is Direction.UPPER_STRICT:
-            slab = np.minimum(vals[:-1], vals[1:])
-            if turn_patch is not None and s <= turn_patch[0] <= e:
-                i = turn_patch[0] - s
-                slab[i] = min(slab[i], turn_patch[1])
-                err_b[i] = max(err_b[i], turn_patch[2])
-            diff = slab - f_vals
-        else:
-            slab = np.maximum(vals[:-1], vals[1:])
-            diff = f_vals - slab
-        guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
-        return _classify(diff, guard, np.arange(s, e + 1, dtype=np.int64))
+        pieces = []
+        if s < run_from:
+            ns = np.arange(s, min(e, run_from - 1) + 1, dtype=np.int64)
+            pieces.append((ns, *margins(ns)))
+        if e >= run_from:
+            pieces.append(runs(max(s, run_from), e))
+        ns, diff, guard = (np.concatenate(a) for a in zip(*pieces))
+        return _classify(diff, guard, ns, points=e - s + 1)
 
     summaries = _run_segments(work, list(_segments(lo, hi)), threads)
     return _merge(summaries)
 
-
 def _to_verdict(out: _SegmentSummary) -> Verdict:
     if out.fail_count:
-        return Verdict(
-            Status.FAIL, out.last_fail, out.margin_at_last_fail, out.points, out.ambiguous
-        )
+        return Verdict(Status.FAIL, out.last_fail, out.margin_at_last_fail, out.points,
+                       out.ambiguous, out.guard_at_last_fail)
     if out.ambiguous:
-        return Verdict(
-            Status.AMBIGUOUS, out.min_diff_n, out.min_diff, out.points, out.ambiguous
-        )
-    return Verdict(Status.PASS, out.min_diff_n, out.min_diff, out.points, [])
+        return Verdict(Status.AMBIGUOUS, out.min_diff_n, out.min_diff, out.points,
+                       out.ambiguous, out.guard_at_min)
+    return Verdict(Status.PASS, out.min_diff_n, out.min_diff, out.points, [], out.guard_at_min)
 
 
 def verify_pi(b: BoundExpr, direction: Direction, lo: int, hi: int,

@@ -1,9 +1,15 @@
 import json
+import math
+import sys
 
 import pytest
 
+from pibounds import primes, scan
+from pibounds.bounds import builtin_bounds, evaluate
 from pibounds.claims import Claim, ClaimKind, builtin_claims, run_all, run_claim
 from pibounds.errors import UnknownNameError
+from pibounds.primes import PSI_ERR_FACTOR
+from pibounds.scan import Direction
 
 ALL_IDS = [
     "C1", "C2", "C3", "C4", "C5", "C6a", "C6b", "C7a", "C7b",
@@ -162,3 +168,47 @@ class TestReportSerialization:
         for cid in ALL_IDS:
             assert cid in text
         assert "all_match: false" in text
+
+
+def _expected_guard(outcome):
+    """The guard at an outcome's witness, recomputed from its formula."""
+    p = outcome.claim.payload
+    kind = outcome.claim.kind
+    w = outcome.witness
+    if w is None:
+        return None
+    if kind is ClaimKind.CROSSOVER:
+        registry = builtin_bounds()
+        f, g = registry[p["left"]], registry[p["right"]]
+        guards = []
+        for n in (w, w - 1):
+            if n >= p["lo"]:
+                guards.append(evaluate(f, n).abs_error_bound + evaluate(g, n).abs_error_bound)
+        return max(guards)
+    if p.get("method") == "sandwich":
+        pi_log = float(primes.cumulative_pi(w)[w]) * math.log(w)
+        psi_w = float(primes.psi_array(w)[w])
+        return sys.float_info.epsilon * (2.0 * abs(pi_log) + 8.0 * abs(psi_w))
+    registry = builtin_bounds()
+    use_psi = kind is ClaimKind.PSI_CHECK
+    verify = scan.verify_psi if use_psi else scan.verify_pi
+    parts = p.get("parts") or [(p["bound"], p["direction"])]
+    # the bound whose verdict the outcome reports
+    for name, dirname in parts:
+        direction = Direction.UPPER_STRICT if dirname == "upper" else Direction.LOWER_STRICT
+        v = verify(registry[name], direction, p["lo"], p["hi"])
+        if (v.witness, v.min_margin) == (w, outcome.min_margin):
+            bound = registry[name]
+            break
+    guard = max(evaluate(bound, float(w)).abs_error_bound,
+                evaluate(bound, float(w + 1)).abs_error_bound)
+    if use_psi:
+        guard += PSI_ERR_FACTOR * float(primes.psi_array(w)[w])
+    return guard
+
+
+class TestGuardAtWitness:
+    def test_every_claim_reports_the_guard_of_its_formula(self, full_report):
+        assert len(full_report.outcomes) == 18
+        for o in full_report.outcomes:
+            assert o.guard_at_witness == _expected_guard(o), o.claim.id

@@ -175,6 +175,53 @@ class TestTable:
                            "--step", "1", "--bounds", "zzz")
         assert code == 2
 
+    def test_rows_up_to_the_cap_build_the_count_table_once(self, capsys, monkeypatch):
+        builds = []
+        bitmap = primes._prime_bitmap  # cumulative_pi calls it only to rebuild
+
+        def counting_bitmap(limit):
+            builds.append(limit)
+            return bitmap(limit)
+
+        primes.clear_caches()
+        monkeypatch.setattr(primes, "_prime_bitmap", counting_bitmap)
+        code, out, _ = run(capsys, "--cap", "2000", "table",
+                           "--from", "1910", "--to", "2000", "--step", "10")
+        assert code == 0
+        assert builds == [2000]
+        rows = out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [str(x) for x in range(1910, 2001, 10)]
+        for r in rows:
+            x, pi = map(int, r.split(","))
+            assert pi == primes.pi_oracle_trial_division(x)
+
+
+class TestEdgeInputs:
+    """Non-finite arguments and a negative cap: one error line, exit 2."""
+
+    @staticmethod
+    def rejected(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_pi_inf(self, capsys):
+        assert "finite" in self.rejected(capsys, "pi", "inf")
+
+    def test_pi_nan(self, capsys):
+        assert "finite" in self.rejected(capsys, "pi", "nan")
+
+    def test_bound_eval_inf(self, capsys):
+        assert "finite" in self.rejected(capsys, "bound", "eval", "cheb_upper", "inf")
+
+    def test_bound_eval_nan(self, capsys):
+        assert "finite" in self.rejected(capsys, "bound", "eval", "cheb_upper", "nan")
+
+    def test_negative_cap(self, capsys):
+        assert "--cap" in self.rejected(capsys, "--cap", "-5", "pi", "100")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
