@@ -272,7 +272,7 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
         verdicts = []
         for bname, dirname in parts:
             b = registry[bname]
-            direction = Direction.UPPER_STRICT if dirname == "upper" else Direction.LOWER_STRICT
+            direction = Direction(dirname)
             verdicts.append((bname, verify(b, direction, lo, hi, cap=cap, threads=threads)))
 
     # primary verdict: a FAIL or AMBIGUOUS part if any, else the tightest margin
@@ -303,7 +303,7 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
     if "sub_fail" in p:
         sf = p["sub_fail"]
         b = registry[p["bound"]]
-        direction = Direction.UPPER_STRICT if p["direction"] == "upper" else Direction.LOWER_STRICT
+        direction = Direction(p["direction"])
         v2 = verify(b, direction, int(sf["lo"]), int(sf["hi"]), cap=cap, threads=threads)
         if v2.status is not Status.FAIL or v2.witness != sf["expect_witness"]:
             problems.append(

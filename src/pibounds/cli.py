@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 
 from . import claims, primes, scan
 from .bounds import builtin_bounds, evaluate
@@ -33,11 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="scan cap (default %(default)s)")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads for scans; 0 = auto (default)")
+                        help="worker threads for scans, at most one per segment; "
+                             "0 = one per core (default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pi = sub.add_parser("pi", help="prime count pi(floor(x))")
-    p_pi.add_argument("x", type=float)
+    p_pi.add_argument("x", help="integer or decimal; pi(floor(x)) is reported")
     p_pi.add_argument("--method", choices=("auto", "sieve", "legendre"), default="auto")
 
     p_psi = sub.add_parser("psi", help="Chebyshev psi(x)")
@@ -85,18 +87,32 @@ def _lookup_bound(name: str):
     return registry[name]
 
 
+_MAX_DIGITS = 4300  # the default digit limit of Python's int(str)
+
+
+def floor_exact(text: str) -> int:
+    """floor(x) of a decimal numeral, exact at any size (no float rounding)."""
+    try:
+        x = Decimal(text)
+    except InvalidOperation:
+        raise DomainError(f"pi requires a decimal number, got {text!r}") from None
+    if not (x.is_finite() and x >= 0):
+        raise DomainError(f"pi requires a finite x >= 0, got {text}")
+    if x.adjusted() >= _MAX_DIGITS:  # floor(1e999999999) alone would take GBs
+        raise DomainError(f"pi requires x below 10**{_MAX_DIGITS}, got {text}")
+    return math.floor(x)
+
+
 def _cmd_pi(args) -> int:
-    if not 0 <= args.x < math.inf:
-        raise DomainError(f"pi requires a finite x >= 0, got {args.x}")
-    if args.method == "legendre":
-        n = int(args.x)
-        value = primes.pi_point_legendre(n) if n >= 2 else 0
+    n = floor_exact(args.x)
+    if n < 2:
+        value = 0
+    elif args.method == "legendre":
+        value = primes.pi_point_legendre(n, cap=args.cap)
     elif args.method == "sieve":
-        n = int(args.x)
-        value = primes.pi_table(0, max(n, 0), cap=args.cap).counts[-1] if n >= 2 else 0
-        value = int(value)
+        value = int(primes.pi_table(0, n, cap=args.cap).counts[-1])
     else:
-        value = primes.pi_at(args.x, cap=args.cap)
+        value = primes.pi_at(n, cap=args.cap)
     print(value)
     return 0
 
@@ -118,15 +134,11 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads > 0 else 0
-
-
 def _cmd_scan(args) -> int:
     b = _lookup_bound(args.bound)
-    direction = Direction.UPPER_STRICT if args.dir == "upper" else Direction.LOWER_STRICT
+    direction = Direction(args.dir)
     verdict = scan.verify_pi(b, direction, args.start, args.end,
-                             cap=args.cap, threads=_threads(args))
+                             cap=args.cap, threads=args.threads)
     print(
         f"{verdict.status.value} witness={verdict.witness} "
         f"min_margin={verdict.min_margin!r} points={verdict.points_checked} "
@@ -138,7 +150,7 @@ def _cmd_scan(args) -> int:
 def _cmd_crossover(args) -> int:
     f = _lookup_bound(args.left)
     g = _lookup_bound(args.right)
-    res = scan.analytic_crossover(f, g, args.start, args.end, threads=_threads(args))
+    res = scan.analytic_crossover(f, g, args.start, args.end, threads=args.threads)
     print(
         f"threshold={res.threshold} last_failure={res.last_failure} "
         f"sign_changes={res.sign_changes} ambiguous={len(res.ambiguous_points)}"
@@ -150,7 +162,7 @@ def _cmd_verify(args) -> int:
     ids = None
     if args.claim_ids:
         ids = [t.strip() for t in args.claim_ids.split(",") if t.strip()]
-    report = claims.run_all(ids, cap=args.cap, threads=_threads(args))
+    report = claims.run_all(ids, cap=args.cap, threads=args.threads)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -202,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 0:
             raise DomainError(f"--cap must be >= 0, got {args.cap}")
+        if args.threads < 0:
+            raise DomainError(f"--threads must be >= 0, got {args.threads}")
         return handlers[args.command](args)
     except (DomainError, UnknownNameError, ConfigurationError,
             ResourceLimitError, MonotonicityError, ValueError) as exc:

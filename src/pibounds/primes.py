@@ -201,7 +201,11 @@ def pi_table(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> PiTable:
 
 
 def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
-    """pi(floor(x)); sieve lookup below the cap, Legendre query above it."""
+    """pi(floor(x)); sieve lookup below the cap, Legendre query above it.
+
+    Raises ResourceLimitError when isqrt(x) exceeds the cap (see
+    pi_point_legendre).
+    """
     if not 0 <= x < math.inf:
         raise ValueError(f"pi_at requires a finite x >= 0, got {x}")
     n = math.floor(x)
@@ -209,7 +213,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
         return 0
     if n <= cap:
         return int(cumulative_pi(n)[n])
-    return pi_point_legendre(n)
+    return pi_point_legendre(n, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +316,24 @@ def phi(x: int, a: int) -> int:
     return result
 
 
-def pi_point_legendre(x: int) -> int:
+def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     """pi(x) via Legendre's identity; agrees with the sieve wherever both apply.
 
-    Python integers never overflow, so the classical overflow failure mode is
-    absent; the practical limit is runtime (intended for x up to ~1e10).
+    The identity needs the primes up to isqrt(x), which come from the sieve,
+    so the sieve's cap bounds the query: isqrt(x) above the cap raises
+    ResourceLimitError.  Python integers never overflow; the limit below
+    that ceiling is runtime, which grows roughly linearly in x (about 30 s
+    at 1e9).
     """
     if x < 2:
         raise ValueError("pi_point_legendre requires x >= 2")
     n = int(x)
     root = isqrt(n)
+    if root > cap:
+        raise ResourceLimitError(
+            f"pi({n}) needs the primes up to isqrt(x) = {root}, above the scan cap "
+            f"{cap}; raise the cap to allow it"
+        )
     a = int(cumulative_pi(root)[root]) if root >= 2 else 0
     return phi(n, a) + a - 1
 

@@ -30,11 +30,24 @@ ambiguous points and sign changes stay exact.  The few integers below
 floor(turn) + 2, where the bound may still fall (and the slab extreme may be
 the turning point itself), are always checked one by one.  Verdicts still
 report points_checked as the number of integers covered.
+
+Segments and blocks.  A range is cut into segments of SCAN_SEGMENT integers,
+the unit of threading: each worker thread takes whole segments.  A segment is
+evaluated and classified in blocks of SCAN_BLOCK integers, the unit of
+evaluation, so that a block's arrays stay in a core's L2 cache.  Neither cut
+changes a verdict.  Every integer's comparison depends on that integer alone
+(a run cut by a block edge is checked at the worst integer of each piece,
+which the argument above covers), and the summaries of consecutive blocks and
+segments merge exactly: counts add, the last failure and the closest margin
+are taken in order with ties to the earlier point, ambiguous points are
+concatenated in order, and a sign change across an edge is counted from the
+last definite state before it and the first after it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,7 +64,8 @@ from .errors import (
 )
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
-SCAN_SEGMENT = 1 << 20
+SCAN_SEGMENT = 1 << 20  # integers per thread task
+SCAN_BLOCK = 1 << 16  # integers per evaluation; its arrays fit in L2
 
 _EPS = np.finfo(np.float64).eps
 
@@ -179,36 +193,53 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
 
 
 def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
-    total = summaries[0]
-    for seg in summaries[1:]:
-        latest = seg if seg.last_fail is not None else total
-        closest = seg if seg.min_diff < total.min_diff else total
-        changes = total.state_changes + seg.state_changes
-        if total.last_state != 0 and seg.first_state != 0 and total.last_state != seg.first_state:
+    """Summary of consecutive ranges, given their summaries in order."""
+    latest = closest = summaries[0]
+    points = fail_count = changes = first_state = last_state = 0
+    for seg in summaries:
+        points += seg.points
+        fail_count += seg.fail_count
+        if seg.last_fail is not None:
+            latest = seg
+        if seg.min_diff < closest.min_diff:
+            closest = seg
+        changes += seg.state_changes
+        if last_state != 0 and seg.first_state != 0 and last_state != seg.first_state:
             changes += 1
-        total = _SegmentSummary(
-            points=total.points + seg.points,
-            fail_count=total.fail_count + seg.fail_count,
-            last_fail=latest.last_fail,
-            margin_at_last_fail=latest.margin_at_last_fail,
-            guard_at_last_fail=latest.guard_at_last_fail,
-            min_diff=closest.min_diff,
-            min_diff_n=closest.min_diff_n,
-            guard_at_min=closest.guard_at_min,
-            ambiguous=total.ambiguous + seg.ambiguous,
-            first_state=total.first_state if total.first_state != 0 else seg.first_state,
-            last_state=seg.last_state if seg.last_state != 0 else total.last_state,
-            state_changes=changes,
-        )
-    return total
+        first_state = first_state or seg.first_state
+        last_state = seg.last_state or last_state
+    return _SegmentSummary(
+        points=points,
+        fail_count=fail_count,
+        last_fail=latest.last_fail,
+        margin_at_last_fail=latest.margin_at_last_fail,
+        guard_at_last_fail=latest.guard_at_last_fail,
+        min_diff=closest.min_diff,
+        min_diff_n=closest.min_diff_n,
+        guard_at_min=closest.guard_at_min,
+        ambiguous=[n for seg in summaries for n in seg.ambiguous],
+        first_state=first_state,
+        last_state=last_state,
+        state_changes=changes,
+    )
 
 
-def _run_segments(work, segs, threads: int):
-    if threads == 1 or len(segs) <= 1:
-        return [work(seg) for seg in segs]
-    workers = threads if threads > 0 else None
+def _run_segments(work, segs, threads: int) -> list[_SegmentSummary]:
+    """Summary of each segment; threads <= 0 means one worker per core.
+
+    A segment is evaluated by work in blocks of SCAN_BLOCK integers, so
+    that its arrays stay in cache, and the block summaries are merged.
+    """
+    def blocked(seg):
+        s, e = seg
+        return _merge([work((b, min(b + SCAN_BLOCK - 1, e)))
+                       for b in range(s, e + 1, SCAN_BLOCK)])
+
+    workers = min(len(segs), threads if threads > 0 else os.cpu_count() or 1)
+    if workers <= 1:
+        return [blocked(seg) for seg in segs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, segs))
+        return list(pool.map(blocked, segs))
 
 
 def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from pibounds.claims import Claim, ClaimKind, builtin_claims, run_all, run_claim
 from pibounds.errors import UnknownNameError
 from pibounds.primes import PSI_ERR_FACTOR
 from pibounds.scan import Direction
+
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_full.json"
 
 ALL_IDS = [
     "C1", "C2", "C3", "C4", "C5", "C6a", "C6b", "C7a", "C7b",
@@ -155,6 +158,14 @@ class TestReportSerialization:
 
         ids = ["C1", "C3", "C4", "C13", "C15"]
         assert scrub(run_all(ids)) == scrub(run_all(ids))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_full_report_matches_the_pinned_reference(self, full_report, threads):
+        report = full_report if threads == 1 else run_all(threads=threads)
+        obj = report.to_json_obj()
+        for entry in obj["claims"]:
+            entry["elapsed_ms"] = 0
+        assert json.dumps(obj, indent=2) + "\n" == PINNED.read_text()
 
     def test_skipped_entries_serialize(self):
         rep = run_all(["C14"], cap=10**6)

@@ -4,7 +4,7 @@ import pytest
 
 from pibounds import primes
 from pibounds.bounds import builtin_bounds, evaluate
-from pibounds.cli import main
+from pibounds.cli import floor_exact, main
 
 
 def run(capsys, *argv):
@@ -33,6 +33,12 @@ class TestPi:
         code, out, _ = run(capsys, "pi", "100", "--method", "sieve")
         assert code == 0
         assert out.strip() == "25"
+
+    def test_pi_floors_exactly_above_the_cap(self, capsys):
+        # as a float, x would round up to the prime 1000003
+        code, out, _ = run(capsys, "--cap", "1000", "pi", "1000002.99999999999999999999")
+        assert code == 0
+        assert out.strip() == "78498"
 
     def test_pi_negative(self, capsys):
         code, _, err = run(capsys, "pi", "--", "-3")
@@ -221,6 +227,35 @@ class TestEdgeInputs:
 
     def test_negative_cap(self, capsys):
         assert "--cap" in self.rejected(capsys, "--cap", "-5", "pi", "100")
+
+    def test_negative_threads(self, capsys):
+        assert "--threads" in self.rejected(capsys, "--threads", "-1", "scan", "--bound",
+                                            "cheb_upper", "--dir", "upper",
+                                            "--from", "96098", "--to", "96200")
+
+    @pytest.mark.parametrize("method", ["auto", "legendre", "sieve"])
+    def test_pi_far_above_the_cap(self, capsys, method):
+        assert "cap" in self.rejected(capsys, "pi", "1e30", "--method", method)
+
+    def test_pi_huge_exponent(self, capsys):
+        assert "10**" in self.rejected(capsys, "pi", "1e999999999")
+
+    def test_pi_not_a_number(self, capsys):
+        assert "decimal" in self.rejected(capsys, "pi", "0x10")
+
+
+class TestFloorExact:
+    def test_integers_above_2_53_stay_exact(self):
+        assert floor_exact("9007199254740993") == 9007199254740993
+
+    def test_decimals_floor(self):
+        assert floor_exact("12.7") == 12
+        assert floor_exact("1e3") == 1000
+        assert floor_exact("16.999") == 16
+        assert floor_exact("0") == 0
+
+    def test_exponent_beyond_float_range(self):
+        assert floor_exact("1e400") == 10**400
 
 
 class TestUsage:

@@ -133,6 +133,15 @@ class TestLegendre:
         with pytest.raises(ValueError):
             pi_point_legendre(1)
 
+    def test_ceiling_is_the_cap_squared(self):
+        assert pi_point_legendre(10**6, cap=1000) == 78498
+        with pytest.raises(ResourceLimitError):
+            pi_point_legendre(1001**2, cap=1000)
+        with pytest.raises(ResourceLimitError):
+            pi_point_legendre(10**30)
+        with pytest.raises(ResourceLimitError):
+            pi_at(10**30)
+
     def test_agrees_with_sieve_on_samples(self):
         counts = primes.cumulative_pi(10**6)
         rng = random.Random(1234)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -285,6 +286,129 @@ class TestDeterminism:
         assert analytic_crossover(f, g, 30, 50000, threads=1) == analytic_crossover(
             f, g, 30, 50000, threads=6
         )
+
+
+def with_small_blocks(monkeypatch, scan_call, threads=(1, 2)):
+    """scan_call(threads) with the default segments and blocks, and the results
+    with small coprime segment and block sizes (blocks cut every segment)."""
+    default = scan_call(1)
+    monkeypatch.setattr(scan, "SCAN_SEGMENT", 1111)
+    monkeypatch.setattr(scan, "SCAN_BLOCK", 97)
+    return default, [scan_call(t) for t in threads]
+
+
+class TestBlockIndependence:
+    """Neither the thread segment nor the evaluation block changes a result."""
+
+    def test_crossover_c13(self, registry, monkeypatch):
+        f, g = registry["dusart_upper"], registry["pan_upper"]
+        default, small = with_small_blocks(
+            monkeypatch, lambda t: analytic_crossover(f, g, 30, 50000, threads=t))
+        assert default.threshold == 28516 and default.sign_changes == 1
+        assert small == [default, default]
+
+    def test_sandwich(self, monkeypatch):
+        default, small = with_small_blocks(
+            monkeypatch, lambda t: verify_sandwich(2, 200_000, threads=t))
+        assert default.status is Status.PASS
+        assert small == [default, default]
+
+    @pytest.mark.parametrize("name, direction", [("psi_upper", U), ("psi_lower", L)])
+    def test_psi(self, registry, monkeypatch, name, direction):
+        b = registry[name]
+        default, small = with_small_blocks(
+            monkeypatch, lambda t: verify_psi(b, direction, 30, 200_000, threads=t))
+        assert default.status is Status.PASS
+        assert small == [default, default]
+
+    def test_c8b_violations(self, registry, monkeypatch):
+        b = registry["pan_upper"]
+
+        def both(t):
+            return (last_violation(b, U, 4, 100_000, threads=t),
+                    count_violations(b, U, 4, 100_000, threads=t))
+
+        default, small = with_small_blocks(monkeypatch, both)
+        assert default[0].last_failure == 24254 and default[1] == 19
+        assert small == [default, default]
+
+    def test_one_pass_merge_equals_pairwise_merges(self, registry, monkeypatch):
+        # cheb_upper fails on most runs below 96098, so block edges cut
+        # through failures and sign changes
+        b = registry["cheb_upper"]
+
+        def summary():
+            return scan._scan_inequality(b, U, 30, 120_000, use_psi=False,
+                                         cap=primes.DEFAULT_CAP, threads=1)
+
+        whole = summary()  # one block
+        blocks = []
+        classify = scan._classify
+
+        def recording(*args, **kwargs):
+            blocks.append(classify(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(scan, "_classify", recording)
+        monkeypatch.setattr(scan, "SCAN_BLOCK", 97)
+        assert summary() == whole
+        assert len(blocks) > 1000 and whole.state_changes > 100
+        assert scan._merge(blocks) == whole
+        assert functools.reduce(lambda x, y: scan._merge([x, y]), blocks) == whole
+
+    def test_merge_keeps_ambiguous_points_in_order(self):
+        def part(first, ambiguous, state):
+            return scan._SegmentSummary(
+                points=3, fail_count=0, last_fail=None, margin_at_last_fail=math.inf,
+                guard_at_last_fail=math.inf, min_diff=0.0, min_diff_n=first,
+                guard_at_min=1.0, ambiguous=ambiguous, first_state=state,
+                last_state=state, state_changes=0)
+
+        parts = [part(1, [1, 2], 0), part(4, [], 1), part(7, [7], 0), part(10, [], -1)]
+        out = scan._merge(parts)
+        assert out.ambiguous == [1, 2, 7]
+        assert (out.points, out.min_diff_n, out.first_state, out.last_state) == (12, 1, 1, -1)
+        assert out.state_changes == 1  # pass to fail across the ambiguous block
+        assert parts[0].ambiguous == [1, 2]
+
+
+class TestWorkers:
+    """Workers are capped by the segment count; no threads start here."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(scan, "SCAN_SEGMENT", 1000)
+        return sizes
+
+    def test_many_threads_start_one_worker_per_segment(self, registry, pools):
+        v = verify_pi(registry["unit_lower"], L, 17, 3016, threads=10**6)
+        assert pools == [3]
+        assert v == verify_pi(registry["unit_lower"], L, 17, 3016, threads=1)
+
+    def test_auto_starts_at_most_one_worker_per_core(self, registry, pools, monkeypatch):
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+        verify_pi(registry["unit_lower"], L, 17, 10_016, threads=0)
+        assert pools == [2]
+
+    def test_one_segment_runs_inline(self, registry, pools):
+        verify_pi(registry["unit_lower"], L, 17, 1016, threads=0)
+        assert pools == []
 
 
 class TestConcurrency:

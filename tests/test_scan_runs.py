@@ -83,20 +83,22 @@ def scans(draw):
     assume(lo > b.domain_start())
     hi = draw(st.integers(lo, min(TOP, lo + draw(st.sampled_from([0, 10, 1000, TOP])))))
     direction = draw(st.sampled_from(list(Direction)))
-    segment = draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20]))
-    # at most ~500 segments per scan keeps the test's run time bounded
-    segment = max(segment, -(-(hi - lo + 1) // 500))
+    # at most ~500 segments and ~500 blocks per scan keep the run time bounded
+    least = -(-(hi - lo + 1) // 500)
+    segment = max(least, draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
+    block = max(least, draw(st.sampled_from([1, 2, 5, 97, 1 << 16])))
     threads = draw(st.sampled_from([1, 2]))
-    return b, direction, lo, hi, segment, threads
+    return b, direction, lo, hi, segment, block, threads
 
 
 @settings(max_examples=60, deadline=None)
 @given(scans())
 def test_pi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, threads = case
+    b, direction, lo, hi, segment, block, threads = case
     verdict, count, last = per_integer(b, direction, lo, hi, use_psi=False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "SCAN_SEGMENT", segment)
+        mp.setattr(scan, "SCAN_BLOCK", block)
         assert verify_pi(b, direction, lo, hi, threads=threads) == verdict
         assert count_violations(b, direction, lo, hi, threads=threads) == count
         assert last_violation(b, direction, lo, hi, threads=threads) == last
@@ -105,10 +107,11 @@ def test_pi_scans_match_per_integer_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(scans())
 def test_psi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, threads = case
+    b, direction, lo, hi, segment, block, threads = case
     verdict, _, _ = per_integer(b, direction, lo, hi, use_psi=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "SCAN_SEGMENT", segment)
+        mp.setattr(scan, "SCAN_BLOCK", block)
         assert verify_psi(b, direction, lo, hi, threads=threads) == verdict
 
 
