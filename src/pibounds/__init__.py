@@ -17,8 +17,6 @@ from .primes import (
     DEFAULT_CAP,
     PiTable,
     PsiValue,
-    max_power_le,
-    phi,
     pi_at,
     pi_oracle_trial_division,
     pi_point_legendre,
@@ -47,7 +45,7 @@ __all__ = [
     "EvalResult", "builtin_bounds", "chebyshev_constants", "evaluate",
     "is_increasing_on",
     "Claim", "ClaimKind", "Report", "builtin_claims", "run_all", "run_claim",
-    "DEFAULT_CAP", "PiTable", "PsiValue", "max_power_le", "phi", "pi_at",
+    "DEFAULT_CAP", "PiTable", "PsiValue", "pi_at",
     "pi_oracle_trial_division", "pi_point_legendre", "pi_table", "psi_at",
     "sieve_segment",
     "CrossoverResult", "Direction", "Status", "Verdict", "analytic_crossover",

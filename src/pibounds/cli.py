@@ -8,6 +8,7 @@ FAIL/MISMATCH outcome, 2 on usage, unknown-name, or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from decimal import Decimal, InvalidOperation
@@ -26,6 +27,7 @@ from .primes import DEFAULT_CAP
 from .scan import Direction, Status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pibounds",
@@ -42,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi.add_argument("x", help="integer or decimal; pi(floor(x)) is reported")
     p_pi.add_argument("--method", choices=("auto", "sieve", "legendre"), default="auto")
 
-    p_psi = sub.add_parser("psi", help="Chebyshev psi(x)")
-    p_psi.add_argument("x", type=int)
+    p_psi = sub.add_parser("psi", help="Chebyshev psi(floor(x))")
+    p_psi.add_argument("x", help="integer or decimal; psi(floor(x)) is reported")
 
     p_bound = sub.add_parser("bound", help="bound registry operations")
     bound_sub = p_bound.add_subparsers(dest="bound_command", required=True)
@@ -95,11 +97,11 @@ def floor_exact(text: str) -> int:
     try:
         x = Decimal(text)
     except InvalidOperation:
-        raise DomainError(f"pi requires a decimal number, got {text!r}") from None
+        raise DomainError(f"x must be a decimal number, got {text!r}") from None
     if not (x.is_finite() and x >= 0):
-        raise DomainError(f"pi requires a finite x >= 0, got {text}")
+        raise DomainError(f"x must be finite and >= 0, got {text}")
     if x.adjusted() >= _MAX_DIGITS:  # floor(1e999999999) alone would take GBs
-        raise DomainError(f"pi requires x below 10**{_MAX_DIGITS}, got {text}")
+        raise DomainError(f"x must be below 10**{_MAX_DIGITS}, got {text}")
     return math.floor(x)
 
 
@@ -118,7 +120,7 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    res = primes.psi_at(args.x, cap=args.cap)
+    res = primes.psi_at(floor_exact(args.x), cap=args.cap)
     print(res.value)
     return 0
 

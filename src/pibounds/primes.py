@@ -1,10 +1,12 @@
 """Exact prime counting and Chebyshev's second function.
 
 pi values come from a segmented Eratosthenes sieve chained into cumulative
-count tables.  Point queries past the sieve cap use Legendre's identity
-pi(x) = phi(x, a) + a - 1 with a = pi(sqrt(x)).  psi(x) sums k*log(p) over
-the maximal prime powers p^k <= x with compensated (Kahan) accumulation, and
-every psi value carries a conservative bound on its accumulated rounding
+count tables.  Point queries past the sieve cap run Legendre's sieve
+bottom-up over the O(sqrt x) distinct values of x // k (Lucy_Hedgehog's
+method), with the primes up to sqrt(x) taken from the sieve.  psi is one
+table: log(p) at every prime power p^k, summed in ascending order with
+compensated (Kahan) accumulation.  Point values of psi are lookups into it,
+and every psi value carries a conservative bound on its accumulated rounding
 error so that downstream comparisons can reason about it.
 """
 
@@ -149,8 +151,6 @@ def clear_caches() -> None:
     with _lock:
         _bitmap = _counts = _psi_pos = _psi_val = _psi_full = None
         _psi_built_to = -1
-        _phi_memo.clear()
-        _first_primes.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -220,110 +220,17 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
 # Legendre point queries
 # ---------------------------------------------------------------------------
 
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
-_wheel: list[tuple[int, int, np.ndarray]] = []  # (modulus, count per period, cumulative)
-_phi_memo: dict[tuple[int, int], int] = {}
-_first_primes: list[int] = []
-
-_PHI_MEMO_LIMIT = 4_000_000
-
-
-def _wheel_tables(level: int) -> tuple[int, int, np.ndarray]:
-    with _lock:
-        while len(_wheel) <= level:
-            lvl = len(_wheel)
-            if lvl == 0:
-                _wheel.append((1, 1, np.zeros(1, dtype=np.int64)))
-                continue
-            modulus = math.prod(_WHEEL_PRIMES[:lvl])
-            coprime = np.ones(modulus, dtype=bool)
-            for p in _WHEEL_PRIMES[:lvl]:
-                coprime[::p] = False
-            cum = np.cumsum(coprime).astype(np.int64)
-            _wheel.append((modulus, int(cum[-1]), cum))
-        return _wheel[level]
-
-
-def _wheel_phi(x: int, level: int) -> int:
-    if level == 0:
-        return x
-    modulus, per_period, cum = _wheel_tables(level)
-    q, r = divmod(x, modulus)
-    return q * per_period + int(cum[r])
-
-
-def first_primes(k: int) -> list[int]:
-    """The first k primes (cached)."""
-    with _lock:
-        if len(_first_primes) >= k:
-            return _first_primes[:k]
-        limit = 32
-        if k > 5:
-            limit = int(k * (math.log(k) + math.log(math.log(k)))) + 16
-        while True:
-            primes = _simple_sieve(limit)
-            if len(primes) >= k:
-                _first_primes[:] = primes
-                return _first_primes[:k]
-            limit *= 2
-
-
-def phi(x: int, a: int) -> int:
-    """Count of 1 <= n <= x coprime to the first a primes (phi(x, 0) = x).
-
-    Evaluates the recursion phi(x, a) = phi(x, a-1) - phi(x // p_a, a-1)
-    iteratively with a shared memo, bottoming out on periodic wheel tables
-    for the first few primes.
-    """
-    if x < 0 or a < 0:
-        raise ValueError("phi requires x >= 0 and a >= 0")
-    x = int(x)
-    a = int(a)
-    wheel_max = len(_WHEEL_PRIMES)
-    if a <= wheel_max:
-        return _wheel_phi(x, a)
-    ps = first_primes(a + 1)  # ps[i] = (i+1)-th prime; ps[a] bounds the shortcut
-    if len(_phi_memo) > _PHI_MEMO_LIMIT:
-        _phi_memo.clear()
-
-    def resolved(v: int, lvl: int) -> int | None:
-        if lvl <= wheel_max:
-            return _wheel_phi(v, lvl)
-        if v < ps[lvl]:  # every 2..v shares a factor with the first lvl primes
-            return 1 if v >= 1 else 0
-        return _phi_memo.get((v, lvl))
-
-    stack = [(x, a)]
-    while stack:
-        v, lvl = stack[-1]
-        if resolved(v, lvl) is not None:
-            stack.pop()
-            continue
-        left = (v, lvl - 1)
-        right = (v // ps[lvl - 1], lvl - 1)
-        lval = resolved(*left)
-        rval = resolved(*right)
-        if lval is not None and rval is not None:
-            _phi_memo[(v, lvl)] = lval - rval
-            stack.pop()
-        else:
-            if lval is None:
-                stack.append(left)
-            if rval is None:
-                stack.append(right)
-    result = resolved(x, a)
-    assert result is not None
-    return result
-
-
 def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
-    """pi(x) via Legendre's identity; agrees with the sieve wherever both apply.
+    """pi(x) by Legendre's sieve, evaluated bottom-up (Lucy_Hedgehog's method).
 
-    The identity needs the primes up to isqrt(x), which come from the sieve,
-    so the sieve's cap bounds the query: isqrt(x) above the cap raises
-    ResourceLimitError.  Python integers never overflow; the limit below
-    that ceiling is runtime, which grows roughly linearly in x (about 30 s
-    at 1e9).
+    S(v) starts as the count of 2..v for each of the O(sqrt x) distinct values
+    v = x // k.  Sieving out each prime p <= isqrt(x) in turn, every v >= p*p
+    loses the survivors with least prime factor p:
+    S(v) -= S(v // p) - S(p - 1).  At the end S(x) = pi(x).  Time grows as
+    x^(3/4) and memory as sqrt(x): about 0.13 s at 1e10 and 5 s at 1e12.
+
+    The primes up to isqrt(x) come from the sieve, so the sieve's cap bounds
+    the query: isqrt(x) above the cap raises ResourceLimitError.
     """
     if x < 2:
         raise ValueError("pi_point_legendre requires x >= 2")
@@ -334,27 +241,25 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
             f"pi({n}) needs the primes up to isqrt(x) = {root}, above the scan cap "
             f"{cap}; raise the cap to allow it"
         )
-    a = int(cumulative_pi(root)[root]) if root >= 2 else 0
-    return phi(n, a) + a - 1
+    quotients = n // np.arange(1, root + 1, dtype=np.int64)  # x // k for k <= root
+    small = np.arange(-1, root, dtype=np.int64)  # small[v] = S(v) for v <= root
+    large = quotients - 1  # large[k - 1] = S(x // k)
+    for p in prime_array(root).tolist():
+        below = int(small[p - 1])  # S(p - 1) = pi(p - 1)
+        square = p * p
+        reach = n // square  # large[k - 1] changes for k <= reach
+        split = min(reach, root // p)  # x // (k*p) is in large for k <= split
+        # every right-hand side is read before its row is written
+        large[:split] -= large[p - 1 : split * p : p] - below
+        large[split:reach] -= small[quotients[split:reach] // p] - below
+        if square <= root:
+            small[square:] -= small[np.arange(square, root + 1) // p] - below
+    return int(large[0])
 
 
 # ---------------------------------------------------------------------------
 # psi
 # ---------------------------------------------------------------------------
-
-def max_power_le(p: int, x: int) -> int:
-    """Largest k with p**k <= x, by exact integer multiplication."""
-    if p < 2:
-        raise ValueError("max_power_le requires p >= 2")
-    if x < p:
-        raise ValueError("max_power_le requires x >= p")
-    k = 1
-    power = p
-    while power * p <= x:
-        power *= p
-        k += 1
-    return k
-
 
 @dataclass(frozen=True)
 class PsiValue:
@@ -367,7 +272,7 @@ class PsiValue:
 
 
 def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
-    """psi(x) = sum over primes p <= x of max_power_le(p, x) * log(p)."""
+    """psi(x), read from the psi_steps table: its last prefix at or below x."""
     if x < 0:
         raise ValueError("psi_at requires x >= 0")
     n = int(x)
@@ -377,23 +282,9 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
         )
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
-    total = 0.0
-    carry = 0.0
-    terms = 0
-    for p in prime_array(n).tolist():
-        if p * p > n:
-            k = 1
-            term = math.log(p)
-        else:
-            k = max_power_le(p, n)
-            term = k * math.log(p)
-        terms += k
-        # Kahan step
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return PsiValue(n, total, terms, PSI_ERR_FACTOR * total)
+    pos, val = psi_steps(n)
+    total = float(val[-1])
+    return PsiValue(n, total, int(pos.size), PSI_ERR_FACTOR * total)
 
 
 def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:

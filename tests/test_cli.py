@@ -28,6 +28,10 @@ class TestPi:
         code, out, _ = run(capsys, "pi", "1000000", "--method", "legendre")
         assert code == 0
         assert out.strip() == "78498"
+        # above the cap, auto takes the same route
+        code, out, _ = run(capsys, "pi", "10000000000")
+        assert code == 0
+        assert out.strip() == "455052511"
 
     def test_pi_sieve(self, capsys):
         code, out, _ = run(capsys, "pi", "100", "--method", "sieve")
@@ -51,6 +55,12 @@ class TestPsi:
         code, out, _ = run(capsys, "psi", "10")
         assert code == 0
         assert float(out.strip()) == pytest.approx(7.832014180505469, rel=1e-15)
+
+    @pytest.mark.parametrize("x, n", [("1e3", 1000), ("12.7", 12)])
+    def test_psi_floors_decimals(self, capsys, x, n):
+        code, out, _ = run(capsys, "psi", x)
+        assert code == 0
+        assert float(out.strip()) == primes.psi_at(n).value
 
 
 class TestBound:
@@ -243,6 +253,10 @@ class TestEdgeInputs:
     def test_pi_not_a_number(self, capsys):
         assert "decimal" in self.rejected(capsys, "pi", "0x10")
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-1", "abc"])
+    def test_psi_bad_x(self, capsys, x):
+        self.rejected(capsys, "psi", x)
+
 
 class TestFloorExact:
     def test_integers_above_2_53_stay_exact(self):
@@ -267,3 +281,9 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_failed_parse_leaves_the_parser_usable(self, capsys):
+        assert run(capsys, "psi")[0] == 2
+        code, out, _ = run(capsys, "pi", "100")
+        assert code == 0
+        assert out.strip() == "25"
