@@ -15,12 +15,10 @@ from .bounds import (
 from .claims import Claim, ClaimKind, Report, builtin_claims, run_all, run_claim
 from .primes import (
     DEFAULT_CAP,
-    PiTable,
     PsiValue,
     pi_at,
     pi_oracle_trial_division,
     pi_point_legendre,
-    pi_table,
     psi_at,
     sieve_segment,
 )
@@ -45,9 +43,8 @@ __all__ = [
     "EvalResult", "builtin_bounds", "chebyshev_constants", "evaluate",
     "is_increasing_on",
     "Claim", "ClaimKind", "Report", "builtin_claims", "run_all", "run_claim",
-    "DEFAULT_CAP", "PiTable", "PsiValue", "pi_at",
-    "pi_oracle_trial_division", "pi_point_legendre", "pi_table", "psi_at",
-    "sieve_segment",
+    "DEFAULT_CAP", "PsiValue", "pi_at", "pi_oracle_trial_division",
+    "pi_point_legendre", "psi_at", "sieve_segment",
     "CrossoverResult", "Direction", "Status", "Verdict", "analytic_crossover",
     "count_violations", "exp_threshold", "last_violation", "verify_pi",
     "verify_psi", "verify_sandwich",

@@ -74,9 +74,6 @@ class BoundExpr:
                 f"bound {self.name!r} is undefined at x={x}: requires x > {self.domain_start():g}"
             )
 
-    def value(self, x: float) -> float:
-        return evaluate(self, x).value
-
 
 @dataclass(frozen=True)
 class ScaledLog(BoundExpr):

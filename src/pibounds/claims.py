@@ -376,13 +376,13 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     return problems
 
 
-def _run_crossover(claim: Claim, *, threads: int) -> ClaimOutcome:
+def _run_crossover(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
     p = claim.payload
     registry = builtin_bounds()
     f = registry[p["left"]]
     g = registry[p["right"]]
     lo, hi = int(p["lo"]), int(p["hi"])
-    res = scan.analytic_crossover(f, g, lo, hi, threads=threads)
+    res = scan.analytic_crossover(f, g, lo, hi, cap=cap, threads=threads)
     problems = []
     if res.threshold != p["expected_threshold"]:
         problems.append(f"threshold {res.threshold}, expected {p['expected_threshold']}")
@@ -464,7 +464,7 @@ def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP, threads: int = 1) -> Clai
     else:
         try:
             if claim.kind is ClaimKind.CROSSOVER:
-                outcome = _run_crossover(claim, threads=threads)
+                outcome = _run_crossover(claim, cap=cap, threads=threads)
             elif claim.kind is ClaimKind.CONSTANT_VALUE:
                 outcome = _run_constant(claim)
             else:

@@ -112,7 +112,11 @@ def _cmd_pi(args) -> int:
     elif args.method == "legendre":
         value = primes.pi_point_legendre(n, cap=args.cap)
     elif args.method == "sieve":
-        value = int(primes.pi_table(0, n, cap=args.cap).counts[-1])
+        if n > args.cap:
+            raise ResourceLimitError(
+                f"pi({n}) by sieve exceeds the scan cap {args.cap}; raise the cap to allow it"
+            )
+        value = int(primes.cumulative_pi(n)[n])
     else:
         value = primes.pi_at(n, cap=args.cap)
     print(value)
@@ -152,7 +156,8 @@ def _cmd_scan(args) -> int:
 def _cmd_crossover(args) -> int:
     f = _lookup_bound(args.left)
     g = _lookup_bound(args.right)
-    res = scan.analytic_crossover(f, g, args.start, args.end, threads=args.threads)
+    res = scan.analytic_crossover(f, g, args.start, args.end,
+                                  cap=args.cap, threads=args.threads)
     print(
         f"threshold={res.threshold} last_failure={res.last_failure} "
         f"sign_changes={res.sign_changes} ambiguous={len(res.ambiguous_points)}"
@@ -176,12 +181,7 @@ def _cmd_table(args) -> int:
     names = []
     if args.bounds:
         names = [t.strip() for t in args.bounds.split(",") if t.strip()]
-    registry = builtin_bounds()
-    for name in names:
-        if name not in registry:
-            raise UnknownNameError(
-                f"unknown bound {name!r}; valid names: {', '.join(registry)}"
-            )
+    bounds = [_lookup_bound(name) for name in names]
     if args.step < 1:
         raise DomainError("table step must be >= 1")
     rows = range(args.start, args.end + 1, args.step)
@@ -192,8 +192,8 @@ def _cmd_table(args) -> int:
     print(header)
     for x in rows:
         row = [str(x), str(primes.pi_at(x, cap=args.cap))]
-        for name in names:
-            row.append(repr(evaluate(registry[name], float(x)).value))
+        for b in bounds:
+            row.append(repr(evaluate(b, float(x)).value))
         print(",".join(row))
     return 0
 

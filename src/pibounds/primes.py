@@ -1,13 +1,15 @@
 """Exact prime counting and Chebyshev's second function.
 
-pi values come from a segmented Eratosthenes sieve chained into cumulative
-count tables.  Point queries past the sieve cap run Legendre's sieve
-bottom-up over the O(sqrt x) distinct values of x // k (Lucy_Hedgehog's
-method), with the primes up to sqrt(x) taken from the sieve.  psi is one
-table: log(p) at every prime power p^k, summed in ascending order with
-compensated (Kahan) accumulation.  Point values of psi are lookups into it,
-and every psi value carries a conservative bound on its accumulated rounding
-error so that downstream comparisons can reason about it.
+pi values come from a segmented Eratosthenes sieve chained into a primality
+bitmap and its cumulative count table.  Point queries past the sieve cap run
+Legendre's sieve bottom-up over the O(sqrt x) distinct values of x // k
+(Lucy_Hedgehog's method), with the primes up to sqrt(x) taken from the sieve.
+psi is one table: log(p) at every prime power p^k, summed in ascending order
+with compensated (Kahan) accumulation.  Point values of psi are lookups into
+it, and every psi value carries a conservative bound on its accumulated
+rounding error so that downstream comparisons can reason about it.  All of
+these tables live in one store, by name, and each is rebuilt from scratch
+when a larger limit is asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ _lock = threading.RLock()
 # sieving
 # ---------------------------------------------------------------------------
 
-def _is_prime_trial(n: int) -> bool:
+def is_prime_trial(n: int) -> bool:
+    """Trial-division primality check (the oracle's own primitive)."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -54,29 +57,16 @@ def _is_prime_trial(n: int) -> bool:
 
 def _largest_prime_le(n: int) -> int | None:
     for q in range(n, 1, -1):
-        if _is_prime_trial(q):
+        if is_prime_trial(q):
             return q
     return None
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve (used only for base primes)."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i in range(2, limit + 1) if flags[i]]
-
-
-def sieve_segment(lo: int, hi: int, base_primes: list[int]) -> bytearray:
+def sieve_segment(lo: int, hi: int, base_primes: list[int] | range) -> bytearray:
     """Primality bitmap for [lo, hi]: byte i is 1 iff lo+i is prime.
 
-    base_primes must contain every prime <= isqrt(hi); extra or unsorted
-    entries are harmless.
+    base_primes must contain every prime <= isqrt(hi); extra, composite or
+    unsorted entries are harmless.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -99,44 +89,51 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int]) -> bytearray:
 
 
 # ---------------------------------------------------------------------------
-# cached tables (grow monotonically; rebuilt from scratch on growth)
+# cached tables: one store, each table rebuilt from scratch when it must grow
 # ---------------------------------------------------------------------------
 
-_bitmap: np.ndarray | None = None  # uint8, index n -> 1 iff n prime
-_counts: np.ndarray | None = None  # int64, index n -> pi(n)
-_psi_pos: np.ndarray | None = None  # int64, prime powers in ascending order
-_psi_val: np.ndarray | None = None  # float64, compensated psi at each power
-_psi_built_to: int = -1
-_psi_full: np.ndarray | None = None  # float64, psi(n) for every n
+_tables: dict[str, tuple[int, object]] = {}  # name -> (largest n covered, table)
+
+
+def _cached(name: str, limit: int, build):
+    """The table called name, covering 0..limit.
+
+    On a miss build(limit) returns (largest n covered, table), which replaces
+    the cached entry.  Builds may nest: _lock is reentrant.
+    """
+    with _lock:
+        entry = _tables.get(name)
+        if entry is None or entry[0] < limit:
+            entry = _tables[name] = build(limit)
+        return entry[1]
 
 
 def _prime_bitmap(limit: int) -> np.ndarray:
-    """Primality indicator for 0..limit, chained from sieve segments."""
-    global _bitmap
-    with _lock:
-        if _bitmap is not None and _bitmap.size > limit:
-            return _bitmap
-        base = _simple_sieve(isqrt(limit)) if limit >= 4 else [2, 3]
+    """uint8 primality indicator for 0..limit, chained from sieve segments."""
+    def build(limit: int) -> tuple[int, np.ndarray]:
+        root = isqrt(limit)
+        base = []
+        if root >= 2:  # the primes up to the root, sieved with every integer up to its root
+            flags = sieve_segment(2, root, range(2, isqrt(root) + 1))
+            base = [2 + i for i, f in enumerate(flags) if f]
         parts = [np.zeros(2, dtype=np.uint8)]
-        lo = 2
-        while lo <= limit:
-            hi = min(lo + SEGMENT_LENGTH - 1, limit)
-            seg = sieve_segment(lo, hi, base)
+        for lo in range(2, limit + 1, SEGMENT_LENGTH):
+            seg = sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base)
             parts.append(np.frombuffer(bytes(seg), dtype=np.uint8))
-            lo = hi + 1
-        _bitmap = np.concatenate(parts)
-        return _bitmap
+        bitmap = np.concatenate(parts)
+        return bitmap.size - 1, bitmap
+
+    return _cached("bitmap", limit, build)
 
 
 def cumulative_pi(limit: int) -> np.ndarray:
     """Array c with c[n] = pi(n) for 0 <= n <= limit (cached, shared)."""
-    global _counts
-    with _lock:
-        if _counts is not None and _counts.size > limit:
-            return _counts
-        bm = _prime_bitmap(limit)
-        _counts = np.cumsum(bm, dtype=np.int64)
-        return _counts
+    def build(limit: int) -> tuple[int, np.ndarray]:
+        # the cached bitmap may reach past limit; counting all of it saves a rebuild
+        counts = np.cumsum(_prime_bitmap(limit), dtype=np.int64)
+        return counts.size - 1, counts
+
+    return _cached("counts", limit, build)
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -147,58 +144,13 @@ def prime_array(limit: int) -> np.ndarray:
 
 def clear_caches() -> None:
     """Drop all cached tables (mainly for tests)."""
-    global _bitmap, _counts, _psi_pos, _psi_val, _psi_full, _psi_built_to
     with _lock:
-        _bitmap = _counts = _psi_pos = _psi_val = _psi_full = None
-        _psi_built_to = -1
+        _tables.clear()
 
 
 # ---------------------------------------------------------------------------
 # pi
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiTable:
-    """Cumulative prime counts over a contiguous range.
-
-    counts[i] = pi(lo + i); the array is nondecreasing with steps of 0 or 1,
-    stepping exactly at primes.  Immutable after construction.
-    """
-
-    lo: int
-    hi: int
-    counts: np.ndarray
-
-    def pi(self, x: int) -> int:
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"x={x} outside table range [{self.lo}, {self.hi}]")
-        return int(self.counts[x - self.lo])
-
-
-def _check_table(table: PiTable) -> None:
-    steps = np.diff(table.counts)
-    if steps.size and not np.all((steps == 0) | (steps == 1)):
-        raise AssertionError("pi table steps must be 0 or 1")
-    bm = _prime_bitmap(table.hi)
-    expect = bm[table.lo + 1 : table.hi + 1].astype(np.int64)
-    if steps.size and not np.array_equal(steps, expect):
-        raise AssertionError("pi table steps must align with primality")
-
-
-def pi_table(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> PiTable:
-    """PiTable for [lo, hi], seeded internally by pi(lo-1)."""
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > cap:
-        raise ResourceLimitError(
-            f"pi_table end {hi} exceeds the scan cap {cap}; raise the cap to allow it"
-        )
-    counts = cumulative_pi(hi)[lo : hi + 1].copy()
-    table = PiTable(lo, hi, counts)
-    if __debug__:
-        _check_table(table)
-    return table
-
 
 def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     """pi(floor(x)); sieve lookup below the cap, Legendre query above it.
@@ -289,11 +241,7 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
 
 def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): compensated psi prefix at every prime power <= limit."""
-    global _psi_pos, _psi_val, _psi_built_to
-    with _lock:
-        if _psi_pos is not None and _psi_built_to >= limit:
-            keep = int(np.searchsorted(_psi_pos, limit, side="right"))
-            return _psi_pos[:keep], _psi_val[:keep]
+    def build(limit: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         primes = prime_array(limit)
         logs = np.log(primes.astype(np.float64))
         positions = [primes]
@@ -320,22 +268,22 @@ def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
             carry = (s - total) - y
             total = s
             out[i] = total
-        _psi_pos, _psi_val = pos, out
-        _psi_built_to = limit
-        return pos, out
+        return limit, (pos, out)
+
+    pos, val = _cached("psi_steps", limit, build)
+    keep = int(np.searchsorted(pos, limit, side="right"))
+    return pos[:keep], val[:keep]
 
 
 def psi_array(limit: int) -> np.ndarray:
     """psi(n) for 0 <= n <= limit as a float64 array (cached)."""
-    global _psi_full
-    with _lock:
-        if _psi_full is not None and _psi_full.size > limit:
-            return _psi_full
-        pos, val = psi_steps(max(limit, 2))
-        idx = np.searchsorted(pos, np.arange(limit + 1, dtype=np.int64), side="right")
-        stepped = np.concatenate([[0.0], val])
-        _psi_full = stepped[idx]
-        return _psi_full
+    def build(limit: int) -> tuple[int, np.ndarray]:
+        pos, val = psi_steps(limit)
+        # psi is 0 below the first prime power, then val[i] from pos[i] on
+        steps = np.diff(pos, prepend=0, append=limit + 1)
+        return limit, np.repeat(np.concatenate(([0.0], val)), steps)
+
+    return _cached("psi_array", limit, build)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +298,4 @@ def pi_oracle_trial_division(x: int) -> int:
         raise ResourceLimitError(
             f"trial-division oracle refuses x={x} beyond its cap {ORACLE_CAP}"
         )
-    return sum(1 for n in range(2, x + 1) if _is_prime_trial(n))
-
-
-def is_prime_trial(n: int) -> bool:
-    """Trial-division primality check (the oracle's own primitive)."""
-    return _is_prime_trial(n)
+    return sum(1 for n in range(2, x + 1) if is_prime_trial(n))

@@ -224,10 +224,10 @@ def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     )
 
 
-def _run_segments(work, segs, threads: int) -> list[_SegmentSummary]:
-    """Summary of each segment; threads <= 0 means one worker per core.
+def _scan(work, lo: int, hi: int, threads: int) -> _SegmentSummary:
+    """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
-    A segment is evaluated by work in blocks of SCAN_BLOCK integers, so
+    Each segment is evaluated by work in blocks of SCAN_BLOCK integers, so
     that its arrays stay in cache, and the block summaries are merged.
     """
     def blocked(seg):
@@ -235,21 +235,26 @@ def _run_segments(work, segs, threads: int) -> list[_SegmentSummary]:
         return _merge([work((b, min(b + SCAN_BLOCK - 1, e)))
                        for b in range(s, e + 1, SCAN_BLOCK)])
 
+    segs = list(_segments(lo, hi))
     workers = min(len(segs), threads if threads > 0 else os.cpu_count() or 1)
     if workers <= 1:
-        return [blocked(seg) for seg in segs]
+        return _merge([blocked(seg) for seg in segs])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(blocked, segs))
+        return _merge(list(pool.map(blocked, segs)))
 
 
-def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
-                     *, use_psi: bool, cap: int, threads: int) -> _SegmentSummary:
+def _check_range(lo: int, hi: int, cap: int) -> None:
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     if hi > cap:
         raise ResourceLimitError(
             f"scan end {hi} exceeds the scan cap {cap}; raise the cap to allow it"
         )
+
+
+def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
+                     *, use_psi: bool, cap: int, threads: int) -> _SegmentSummary:
+    _check_range(lo, hi, cap)
     b.check_domain(lo)
     try:
         turn = b.increase_start()
@@ -327,8 +332,8 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         ns, diff, guard = (np.concatenate(a) for a in zip(*pieces))
         return _classify(diff, guard, ns, points=e - s + 1)
 
-    summaries = _run_segments(work, list(_segments(lo, hi)), threads)
-    return _merge(summaries)
+    return _scan(work, lo, hi, threads)
+
 
 def _to_verdict(out: _SegmentSummary) -> Verdict:
     if out.fail_count:
@@ -371,7 +376,7 @@ def count_violations(b: BoundExpr, direction: Direction, lo: int, hi: int,
 
 
 def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
-                       *, threads: int = 1) -> CrossoverResult:
+                       *, cap: int = DEFAULT_CAP, threads: int = 1) -> CrossoverResult:
     """Smallest n in [lo, hi] with f(n) <= g(n) for every scanned point onward.
 
     Pure expression comparison; no prime data involved.  Exhaustive scan,
@@ -379,8 +384,7 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
     floating-point tie counts as satisfied (the relation is non-strict), which
     also covers comparing an expression against itself.
     """
-    if not lo <= hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    _check_range(lo, hi, cap)
     f.check_domain(lo)
     g.check_domain(lo)
 
@@ -394,8 +398,7 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
         return _classify(diff, fe + ge, np.arange(s, e + 1, dtype=np.int64),
                          exact_pass=diff == 0.0)
 
-    summaries = _run_segments(work, list(_segments(lo, hi)), threads)
-    out = _merge(summaries)
+    out = _scan(work, lo, hi, threads)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:
@@ -413,12 +416,7 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
     is admitted as a pass and excluded from margin bookkeeping, so min_margin
     reports the tightest genuinely decided point.
     """
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > cap:
-        raise ResourceLimitError(
-            f"scan end {hi} exceeds the scan cap {cap}; raise the cap to allow it"
-        )
+    _check_range(lo, hi, cap)
     counts = primes.cumulative_pi(hi)
     psis = primes.psi_array(hi)
 
@@ -433,8 +431,7 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
         exact_tie = (diff == 0.0) & (ns == 2)
         return _classify(diff, guard, ns, exact_pass=exact_tie)
 
-    summaries = _run_segments(work, list(_segments(lo, hi)), threads)
-    return _to_verdict(_merge(summaries))
+    return _to_verdict(_scan(work, lo, hi, threads))
 
 
 def exp_threshold(m: float, C: float) -> float:

@@ -37,6 +37,12 @@ class TestPi:
         code, out, _ = run(capsys, "pi", "100", "--method", "sieve")
         assert code == 0
         assert out.strip() == "25"
+        # the sieve serves n up to the cap and refuses the next one
+        code, out, _ = run(capsys, "--cap", "1000", "pi", "1000", "--method", "sieve")
+        assert code == 0
+        assert out.strip() == "168"
+        err = TestEdgeInputs.rejected(capsys, "--cap", "1000", "pi", "1001", "--method", "sieve")
+        assert "cap" in err
 
     def test_pi_floors_exactly_above_the_cap(self, capsys):
         # as a float, x would round up to the prime 1000003
@@ -256,6 +262,12 @@ class TestEdgeInputs:
     @pytest.mark.parametrize("x", ["nan", "inf", "-1", "abc"])
     def test_psi_bad_x(self, capsys, x):
         self.rejected(capsys, "psi", x)
+
+    def test_crossover_beyond_the_cap(self, capsys):
+        # without the cap check this scans 1e12 integers
+        assert "cap" in self.rejected(capsys, "--threads", "1", "crossover",
+                                      "--left", "dusart_upper", "--right", "pan_upper",
+                                      "--from", "30", "--to", "1000000000000")
 
 
 class TestFloorExact:

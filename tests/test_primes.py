@@ -1,5 +1,6 @@
 import math
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from pibounds import primes
 from pibounds.errors import ConfigurationError, ResourceLimitError
 from pibounds.primes import (
+    cumulative_pi,
     pi_at,
     pi_oracle_trial_division,
     pi_point_legendre,
-    pi_table,
     psi_at,
     sieve_segment,
 )
@@ -51,40 +52,38 @@ class TestSieveSegment:
         with pytest.raises(ValueError):
             sieve_segment(10, 9, [2, 3])
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 48, 2237])
+    def test_every_integer_up_to_the_root_as_base(self, r):
+        # how the table build finds its base primes
+        expect = [n for n in range(2, r + 1) if primes.is_prime_trial(n)]
+        assert flagged(2, r, range(2, isqrt(r) + 1)) == expect
+
 
 class TestPiTable:
+    """cumulative_pi, the shared table of pi(n) from n = 0."""
+
     def test_first_ten(self):
-        assert pi_table(1, 10).counts.tolist() == [0, 1, 2, 2, 3, 3, 4, 4, 4, 4]
+        assert cumulative_pi(10)[1:11].tolist() == [0, 1, 2, 2, 3, 3, 4, 4, 4, 4]
 
     def test_documented_counterexample_points(self):
-        assert pi_table(96097, 96097).counts.tolist() == [9260]
-        assert pi_table(100, 100).counts.tolist() == [25]
+        assert cumulative_pi(96097)[96097] == 9260
+        assert cumulative_pi(100)[100] == 25
 
     def test_from_zero(self):
-        assert pi_table(0, 4).counts.tolist() == [0, 0, 1, 2, 2]
-
-    def test_lookup(self):
-        t = pi_table(50, 60)
-        assert t.pi(53) == pi_at(53)
-        with pytest.raises(ValueError):
-            t.pi(49)
-
-    def test_cap_is_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            pi_table(0, 100, cap=50)
+        assert cumulative_pi(4)[:5].tolist() == [0, 0, 1, 2, 2]
 
     def test_monotone_unit_steps(self):
-        t = pi_table(1000, 5000)
-        steps = np.diff(t.counts)
+        counts = cumulative_pi(5000)[1000:5001]
+        steps = np.diff(counts)
         assert set(steps.tolist()) <= {0, 1}
-        assert t.counts[-1] - t.counts[0] == steps.sum()
+        assert counts[-1] - counts[0] == steps.sum()
 
     @given(lo=st.integers(0, 2000), width=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_steps_mark_exactly_the_primes(self, lo, width):
-        t = pi_table(lo, lo + width)
+        counts = cumulative_pi(lo + width)[lo : lo + width + 1]
         for i in range(1, width + 1):
-            is_step = t.counts[i] - t.counts[i - 1] == 1
+            is_step = counts[i] - counts[i - 1] == 1
             assert is_step == primes.is_prime_trial(lo + i)
 
 
@@ -225,6 +224,21 @@ class TestPsi:
         table = primes.psi_array(500)
         for x in range(501):
             assert psi_at(x).value == table[x], x
+
+    @pytest.mark.parametrize("limit, grown_from", [
+        (0, None), (1, None), (2, None), (3, None), (4, None), (100, None),
+        (10**5, None), (10**5, 100),
+    ])
+    def test_table_matches_searchsorted_construction(self, limit, grown_from):
+        def by_search(limit):
+            pos, val = primes.psi_steps(max(limit, 2))
+            idx = np.searchsorted(pos, np.arange(limit + 1, dtype=np.int64), side="right")
+            return np.concatenate([[0.0], val])[idx]
+
+        primes.clear_caches()
+        if grown_from is not None:
+            primes.psi_array(grown_from)
+        assert np.array_equal(primes.psi_array(limit), by_search(limit))
 
     def test_table_growth_keeps_point_values(self):
         primes.clear_caches()

@@ -234,6 +234,13 @@ class TestAnalyticCrossover:
         assert res.last_failure == last_neg
         assert res.threshold == last_neg + 1
 
+    def test_cap_is_enforced(self, registry):
+        f, g = registry["dusart_upper"], registry["pan_upper"]
+        with pytest.raises(CrossoverNotFoundError):  # the scan runs up to the cap
+            analytic_crossover(f, g, 900, 1000, cap=1000)
+        with pytest.raises(ResourceLimitError):
+            analytic_crossover(f, g, 900, 1001, cap=1000)
+
     def test_domain_checked(self, registry):
         with pytest.raises(DomainError):
             analytic_crossover(registry["pan_upper"], registry["unit_lower"], 3, 10)
