@@ -454,44 +454,36 @@ def _run_constant(claim: Claim) -> ClaimOutcome:
 def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP, threads: int = 1) -> ClaimOutcome:
     """Run one claim; SKIPPED (never a false MATCH) when the cap is too low."""
     start = time.perf_counter()
-    lo, hi = _claim_range(claim)
-    if hi > cap:
+    try:
+        if claim.kind is ClaimKind.CROSSOVER:
+            outcome = _run_crossover(claim, cap=cap, threads=threads)
+        elif claim.kind is ClaimKind.CONSTANT_VALUE:
+            outcome = _run_constant(claim)
+        else:
+            outcome = _run_range_check(claim, cap=cap, threads=threads)
+    except ResourceLimitError as exc:
         outcome = ClaimOutcome(
             claim=claim, status="SKIPPED", verdict=None, witness=None,
-            min_margin=None, scan_range=(lo, hi), elapsed_ms=0,
-            note=f"range end {hi} exceeds cap {cap}",
+            min_margin=None, scan_range=_claim_range(claim), elapsed_ms=0, note=str(exc),
         )
-    else:
-        try:
-            if claim.kind is ClaimKind.CROSSOVER:
-                outcome = _run_crossover(claim, cap=cap, threads=threads)
-            elif claim.kind is ClaimKind.CONSTANT_VALUE:
-                outcome = _run_constant(claim)
-            else:
-                outcome = _run_range_check(claim, cap=cap, threads=threads)
-        except ResourceLimitError as exc:
-            outcome = ClaimOutcome(
-                claim=claim, status="SKIPPED", verdict=None, witness=None,
-                min_margin=None, scan_range=(lo, hi), elapsed_ms=0, note=str(exc),
-            )
     outcome.elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
     return outcome
 
 
 def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,
             threads: int = 1) -> Report:
-    """Run selected claims (all by default) in registry order."""
+    """Run selected claims (all by default) in registry order; an empty
+    selection is an error, not a vacuous match."""
     start = time.perf_counter()
     registry = builtin_claims()
     valid = [c.id for c in registry]
     if ids is not None:
-        wanted = list(ids)
-        unknown = sorted(set(wanted) - set(valid))
-        if unknown:
-            raise UnknownNameError(
-                f"unknown claim id(s) {', '.join(unknown)}; valid ids: {', '.join(valid)}"
-            )
-        selected = [c for c in registry if c.id in set(wanted)]
+        wanted = set(ids)
+        unknown = sorted(wanted - set(valid))
+        if unknown or not wanted:
+            what = f"unknown claim id(s) {', '.join(unknown)}" if unknown else "no claim ids given"
+            raise UnknownNameError(f"{what}; valid ids: {', '.join(valid)}")
+        selected = [c for c in registry if c.id in wanted]
     else:
         selected = registry
     outcomes = [run_claim(c, cap=cap, threads=threads) for c in selected]

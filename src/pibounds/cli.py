@@ -167,7 +167,7 @@ def _cmd_crossover(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = None
-    if args.claim_ids:
+    if args.claim_ids is not None:
         ids = [t.strip() for t in args.claim_ids.split(",") if t.strip()]
     report = claims.run_all(ids, cap=args.cap, threads=args.threads)
     if args.format == "json":

@@ -19,17 +19,16 @@ consecutive prime powers, so the integers of a range fall into runs on which
 f is constant.  From floor(turn) + 2 onward every slab lies where the bound
 increases, so within a run the slab margin only grows away from one *worst*
 integer: the run's first integer for an upper check (B(n) is smallest there)
-and its last for a lower check (B(n+1) is largest there).  One guarded
-comparison at the worst integer, with the same slab value and guard the
-per-integer comparison uses, decides the whole run: if the worst slab clears
-f by more than its guard, the bound's true value clears f on every slab of
-the run, because the true bound only moves away from f inside the run and f
-does not move at all.  Runs whose worst integer fails or is ambiguous are
-re-checked integer by integer, so violation counts, the last violation,
-ambiguous points and sign changes stay exact.  The few integers below
-floor(turn) + 2, where the bound may still fall (and the slab extreme may be
-the turning point itself), are always checked one by one.  Verdicts still
-report points_checked as the number of integers covered.
+and its last for a lower check (B(n+1) is largest there).  If the worst slab
+clears f by more than its guard, the bound's true value clears f on every
+slab of the run, because the true bound only moves away from f inside the
+run and f does not move at all.  Below floor(turn) + 2, where the bound may
+still fall (and the slab extreme may be the turning point itself), every
+integer is a run of its own.  A block whose runs all clear their guards at
+their worst integers is decided from those comparisons alone; any other block
+is compared integer by integer, so violation counts, the last violation,
+ambiguous points and sign changes stay exact.  Verdicts still report
+points_checked as the number of integers covered.
 
 Segments and blocks.  A range is cut into segments of SCAN_SEGMENT integers,
 the unit of threading: each worker thread takes whole segments.  A segment is
@@ -128,32 +127,18 @@ class _SegmentSummary:
     state_changes: int
 
 
-def _segments(lo: int, hi: int):
-    s = lo
-    while s <= hi:
-        yield s, min(s + SCAN_SEGMENT - 1, hi)
-        s += SCAN_SEGMENT
-
-
 def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
-              exact_pass: np.ndarray | None = None,
-              points: int | None = None) -> _SegmentSummary:
+              points: int) -> _SegmentSummary:
     """Shared guarded classification of per-point margins.
 
     Each entry stands for the integer ns[i]; points is the number of integers
-    the entries cover (default: one each).
+    the entries cover.  A diff of +inf marks a provable tie that passes.
     """
     fail = diff < -guard
     passing = diff > guard
-    if exact_pass is not None:
-        passing |= exact_pass
     fail_count = int(np.count_nonzero(fail))
     amb_count = diff.size - fail_count - int(np.count_nonzero(passing))
-
-    margin = diff
-    if exact_pass is not None and exact_pass.any():
-        margin = np.where(exact_pass, np.inf, diff)
-    min_idx = int(np.argmin(margin))
+    min_idx = int(np.argmin(diff))
 
     ambiguous: list[int] = []
     definite = fail  # True marks a failing point, False a passing one
@@ -177,12 +162,12 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
         first_state = last_state = 0
 
     return _SegmentSummary(
-        points=int(diff.size) if points is None else points,
+        points=points,
         fail_count=fail_count,
         last_fail=last_fail,
         margin_at_last_fail=margin_at_last_fail,
         guard_at_last_fail=guard_at_last_fail,
-        min_diff=float(margin[min_idx]),
+        min_diff=float(diff[min_idx]),
         min_diff_n=int(ns[min_idx]),
         guard_at_min=float(guard[min_idx]),
         ambiguous=ambiguous,
@@ -224,23 +209,36 @@ def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     )
 
 
-def _scan(work, lo: int, hi: int, threads: int) -> _SegmentSummary:
+def _scan(margins, lo: int, hi: int, threads: int, worst=None) -> _SegmentSummary:
     """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
-    Each segment is evaluated by work in blocks of SCAN_BLOCK integers, so
-    that its arrays stay in cache, and the block summaries are merged.
+    margins(ns) gives the (diff, guard) arrays of the ascending integers ns.
+    worst(s, e), when given, gives the worst integer of each run of [s, e]: a
+    block is decided from those when every one clears its guard, and compared
+    integer by integer otherwise.  Each segment is evaluated in blocks of
+    SCAN_BLOCK integers, so that its arrays stay in cache, and the block
+    summaries are merged.
     """
-    def blocked(seg):
-        s, e = seg
-        return _merge([work((b, min(b + SCAN_BLOCK - 1, e)))
+    def block(s: int, e: int) -> _SegmentSummary:
+        if worst is not None:
+            ns = worst(s, e)
+            diff, guard = margins(ns)
+            if np.all(diff > guard):
+                return _classify(diff, guard, ns, e - s + 1)
+        ns = np.arange(s, e + 1, dtype=np.int64)
+        return _classify(*margins(ns), ns, e - s + 1)
+
+    def segment(s: int) -> _SegmentSummary:
+        e = min(s + SCAN_SEGMENT - 1, hi)
+        return _merge([block(b, min(b + SCAN_BLOCK - 1, e))
                        for b in range(s, e + 1, SCAN_BLOCK)])
 
-    segs = list(_segments(lo, hi))
-    workers = min(len(segs), threads if threads > 0 else os.cpu_count() or 1)
+    starts = range(lo, hi + 1, SCAN_SEGMENT)
+    workers = min(len(starts), threads if threads > 0 else os.cpu_count() or 1)
     if workers <= 1:
-        return _merge([blocked(seg) for seg in segs])
+        return _merge([segment(s) for s in starts])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merge(list(pool.map(blocked, segs)))
+        return _merge(list(pool.map(segment, starts)))
 
 
 def _check_range(lo: int, hi: int, cap: int) -> None:
@@ -299,40 +297,16 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
         return diff, guard
 
-    def runs(s: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Margins of [s, e] with each run of constant f checked at its worst
-        integer, and every integer of a run that does not clear its guard."""
+    def worst(s: int, e: int) -> np.ndarray:
+        """The worst integer of each run of constant f in [s, e]; every
+        integer below run_from is a run of its own."""
         f_seg = f_table[s : e + 1]
-        starts = s + np.flatnonzero(f_seg[1:] != f_seg[:-1]) + 1
-        starts = np.concatenate(([s], starts))
-        ends = np.append(starts[1:] - 1, e)
-        ns = starts if upper else ends
-        diff, guard = margins(ns)
-        redo = ~(diff > guard)
-        if not redo.any():
-            return ns, diff, guard
-        # one entry per clean run, one per integer of the other runs
-        lengths = np.where(redo, ends - starts + 1, 1)
-        run_of = np.repeat(np.arange(ns.size), lengths)
-        offset = np.arange(run_of.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        expand = redo[run_of]
-        ns = np.where(expand, starts[run_of] + offset, ns[run_of])
-        diff, guard = diff[run_of], guard[run_of]
-        diff[expand], guard[expand] = margins(ns[expand])
-        return ns, diff, guard
+        cut = f_seg[1:] != f_seg[:-1]  # cut[i]: s + i + 1 starts a run
+        cut[: max(run_from - s, 0)] = True
+        starts = s + 1 + np.flatnonzero(cut)
+        return np.concatenate(([s], starts)) if upper else np.append(starts - 1, e)
 
-    def work(seg):
-        s, e = seg
-        pieces = []
-        if s < run_from:
-            ns = np.arange(s, min(e, run_from - 1) + 1, dtype=np.int64)
-            pieces.append((ns, *margins(ns)))
-        if e >= run_from:
-            pieces.append(runs(max(s, run_from), e))
-        ns, diff, guard = (np.concatenate(a) for a in zip(*pieces))
-        return _classify(diff, guard, ns, points=e - s + 1)
-
-    return _scan(work, lo, hi, threads)
+    return _scan(margins, lo, hi, threads, worst)
 
 
 def _to_verdict(out: _SegmentSummary) -> Verdict:
@@ -388,17 +362,16 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
     f.check_domain(lo)
     g.check_domain(lo)
 
-    def work(seg):
-        s, e = seg
-        xs = np.arange(s, e + 1, dtype=np.float64)
+    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xs = ns.astype(np.float64)
         logs = np.log(xs)
         fv, fe = f.values_with_error(xs, logs)
         gv, ge = g.values_with_error(xs, logs)
         diff = gv - fv
-        return _classify(diff, fe + ge, np.arange(s, e + 1, dtype=np.int64),
-                         exact_pass=diff == 0.0)
+        diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
+        return diff, fe + ge
 
-    out = _scan(work, lo, hi, threads)
+    out = _scan(margins, lo, hi, threads)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:
@@ -420,18 +393,16 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
     counts = primes.cumulative_pi(hi)
     psis = primes.psi_array(hi)
 
-    def work(seg):
-        s, e = seg
-        ns = np.arange(s, e + 1, dtype=np.int64)
+    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         logs = np.log(ns.astype(np.float64))
-        pi_log = counts[s : e + 1] * logs
-        psi_vals = psis[s : e + 1]
+        pi_log = counts[ns] * logs
+        psi_vals = psis[ns]
         diff = np.minimum(pi_log - psi_vals, 2.0 * psi_vals - pi_log)
         guard = _EPS * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi_vals))
-        exact_tie = (diff == 0.0) & (ns == 2)
-        return _classify(diff, guard, ns, exact_pass=exact_tie)
+        diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2
+        return diff, guard
 
-    return _to_verdict(_scan(work, lo, hi, threads))
+    return _to_verdict(_scan(margins, lo, hi, threads))
 
 
 def exp_threshold(m: float, C: float) -> float:

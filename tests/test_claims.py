@@ -127,6 +127,12 @@ class TestRunAll:
         assert "C99" in str(err.value)
         assert "C13" in str(err.value)
 
+    def test_empty_selection_is_an_error(self):
+        with pytest.raises(UnknownNameError) as err:
+            run_all([])
+        assert "no claim ids" in str(err.value)
+        assert "C13" in str(err.value)
+
 
 class TestReportSerialization:
     def test_json_schema_keys_and_order(self):

@@ -148,10 +148,12 @@ class TestVerify:
         assert obj["claims"][0]["status"] == "MISMATCH"
         assert obj["claims"][0]["witness"] == 24254
 
-    def test_unknown_claim_exits_two(self, capsys):
-        code, _, err = run(capsys, "verify", "--claims", "C99")
+    @pytest.mark.parametrize("ids, named", [("C99", "C99"), (",", "no claim ids")])
+    def test_unknown_claim_exits_two(self, capsys, ids, named):
+        code, _, err = run(capsys, "verify", "--claims", ids)
         assert code == 2
-        assert "C99" in err and "C13" in err
+        assert named in err and "C13" in err
+        assert err.count("error:") == 1
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--claims", "C1,C15")

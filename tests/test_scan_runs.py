@@ -1,4 +1,5 @@
-"""The run reduction agrees with a brute-force per-integer scan.
+"""The run reduction agrees with a brute-force per-integer scan, and it
+evaluates the bound only where it says it does.
 
 The reference below evaluates every slab of the range, exactly as a scan
 without the run reduction does, and classifies each integer on its own.
@@ -127,3 +128,47 @@ def test_known_failing_ranges_match_per_integer_reference(name, direction, lo, h
     assert verify_pi(b, direction, lo, hi) == verdict
     assert count_violations(b, direction, lo, hi) == count
     assert last_violation(b, direction, lo, hi) == last
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """watch(b) records the xs array of every kernel call of b's shape."""
+    calls = []
+
+    def watch(b):
+        shape = type(b)
+        original = shape.values_with_error
+
+        def recorded(self, xs, logs):
+            calls.append(xs.copy())
+            return original(self, xs, logs)
+
+        monkeypatch.setattr(shape, "values_with_error", recorded)
+        return calls
+
+    return watch
+
+
+def test_clean_blocks_evaluate_each_run_once(kernel_calls):
+    # unit_lower holds on all of [17, 10**5]: each run costs the two slab
+    # ends of its worst integer, and each block start begins a run
+    b = REGISTRY["unit_lower"]
+    lo, hi = 17, 10**5
+    calls = kernel_calls(b)
+    assert verify_pi(b, Direction.LOWER_STRICT, lo, hi).status is Status.PASS
+    f = primes.cumulative_pi(hi)
+    starts = set(range(lo, hi + 1, scan.SCAN_BLOCK))
+    starts.update((lo + 1 + np.flatnonzero(f[lo + 1 : hi + 1] != f[lo:hi])).tolist())
+    assert sum(xs.size for xs in calls) == 2 * len(starts)
+
+
+def test_only_a_block_with_a_failing_run_is_compared_per_integer(kernel_calls):
+    # the 19 violations of pan_upper past its turn lie in [24121, 24254]
+    b = REGISTRY["pan_upper"]
+    calls = kernel_calls(b)
+    assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
+    compared = [(int(xs[0]), int(xs[-1]) - 1) for xs in calls
+                if xs.size > 2 and np.all(np.diff(xs[0::2]) == 1)]
+    first = (4, 4 + scan.SCAN_BLOCK - 1)
+    assert compared == [first]
+    assert first[0] <= 24121 and 24254 <= first[1]
