@@ -10,7 +10,6 @@ from .bounds import (
     builtin_bounds,
     chebyshev_constants,
     evaluate,
-    is_increasing_on,
 )
 from .claims import Claim, ClaimKind, Report, builtin_claims, run_all, run_claim
 from .primes import (
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundExpr", "ScaledLog", "ShiftedLog", "DusartSeries", "PsiAffine",
     "EvalResult", "builtin_bounds", "chebyshev_constants", "evaluate",
-    "is_increasing_on",
     "Claim", "ClaimKind", "Report", "builtin_claims", "run_all", "run_claim",
     "DEFAULT_CAP", "PsiValue", "pi_at", "pi_oracle_trial_division",
     "pi_point_legendre", "psi_at", "sieve_segment",

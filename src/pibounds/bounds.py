@@ -147,14 +147,7 @@ class DusartSeries(BoundExpr):
         def num(L: float) -> float:
             return L * L * L + (self.k - 2.0) * L - 3.0 * self.k
 
-        lo, hi = 1e-9, 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if num(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return math.exp(hi)
+        return math.exp(_bisect(num, 1e-9, 10.0))
 
 
 @dataclass(frozen=True)
@@ -196,16 +189,21 @@ class PsiAffine(BoundExpr):
 
         if h(1.0) >= 0.0:
             return 1.0
-        lo, hi = 1.0, 2.0
+        hi = 2.0
         while h(hi) < 0.0:
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if h(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return _bisect(h, 1.0, hi)
+
+
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Right end of [lo, hi] after 200 halvings that keep fn(lo) < 0 <= fn(hi)."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +249,3 @@ def evaluate(b: BoundExpr, x: float) -> EvalResult:
     logs = np.log(xs)
     vals, errs = b.values_with_error(xs, logs)
     return EvalResult(float(vals[0]), float(errs[0]))
-
-
-def is_increasing_on(b: BoundExpr, lo: float, hi: float) -> bool:
-    """True iff b's closed-form derivative is positive throughout [lo, hi]."""
-    if not lo <= hi:
-        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    b.check_domain(lo)
-    return lo > b.increase_start()

@@ -32,7 +32,6 @@ class ClaimKind(Enum):
     PI_CHECK = "PiCheck"
     PSI_CHECK = "PsiCheck"
     CROSSOVER = "Crossover"
-    POINT_VALUE = "PointValue"
     CONSTANT_VALUE = "ConstantValue"
 
 

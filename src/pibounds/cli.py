@@ -178,23 +178,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    names = []
-    if args.bounds:
-        names = [t.strip() for t in args.bounds.split(",") if t.strip()]
+    names = [t.strip() for t in (args.bounds or "").split(",") if t.strip()]
     bounds = [_lookup_bound(name) for name in names]
     if args.step < 1:
         raise DomainError("table step must be >= 1")
+    if not 0 <= args.start <= args.end:
+        raise DomainError(f"table needs 0 <= --from <= --to, got [{args.start}, {args.end}]")
     rows = range(args.start, args.end + 1, args.step)
-    if rows and rows[0] <= args.cap:
+    if rows[0] <= args.cap:
         # one count table for every row the sieve serves, not one per row
         primes.cumulative_pi(rows[min(len(rows) - 1, (args.cap - rows[0]) // args.step)])
-    header = "x,pi," + ",".join(names) if names else "x,pi"
-    print(header)
+    # raise every error before the header: the last row is the farthest from
+    # the cap, and each bound's domain is a half-line, so the first row decides it
+    last = primes.pi_at(rows[-1], cap=args.cap)
+    for b in bounds:
+        b.check_domain(float(rows[0]))
+    print(",".join(["x", "pi", *names]))
     for x in rows:
-        row = [str(x), str(primes.pi_at(x, cap=args.cap))]
-        for b in bounds:
-            row.append(repr(evaluate(b, float(x)).value))
-        print(",".join(row))
+        pi = last if x == rows[-1] else primes.pi_at(x, cap=args.cap)
+        values = [repr(evaluate(b, float(x)).value) for b in bounds]
+        print(",".join([str(x), str(pi), *values]))
     return 0
 
 

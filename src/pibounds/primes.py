@@ -1,15 +1,15 @@
 """Exact prime counting and Chebyshev's second function.
 
-pi values come from a segmented Eratosthenes sieve chained into a primality
-bitmap and its cumulative count table.  Point queries past the sieve cap run
-Legendre's sieve bottom-up over the O(sqrt x) distinct values of x // k
-(Lucy_Hedgehog's method), with the primes up to sqrt(x) taken from the sieve.
-psi is one table: log(p) at every prime power p^k, summed in ascending order
-with compensated (Kahan) accumulation.  Point values of psi are lookups into
-it, and every psi value carries a conservative bound on its accumulated
-rounding error so that downstream comparisons can reason about it.  All of
-these tables live in one store, by name, and each is rebuilt from scratch
-when a larger limit is asked for.
+pi values come from a segmented Eratosthenes sieve, whose uint8 segments are
+appended into a primality bitmap, and its cumulative count table.  Point
+queries past the sieve cap run Legendre's sieve bottom-up over the O(sqrt x)
+distinct values of x // k (Lucy_Hedgehog's method), with the primes up to
+sqrt(x) taken from the sieve.  psi is one table: log(p) at every prime power
+p^k (vector powers of the primes up to sqrt(limit)), summed in ascending
+order with compensated (Kahan) accumulation.  Point values of psi are lookups
+into it, and every psi value carries a conservative bound on its accumulated
+rounding error.  All of these tables live in one store, by name, and each is
+rebuilt from scratch when a larger limit is asked for.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _largest_prime_le(n: int) -> int | None:
     return None
 
 
-def sieve_segment(lo: int, hi: int, base_primes: list[int] | range) -> bytearray:
-    """Primality bitmap for [lo, hi]: byte i is 1 iff lo+i is prime.
+def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
+    """Primality bitmap for [lo, hi] as a uint8 array: entry i is 1 iff lo+i is prime.
 
     base_primes must contain every prime <= isqrt(hi); extra, composite or
     unsorted entries are harmless.
@@ -73,18 +73,14 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range) -> bytearray
     need = isqrt(hi)
     if need >= 2:
         top = _largest_prime_le(need)
-        if top is not None and (not base_primes or max(base_primes) < top):
+        if top is not None and (len(base_primes) == 0 or max(base_primes) < top):
             raise ConfigurationError(
                 f"base_primes must cover primes up to {top} to sieve [{lo}, {hi}]"
             )
-    flags = bytearray(b"\x01") * (hi - lo + 1)
+    flags = np.ones(hi - lo + 1, dtype=np.uint8)
     for p in base_primes:
-        if p < 2 or p * p > hi:
-            continue
-        start = max(p * p, (lo + p - 1) // p * p)
-        if start > hi:
-            continue
-        flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+        if 2 <= p and p * p <= hi:
+            flags[max(p * p, (lo + p - 1) // p * p) - lo :: p] = 0
     return flags
 
 
@@ -114,12 +110,10 @@ def _prime_bitmap(limit: int) -> np.ndarray:
         root = isqrt(limit)
         base = []
         if root >= 2:  # the primes up to the root, sieved with every integer up to its root
-            flags = sieve_segment(2, root, range(2, isqrt(root) + 1))
-            base = [2 + i for i, f in enumerate(flags) if f]
+            base = np.flatnonzero(sieve_segment(2, root, range(2, isqrt(root) + 1))) + 2
         parts = [np.zeros(2, dtype=np.uint8)]
         for lo in range(2, limit + 1, SEGMENT_LENGTH):
-            seg = sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base)
-            parts.append(np.frombuffer(bytes(seg), dtype=np.uint8))
+            parts.append(sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base))
         bitmap = np.concatenate(parts)
         return bitmap.size - 1, bitmap
 
@@ -246,29 +240,29 @@ def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
         logs = np.log(primes.astype(np.float64))
         positions = [primes]
         values = [logs]
-        for p, lp in zip(primes.tolist(), logs.tolist()):
-            if p * p > limit:
-                break
-            power = p * p
-            while power <= limit:
-                positions.append(np.array([power], dtype=np.int64))
-                values.append(np.array([lp], dtype=np.float64))
-                power *= p
+        # p^k for k >= 2: powers of the primes up to the root, while any is <= limit
+        small = primes <= isqrt(limit)
+        bases, lp = primes[small], logs[small]
+        power = bases
+        while power.size:
+            power = power * bases
+            keep = power <= limit
+            bases, lp, power = bases[keep], lp[keep], power[keep]
+            positions.append(power)
+            values.append(lp)
         pos = np.concatenate(positions)
-        val = np.concatenate(values)
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
-        term = val[order]
-        out = np.empty_like(term)
+        prefix = np.concatenate(values)[order].tolist()  # the terms, overwritten by their sums
         total = 0.0
         carry = 0.0
-        for i, t in enumerate(term.tolist()):
+        for i, t in enumerate(prefix):
             y = t - carry
             s = total + y
             carry = (s - total) - y
             total = s
-            out[i] = total
-        return limit, (pos, out)
+            prefix[i] = total
+        return limit, (pos, np.array(prefix, dtype=np.float64))
 
     pos, val = _cached("psi_steps", limit, build)
     keep = int(np.searchsorted(pos, limit, side="right"))

@@ -12,7 +12,6 @@ from pibounds.bounds import (
     ShiftedLog,
     chebyshev_constants,
     evaluate,
-    is_increasing_on,
 )
 from pibounds.errors import DomainError
 
@@ -173,24 +172,21 @@ class TestEvaluate:
 
 class TestMonotonicity:
     def test_unit_lower_examples(self, registry):
-        b = registry["unit_lower"]
-        assert is_increasing_on(b, 3, 10**6) is True
-        assert is_increasing_on(b, 2, 2.5) is False
+        # x / log x turns at e: decreasing on [2, 2.5], increasing from 3
+        assert 2.5 < registry["unit_lower"].increase_start() < 3
 
     def test_pan_upper_increasing_from_30(self, registry):
-        # log 30 > 1.11 + 1, so the derivative is positive there
-        assert is_increasing_on(registry["pan_upper"], 30, 10**6) is True
-        assert is_increasing_on(registry["pan_upper"], 4, 9) is False
+        # log 30 > 1.11 + 1, so the derivative is positive there; log 4 < 2.11
+        assert 4 < registry["pan_upper"].increase_start() < 30
 
     def test_psi_lower_turn(self, registry):
         b = registry["psi_lower"]
         c1, _ = chebyshev_constants()
         assert abs(b.increase_start() - 2.5 / c1) < 1e-9
-        assert is_increasing_on(b, 3, 100) is True
+        assert b.increase_start() < 3
 
     def test_psi_upper_always_increasing(self, registry):
         assert registry["psi_upper"].increase_start() == 1.0
-        assert is_increasing_on(registry["psi_upper"], 2, 10**6) is True
 
     def test_dusart_turn_bracketing(self, registry):
         # derivative numerator changes sign across the turning point
@@ -206,10 +202,6 @@ class TestMonotonicity:
     def test_shifted_turn(self, registry):
         b = registry["pan_upper"]
         assert abs(b.increase_start() - math.exp(2.11)) < 1e-12
-
-    def test_bad_range(self, registry):
-        with pytest.raises(ValueError):
-            is_increasing_on(registry["unit_lower"], 10, 5)
 
 
 class TestVariantValidation:

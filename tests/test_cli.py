@@ -265,6 +265,15 @@ class TestEdgeInputs:
     def test_psi_bad_x(self, capsys, x):
         self.rejected(capsys, "psi", x)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("table", "--from", "1", "--to", "3", "--bounds", "cheb_upper"), "undefined"),
+        (("--cap", "10", "table", "--from", "100", "--to", "200", "--step", "50"), "cap"),
+        (("table", "--from", "-2", "--to", "2"), "--from"),
+        (("table", "--from", "3", "--to", "2"), "--to"),
+    ])
+    def test_table_rejects_before_the_header(self, capsys, argv, message):
+        assert message in self.rejected(capsys, *argv)
+
     def test_crossover_beyond_the_cap(self, capsys):
         # without the cap check this scans 1e12 integers
         assert "cap" in self.rejected(capsys, "--threads", "1", "crossover",

@@ -1,0 +1,73 @@
+"""The error guards against rigorous arithmetic.
+
+Every verdict trusts that a float value lies within its guard of the true
+value.  Here the true value is computed in mpmath at 120 bits, from the same
+float inputs and float constants, so the only difference left is the
+rounding of the float computation.
+"""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pibounds import primes
+from pibounds.bounds import (
+    DusartSeries,
+    PsiAffine,
+    ScaledLog,
+    ShiftedLog,
+    builtin_bounds,
+    evaluate,
+)
+
+PREC = 120
+TOP = 1e12
+
+
+def exact(b, x):
+    """b(x) at PREC bits, with b's float constants taken as exact."""
+    X = mpmath.mpf(x)
+    L = mpmath.log(X)
+    if isinstance(b, ScaledLog):
+        return b.scale * X / L
+    if isinstance(b, ShiftedLog):
+        return X / (L - b.shift)
+    if isinstance(b, DusartSeries):
+        return (X / L) * (1 + 1 / L + b.k / L**2)
+    if isinstance(b, PsiAffine):
+        return b.slope * X + b.log2_coeff * L**2 + b.log_coeff * L + b.offset
+    raise TypeError(type(b).__name__)
+
+
+@pytest.mark.parametrize("name", list(builtin_bounds()))
+@given(u=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_shape_values_lie_within_their_guard(name, u):
+    b = builtin_bounds()[name]
+    start = b.domain_start()
+    # log-uniform in the distance above the domain start, from 1e-9 of it to TOP
+    x = min(start + start * 10.0 ** (-9 + u * (math.log10(TOP / start) + 9)), TOP)
+    res = evaluate(b, x)
+    with mpmath.workprec(PREC):
+        assert abs(mpmath.mpf(res.value) - exact(b, x)) <= res.abs_error_bound
+
+
+def test_psi_prefixes_lie_within_their_guard():
+    limit = 200_000
+    pos, val = primes.psi_steps(limit)
+    powers = []  # (p^k, p) for every prime power up to limit
+    for p in primes.prime_array(limit).tolist():
+        q = p
+        while q <= limit:
+            powers.append((q, p))
+            q *= p
+    powers.sort()
+    assert pos.tolist() == [q for q, _ in powers]
+    with mpmath.workprec(PREC):
+        total = mpmath.mpf(0)
+        for (q, p), v in zip(powers, val.tolist()):
+            total += mpmath.log(p)  # psi(q), the sum of log p over prime powers <= q
+            assert abs(mpmath.mpf(v) - total) <= primes.PSI_ERR_FACTOR * v, q

@@ -59,6 +59,65 @@ class TestSieveSegment:
         assert flagged(2, r, range(2, isqrt(r) + 1)) == expect
 
 
+def eratosthenes(limit):
+    """Unsegmented uint8 primality indicator for 0..limit."""
+    flags = np.ones(limit + 1, dtype=np.uint8)
+    flags[:2] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = 0
+    return flags
+
+
+def psi_steps_per_power(limit):
+    """psi_steps built with one loop step per prime power, in the same sum order."""
+    ps = np.flatnonzero(eratosthenes(limit)).astype(np.int64)
+    logs = np.log(ps.astype(np.float64))
+    positions, values = [ps], [logs]
+    for p, lp in zip(ps.tolist(), logs.tolist()):
+        power = p * p
+        while power <= limit:
+            positions.append(np.array([power], dtype=np.int64))
+            values.append(np.array([lp], dtype=np.float64))
+            power *= p
+    pos = np.concatenate(positions)
+    order = np.argsort(pos, kind="stable")
+    out = np.empty(pos.size, dtype=np.float64)
+    total = carry = 0.0
+    for i, t in enumerate(np.concatenate(values)[order].tolist()):
+        y = t - carry
+        s = total + y
+        carry = (s - total) - y
+        total = s
+        out[i] = total
+    return pos[order], out
+
+
+class TestTableEdges:
+    """Table builds at the edges of a sieve segment and of a prime power."""
+
+    SEG = primes.SEGMENT_LENGTH
+
+    @pytest.mark.parametrize("limit", [SEG - 1, SEG, SEG + 1, 2 * SEG + 5])
+    def test_bitmap_matches_one_unsegmented_pass(self, limit):
+        primes.clear_caches()
+        bitmap = primes._prime_bitmap(limit)
+        expect = eratosthenes(limit)
+        assert bitmap.dtype == expect.dtype
+        assert np.array_equal(bitmap, expect)
+
+    @pytest.mark.parametrize("limit", [
+        2**20 - 1, 2**20, 2**20 + 1, 3**12 - 1, 3**12, 3**12 + 1,
+    ])
+    def test_psi_steps_match_the_per_power_loop(self, limit):
+        primes.clear_caches()
+        pos, val = primes.psi_steps(limit)
+        expect_pos, expect_val = psi_steps_per_power(limit)
+        assert pos.dtype == expect_pos.dtype and val.dtype == expect_val.dtype
+        assert np.array_equal(pos, expect_pos)
+        assert val.tobytes() == expect_val.tobytes()
+
+
 class TestPiTable:
     """cumulative_pi, the shared table of pi(n) from n = 0."""
 
