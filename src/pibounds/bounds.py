@@ -15,7 +15,18 @@ rounding-error bound alongside the value so scans can guard comparisons.
 Each shape is either increasing on its whole domain or falls then rises
 through a single minimum; `increase_start` exposes that turning point in
 closed form (or by bisection of the closed-form derivative), which is what
-makes the integer reduction in the scan module sound.
+makes the integer reduction in the scan module sound.  `guard_increase_start`
+is the point from which the error bound of `values_with_error` no longer
+falls.
+
+`curvature(xs, logs)` bounds |B''| over [x, inf) in closed form.  B'' is a
+sum of terms c * L^-j / x, with L = log x (log x - shift for ShiftedLog), or
+(c + c' L) / x^2 for PsiAffine; the bound adds the absolute values of the
+terms, each of which falls as x grows, so its value at a stretch's left end
+bounds the whole stretch.  It is inflated by
+a few ulps (and by the cancellation in log(x) - shift for ShiftedLog) to
+cover its own rounding.  The stretch reduction of crossover searches reads
+it.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ import numpy as np
 from .errors import DomainError
 
 _EPS = sys.float_info.epsilon
+# covers the roundings in evaluating a curvature bound, log(x)'s ulp raised to
+# the fifth power among them
+_CURVE_ROUNDING = 1.0 + 64.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,14 @@ class BoundExpr:
         """
         raise NotImplementedError
 
+    def guard_increase_start(self) -> float:
+        """x from which the error bound of values_with_error never falls."""
+        return self.increase_start()
+
+    def curvature(self, xs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+        """Upper bound on |B''(t)| over t >= x, for each x in xs (logs = log(xs))."""
+        raise NotImplementedError
+
     # -- conveniences ------------------------------------------------------
 
     def check_domain(self, x: float) -> None:
@@ -95,6 +117,11 @@ class ScaledLog(BoundExpr):
     def increase_start(self) -> float:
         return math.e
 
+    def curvature(self, xs, logs):
+        # B'' = scale * (2/L^3 - 1/L^2) / x
+        t = 1.0 / logs
+        return _CURVE_ROUNDING * self.scale * (t * t * (1.0 + 2.0 * t)) / xs
+
 
 @dataclass(frozen=True)
 class ShiftedLog(BoundExpr):
@@ -118,6 +145,18 @@ class ShiftedLog(BoundExpr):
     def increase_start(self) -> float:
         return math.exp(self.shift + 1.0)
 
+    def guard_increase_start(self) -> float:
+        # the guard is eps*(4x/u + 2Lx/u^2) with u = L - shift; the derivative
+        # of Lx/u^2 is (u(1+L) - 2L)/u^3, positive once u >= 2
+        return math.exp(self.shift + 2.0)
+
+    def curvature(self, xs, logs):
+        # B'' = (2/u^3 - 1/u^2) / x; u inherits log(x)'s rounding, amplified by L/u
+        u = logs - self.shift
+        t = 1.0 / u
+        rounding = _CURVE_ROUNDING + 8.0 * _EPS * np.abs(logs) * t
+        return rounding * (t * t * (1.0 + 2.0 * t)) / xs
+
 
 @dataclass(frozen=True)
 class DusartSeries(BoundExpr):
@@ -139,6 +178,12 @@ class DusartSeries(BoundExpr):
 
     def increase_start(self) -> float:
         return self._turn
+
+    def curvature(self, xs, logs):
+        # B'' = (-1/L^2 - 3(k-2)/L^4 + 12k/L^5) / x
+        t = 1.0 / logs
+        tail = t * t * (3.0 * abs(self.k - 2.0) + 12.0 * self.k * t)
+        return _CURVE_ROUNDING * (t * t * (1.0 + tail)) / xs
 
     @cached_property
     def _turn(self) -> float:
@@ -179,6 +224,14 @@ class PsiAffine(BoundExpr):
 
     def increase_start(self) -> float:
         return self._turn
+
+    def guard_increase_start(self) -> float:
+        return self.domain_start()  # every term of the guard grows with x
+
+    def curvature(self, xs, logs):
+        # B'' = (2*log2_coeff*(1 - L) - log_coeff) / x^2
+        top = 2.0 * self.log2_coeff * (logs + 1.0) + abs(self.log_coeff)
+        return _CURVE_ROUNDING * top / (xs * xs)
 
     @cached_property
     def _turn(self) -> float:

@@ -219,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 0:
             raise DomainError(f"--cap must be >= 0, got {args.cap}")
+        primes.check_cap(args.cap)
         if args.threads < 0:
             raise DomainError(f"--threads must be >= 0, got {args.threads}")
         return handlers[args.command](args)

@@ -25,6 +25,11 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
+# The largest cap accepted.  Tables sized from the cap hold 17 bytes per integer
+# up to it (1 in the uint8 bitmap, 8 in the int64 counts, 8 in the float64 psi
+# array), so at 10**9 they take 17 GB; a Legendre query holds three int64
+# arrays of isqrt(x) <= cap entries, 24 GB at most.
+MAX_CAP = 10**9
 SEGMENT_LENGTH = 1 << 20
 ORACLE_CAP = 100_000
 
@@ -35,6 +40,15 @@ _EPS = sys.float_info.epsilon
 PSI_ERR_FACTOR = 4.0 * _EPS
 
 _lock = threading.RLock()
+
+
+def check_cap(cap: int) -> None:
+    """Refuse a cap above MAX_CAP before any array is sized from it."""
+    if cap > MAX_CAP:
+        raise ResourceLimitError(
+            f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
+            f"tables take 17 GB"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +168,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"pi_at requires a finite x >= 0, got {x}")
+    check_cap(cap)
     n = math.floor(x)
     if n < 2:
         return 0
@@ -180,6 +195,7 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     """
     if x < 2:
         raise ValueError("pi_point_legendre requires x >= 2")
+    check_cap(cap)
     n = int(x)
     root = isqrt(n)
     if root > cap:
@@ -221,6 +237,7 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     """psi(x), read from the psi_steps table: its last prefix at or below x."""
     if x < 0:
         raise ValueError("psi_at requires x >= 0")
+    check_cap(cap)
     n = int(x)
     if n > cap:
         raise ResourceLimitError(

@@ -30,6 +30,21 @@ is compared integer by integer, so violation counts, the last violation,
 ambiguous points and sign changes stay exact.  Verdicts still report
 points_checked as the number of integers covered.
 
+Stretch reduction.  A crossover search compares two smooth expressions, so
+it has no runs; instead each block is cut every STRETCH integers, and a
+stretch [a, b] is decided from its two ends when a chord bound allows it.
+With d = g - f, a linear interpolant's error bound gives
+d(x) >= min(d(a), d(b)) - M (b-a)^2 / 8 on [a, b], where M = f.curvature(a) +
+g.curvature(a) bounds |d''| there; each end's true d lies within its guard
+G = fe + ge of the float one.  Where both guard formulas are nondecreasing
+on [a, b], max(G(a), G(b)) bounds the guard of every integer inside.  If the
+lowest true d so bounded exceeds twice that guard (with a small slack for
+rounding), every integer of the stretch would be classified PASS; the mirror
+case gives FAIL.  A stretch that is not so decided is compared integer by
+integer.  A decided stretch is one state from end to end and holds no
+ambiguous point, so the last failure, sign changes and ambiguous points stay
+exact (the closest margin does not, and a crossover reports none).
+
 Segments and blocks.  A range is cut into segments of SCAN_SEGMENT integers,
 the unit of threading: each worker thread takes whole segments.  A segment is
 evaluated and classified in blocks of SCAN_BLOCK integers, the unit of
@@ -65,8 +80,13 @@ from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
 SCAN_SEGMENT = 1 << 20  # integers per thread task
 SCAN_BLOCK = 1 << 16  # integers per evaluation; its arrays fit in L2
+STRETCH = 1 << 10  # integer steps per crossover stretch, decided from its two ends
 
 _EPS = np.finfo(np.float64).eps
+# relative slack of the stretch certificate: it covers the rounding of g - f and
+# of the certificate's own arithmetic, and the ulp wobble of the float guards
+# between a stretch's ends, each a few eps
+_STRETCH_SLACK = 4096 * _EPS
 
 
 class Direction(Enum):
@@ -209,24 +229,22 @@ def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     )
 
 
-def _scan(margins, lo: int, hi: int, threads: int, worst=None) -> _SegmentSummary:
+def _scan(margins, lo: int, hi: int, threads: int, coarse=None) -> _SegmentSummary:
     """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
     margins(ns) gives the (diff, guard) arrays of the ascending integers ns.
-    worst(s, e), when given, gives the worst integer of each run of [s, e]: a
-    block is decided from those when every one clears its guard, and compared
-    integer by integer otherwise.  Each segment is evaluated in blocks of
-    SCAN_BLOCK integers, so that its arrays stay in cache, and the block
-    summaries are merged.
+    coarse(s, e), when given, gives the (diff, guard, ns) of the integers that
+    decide the block [s, e] (see Run reduction and Stretch reduction), or
+    None when the block must be compared integer by integer.  Each segment is
+    evaluated in blocks of SCAN_BLOCK integers, so that its arrays stay in
+    cache, and the block summaries are merged.
     """
     def block(s: int, e: int) -> _SegmentSummary:
-        if worst is not None:
-            ns = worst(s, e)
-            diff, guard = margins(ns)
-            if np.all(diff > guard):
-                return _classify(diff, guard, ns, e - s + 1)
-        ns = np.arange(s, e + 1, dtype=np.int64)
-        return _classify(*margins(ns), ns, e - s + 1)
+        picked = None if coarse is None else coarse(s, e)
+        if picked is None:
+            ns = np.arange(s, e + 1, dtype=np.int64)
+            picked = (*margins(ns), ns)
+        return _classify(*picked, e - s + 1)
 
     def segment(s: int) -> _SegmentSummary:
         e = min(s + SCAN_SEGMENT - 1, hi)
@@ -241,7 +259,35 @@ def _scan(margins, lo: int, hi: int, threads: int, worst=None) -> _SegmentSummar
         return _merge(list(pool.map(segment, starts)))
 
 
+def _stretch_guard(f: BoundExpr, g: BoundExpr, ends: np.ndarray,
+                   guard: np.ndarray) -> np.ndarray:
+    """A bound on the guard at every integer of each stretch [ends[i], ends[i+1]]:
+    its larger end guard where both guard formulas are nondecreasing, else inf."""
+    rising = ends[:-1] >= max(f.guard_increase_start(), g.guard_increase_start())
+    return np.where(rising, np.maximum(guard[:-1], guard[1:]), np.inf)
+
+
+def _decided_stretches(f: BoundExpr, g: BoundExpr, ends: np.ndarray,
+                       diff: np.ndarray, guard: np.ndarray) -> np.ndarray:
+    """Mask of the stretches [ends[i], ends[i+1]] whose every integer classifies
+    as both its ends do, given the (diff, guard) of g - f at the ends."""
+    d = np.where(np.isinf(diff), 0.0, diff)  # an exact tie is d = 0, which decides nothing
+    xs = ends[:-1].astype(np.float64)
+    logs = np.log(xs)
+    width = np.diff(ends).astype(np.float64)
+    # on [a, b], d sags at most M h^2 / 8 below its chord, M bounding |f''| + |g''|
+    sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * (width * width / 8.0)
+    sag *= 1.0 + _STRETCH_SLACK
+    bar = 2.0 * (1.0 + _STRETCH_SLACK) * _stretch_guard(f, g, ends, guard)
+    decided = np.zeros(width.size, dtype=bool)
+    for sd in (d, -d):  # every integer PASS, then the mirror case, every one FAIL
+        low = np.minimum(sd[:-1] - guard[:-1], sd[1:] - guard[1:])
+        decided |= low * (1.0 - _STRETCH_SLACK) - sag > bar
+    return decided
+
+
 def _check_range(lo: int, hi: int, cap: int) -> None:
+    primes.check_cap(cap)
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     if hi > cap:
@@ -297,16 +343,18 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
         return diff, guard
 
-    def worst(s: int, e: int) -> np.ndarray:
-        """The worst integer of each run of constant f in [s, e]; every
-        integer below run_from is a run of its own."""
+    def coarse(s: int, e: int):
+        """The worst integer of each run of constant f in [s, e], when every
+        one clears its guard; every integer below run_from is a run of its own."""
         f_seg = f_table[s : e + 1]
         cut = f_seg[1:] != f_seg[:-1]  # cut[i]: s + i + 1 starts a run
         cut[: max(run_from - s, 0)] = True
         starts = s + 1 + np.flatnonzero(cut)
-        return np.concatenate(([s], starts)) if upper else np.append(starts - 1, e)
+        ns = np.concatenate(([s], starts)) if upper else np.append(starts - 1, e)
+        diff, guard = margins(ns)
+        return (diff, guard, ns) if np.all(diff > guard) else None
 
-    return _scan(margins, lo, hi, threads, worst)
+    return _scan(margins, lo, hi, threads, coarse)
 
 
 def _to_verdict(out: _SegmentSummary) -> Verdict:
@@ -353,8 +401,9 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
                        *, cap: int = DEFAULT_CAP, threads: int = 1) -> CrossoverResult:
     """Smallest n in [lo, hi] with f(n) <= g(n) for every scanned point onward.
 
-    Pure expression comparison; no prime data involved.  Exhaustive scan,
-    recording sign alternations as evidence of single crossing.  An exact
+    Pure expression comparison; no prime data involved.  Every integer is
+    decided, most of them a stretch at a time (see Stretch reduction), and
+    sign alternations are recorded as evidence of a single crossing.  An exact
     floating-point tie counts as satisfied (the relation is non-strict), which
     also covers comparing an expression against itself.
     """
@@ -371,7 +420,21 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
         diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
         return diff, fe + ge
 
-    out = _scan(margins, lo, hi, threads)
+    def coarse(s: int, e: int):
+        """Each stretch's ends, and every integer of a stretch they leave undecided."""
+        ends = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
+        diff, guard = margins(ends)
+        undecided = ~_decided_stretches(f, g, ends, diff, guard)
+        if not undecided.any():
+            return diff, guard, ends
+        keep = np.zeros(e - s + 1, dtype=bool)
+        keep[ends - s] = True
+        for a in ends[:-1][undecided].tolist():
+            keep[a - s : a - s + STRETCH + 1] = True
+        ns = s + np.flatnonzero(keep)
+        return (*margins(ns), ns)
+
+    out = _scan(margins, lo, hi, threads, coarse)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:

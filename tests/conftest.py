@@ -1,6 +1,6 @@
 import pytest
 
-from pibounds import claims
+from pibounds import claims, primes
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +14,13 @@ def registry():
     from pibounds.bounds import builtin_bounds
 
     return builtin_bounds()
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Fail any attempt to build or read a cached table, so that a check
+    meant to come first cannot be bypassed into a large allocation."""
+    def refuse(name, limit, build):
+        raise AssertionError(f"table {name!r} up to {limit} was requested")
+
+    monkeypatch.setattr(primes, "_cached", refuse)

@@ -246,6 +246,14 @@ class TestEdgeInputs:
     def test_negative_cap(self, capsys):
         assert "--cap" in self.rejected(capsys, "--cap", "-5", "pi", "100")
 
+    @pytest.mark.parametrize("cap, x", [
+        ("100000000000000000000000", "1" + "0" * 42),  # once numpy's bare size error
+        (str(primes.MAX_CAP + 1), "1000"),
+    ])
+    def test_cap_above_the_ceiling(self, capsys, no_tables, cap, x):
+        err = self.rejected(capsys, "--cap", cap, "pi", x)
+        assert f"MAX_CAP = {primes.MAX_CAP}" in err
+
     def test_negative_threads(self, capsys):
         assert "--threads" in self.rejected(capsys, "--threads", "-1", "scan", "--bound",
                                             "cheb_upper", "--dir", "upper",

@@ -200,6 +200,15 @@ class TestLegendre:
         with pytest.raises(ResourceLimitError):
             pi_at(10**30)
 
+    @pytest.mark.parametrize("query", [
+        lambda cap: pi_at(1000, cap=cap),
+        lambda cap: pi_point_legendre(10**6, cap=cap),
+        lambda cap: primes.psi_at(1000, cap=cap),
+    ], ids=["pi_at", "pi_point_legendre", "psi_at"])
+    def test_cap_above_the_ceiling_is_refused_first(self, no_tables, query):
+        with pytest.raises(ResourceLimitError, match="MAX_CAP"):
+            query(primes.MAX_CAP + 1)
+
     def test_agrees_with_sieve_on_samples(self):
         counts = primes.cumulative_pi(2237**2)
         rng = random.Random(1234)

@@ -241,6 +241,15 @@ class TestAnalyticCrossover:
         with pytest.raises(ResourceLimitError):
             analytic_crossover(f, g, 900, 1001, cap=1000)
 
+    def test_cap_above_the_ceiling(self, registry, no_tables):
+        f, g = registry["dusart_upper"], registry["pan_upper"]
+        with pytest.raises(ResourceLimitError, match="MAX_CAP"):
+            analytic_crossover(f, g, 30, 100, cap=primes.MAX_CAP + 1)
+        with pytest.raises(ResourceLimitError, match="MAX_CAP"):
+            verify_pi(registry["cheb_upper"], U, 96098, 96200, cap=primes.MAX_CAP + 1)
+        with pytest.raises(ResourceLimitError, match="MAX_CAP"):
+            verify_sandwich(2, 100, cap=primes.MAX_CAP + 1)
+
     def test_domain_checked(self, registry):
         with pytest.raises(DomainError):
             analytic_crossover(registry["pan_upper"], registry["unit_lower"], 3, 10)

@@ -1,8 +1,9 @@
-"""The run reduction agrees with a brute-force per-integer scan, and it
-evaluates the bound only where it says it does.
+"""The run and stretch reductions agree with a brute-force per-integer scan,
+and they evaluate the bounds only where they say they do.
 
-The reference below evaluates every slab of the range, exactly as a scan
-without the run reduction does, and classifies each integer on its own.
+The references below evaluate every slab (or, for a crossover, every
+integer) of the range, exactly as a scan without the reductions does, and
+classify each integer on its own.
 """
 
 import math
@@ -13,13 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pibounds import primes, scan
-from pibounds.bounds import builtin_bounds, evaluate
+from pibounds.bounds import PsiAffine, builtin_bounds, evaluate
+from pibounds.errors import CrossoverNotFoundError
 from pibounds.primes import PSI_ERR_FACTOR
 from pibounds.scan import (
     CrossoverResult,
     Direction,
     Status,
     Verdict,
+    analytic_crossover,
     count_violations,
     last_violation,
     verify_pi,
@@ -130,6 +133,82 @@ def test_known_failing_ranges_match_per_integer_reference(name, direction, lo, h
     assert last_violation(b, direction, lo, hi) == last
 
 
+def crossover_per_integer(f, g, lo, hi):
+    """analytic_crossover's result one integer at a time; None when no n in
+    [lo, hi] starts a run of f <= g to the end."""
+    xs = np.arange(lo, hi + 1, dtype=np.float64)
+    logs = np.log(xs)
+    fv, fe = f.values_with_error(xs, logs)
+    gv, ge = g.values_with_error(xs, logs)
+    fails, ambiguous, states = [], [], []
+    for n, d, guard in zip(range(lo, hi + 1), (gv - fv).tolist(), (fe + ge).tolist()):
+        if d == 0.0 or d > guard:  # an exact tie satisfies the relation
+            states.append(1)
+        elif d < -guard:
+            fails.append(n)
+            states.append(-1)
+        else:
+            ambiguous.append(n)
+    changes = sum(1 for before, after in zip(states, states[1:]) if before != after)
+    if not fails:
+        return CrossoverResult(lo, None, changes, ambiguous)
+    if fails[-1] >= hi:
+        return None
+    return CrossoverResult(fails[-1] + 1, fails[-1], changes, ambiguous)
+
+
+def crossover_or_none(f, g, lo, hi, threads=1):
+    try:
+        return analytic_crossover(f, g, lo, hi, threads=threads)
+    except CrossoverNotFoundError:
+        return None
+
+
+@st.composite
+def crossovers(draw):
+    names = sorted(REGISTRY)
+    f = REGISTRY[draw(st.sampled_from(names))]
+    g = REGISTRY[draw(st.sampled_from(names))]
+    lo = draw(st.integers(30, TOP))
+    assume(lo > max(f.domain_start(), g.domain_start()))
+    hi = draw(st.integers(lo, min(TOP, lo + draw(st.sampled_from([0, 10, 1000, TOP])))))
+    least = -(-(hi - lo + 1) // 500)
+    segment = max(least, draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
+    block = max(least, draw(st.sampled_from([1, 2, 5, 97, 1 << 16])))
+    stretch = draw(st.sampled_from([1, 2, 5, 97, 1 << 10]))
+    threads = draw(st.sampled_from([1, 2]))
+    return f, g, lo, hi, segment, block, stretch, threads
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossovers())
+def test_crossovers_match_per_integer_reference(case):
+    f, g, lo, hi, segment, block, stretch, threads = case
+    expected = crossover_per_integer(f, g, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "SCAN_SEGMENT", segment)
+        mp.setattr(scan, "SCAN_BLOCK", block)
+        mp.setattr(scan, "STRETCH", stretch)
+        assert crossover_or_none(f, g, lo, hi, threads) == expected
+
+
+# d = g - f = 0.001 x - log x + c is convex with its minimum -1e-6 at x = 1000,
+# so f <= g fails at 999, 1000 and 1001 only: a dip that both ends of any
+# stretch around it miss, and that only the chord term keeps undecided
+FLAT = PsiAffine("flat", 2.0, 1.0, 0.0, 0.0, 0.0)
+DIP = PsiAffine("dip", 2.0, 1.001, 0.0, -1.0, math.log(1000.0) - 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("stretch", [97, 1 << 10])
+@pytest.mark.parametrize("lo", [30, 500, 950, 990])
+def test_a_dip_between_stretch_ends_is_found(lo, stretch):
+    expected = crossover_per_integer(FLAT, DIP, lo, 5000)
+    assert expected == CrossoverResult(1002, 1001, 2, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scan, "STRETCH", stretch)
+        assert analytic_crossover(FLAT, DIP, lo, 5000) == expected
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """watch(b) records the xs array of every kernel call of b's shape."""
@@ -172,3 +251,13 @@ def test_only_a_block_with_a_failing_run_is_compared_per_integer(kernel_calls):
     first = (4, 4 + scan.SCAN_BLOCK - 1)
     assert compared == [first]
     assert first[0] <= 24121 and 24254 <= first[1]
+
+
+def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
+    # C14's 4.0M integers need the series kernel only at the stretch ends and
+    # inside the few stretches around the crossing
+    b = REGISTRY["dusart_upper"]
+    calls = kernel_calls(b)
+    res = analytic_crossover(b, REGISTRY["legendre_a"], 10**6 + 1, 5 * 10**6)
+    assert res == CrossoverResult(2846396, 2846395, 1, [])
+    assert sum(xs.size for xs in calls) <= 2 * 10**4
