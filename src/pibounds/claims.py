@@ -18,7 +18,7 @@ from typing import Any, Iterable
 
 from . import primes, scan
 from .bounds import builtin_bounds, chebyshev_constants, evaluate
-from .errors import ResourceLimitError, UnknownNameError
+from .errors import CrossoverNotFoundError, ResourceLimitError, UnknownNameError
 from .primes import DEFAULT_CAP
 from .scan import Direction, Status
 
@@ -346,8 +346,9 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     x/(log x - shift) <= c2*x/log x -- the shifted-log upper bound implies the
     scaled-log one, so the finite scan plus the shifted bound covers all real
     x >= the scan start.  Checked numerically: t lands inside the scanned
-    window, the implication flips exactly at t, and the shifted bound itself
-    is scan-verified from ceil(t) to the largest horizon the cap allows.
+    window, a guarded crossover search finds the implication flipping exactly
+    at ceil(t), and the shifted bound itself is scan-verified from ceil(t) to
+    the largest horizon the cap allows.
     """
     problems = []
     _, c2 = chebyshev_constants()
@@ -355,15 +356,14 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
     shifted = registry["pan_upper"]
-    scaled = registry["cheb_upper"]
     hi_pt = math.ceil(t)
-    lo_pt = math.floor(t) - 1
-    sh_hi, sc_hi = evaluate(shifted, hi_pt), evaluate(scaled, hi_pt)
-    sh_lo, sc_lo = evaluate(shifted, lo_pt), evaluate(scaled, lo_pt)
-    if not sc_hi.value - sh_hi.value > sc_hi.abs_error_bound + sh_hi.abs_error_bound:
-        problems.append(f"shifted bound not certainly <= scaled bound at {hi_pt}")
-    if not sh_lo.value - sc_lo.value > sc_lo.abs_error_bound + sh_lo.abs_error_bound:
-        problems.append(f"shifted bound not certainly > scaled bound at {lo_pt}")
+    try:
+        flip = scan.analytic_crossover(shifted, registry["cheb_upper"], hi_pt - 1, hi_pt,
+                                       cap=cap, threads=threads)
+    except CrossoverNotFoundError:
+        flip = None
+    if flip is None or flip.threshold != hi_pt or flip.ambiguous_points:
+        problems.append(f"shifted bound does not flip below the scaled bound exactly at {hi_pt}")
     tail_hi = max(scan_hi, min(cap, MILLION))
     tail = scan.verify_pi(shifted, Direction.UPPER_STRICT, hi_pt, tail_hi,
                           cap=cap, threads=threads)

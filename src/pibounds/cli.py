@@ -112,10 +112,7 @@ def _cmd_pi(args) -> int:
     elif args.method == "legendre":
         value = primes.pi_point_legendre(n, cap=args.cap)
     elif args.method == "sieve":
-        if n > args.cap:
-            raise ResourceLimitError(
-                f"pi({n}) by sieve exceeds the scan cap {args.cap}; raise the cap to allow it"
-            )
+        primes.check_cap(args.cap, n, "sieve query")
         value = int(primes.cumulative_pi(n)[n])
     else:
         value = primes.pi_at(n, cap=args.cap)

@@ -42,12 +42,20 @@ PSI_ERR_FACTOR = 4.0 * _EPS
 _lock = threading.RLock()
 
 
-def check_cap(cap: int) -> None:
-    """Refuse a cap above MAX_CAP before any array is sized from it."""
+def check_cap(cap: int, n: int = 0, what: str = "") -> None:
+    """Refuse work past the cap before any array is sized from it.
+
+    A cap above MAX_CAP is refused first.  Then n, the largest integer the
+    work called what needs a table for, is refused when it is above the cap.
+    """
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
             f"tables take 17 GB"
+        )
+    if n > cap:
+        raise ResourceLimitError(
+            f"{what} {n} exceeds the scan cap {cap}; raise the cap to allow it"
         )
 
 
@@ -193,16 +201,11 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     The primes up to isqrt(x) come from the sieve, so the sieve's cap bounds
     the query: isqrt(x) above the cap raises ResourceLimitError.
     """
-    if x < 2:
-        raise ValueError("pi_point_legendre requires x >= 2")
-    check_cap(cap)
+    if not 2 <= x < math.inf:
+        raise ValueError(f"pi_point_legendre requires a finite x >= 2, got {x}")
     n = int(x)
     root = isqrt(n)
-    if root > cap:
-        raise ResourceLimitError(
-            f"pi({n}) needs the primes up to isqrt(x) = {root}, above the scan cap "
-            f"{cap}; raise the cap to allow it"
-        )
+    check_cap(cap, root, f"Legendre root isqrt({n}) =")
     quotients = n // np.arange(1, root + 1, dtype=np.int64)  # x // k for k <= root
     small = np.arange(-1, root, dtype=np.int64)  # small[v] = S(v) for v <= root
     large = quotients - 1  # large[k - 1] = S(x // k)
@@ -235,14 +238,10 @@ class PsiValue:
 
 def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     """psi(x), read from the psi_steps table: its last prefix at or below x."""
-    if x < 0:
-        raise ValueError("psi_at requires x >= 0")
-    check_cap(cap)
+    if not 0 <= x < math.inf:
+        raise ValueError(f"psi_at requires a finite x >= 0, got {x}")
     n = int(x)
-    if n > cap:
-        raise ResourceLimitError(
-            f"psi_at argument {n} exceeds the scan cap {cap}; raise the cap to allow it"
-        )
+    check_cap(cap, n, "psi_at argument")
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
     pos, val = psi_steps(n)

@@ -24,11 +24,9 @@ clears f by more than its guard, the bound's true value clears f on every
 slab of the run, because the true bound only moves away from f inside the
 run and f does not move at all.  Below floor(turn) + 2, where the bound may
 still fall (and the slab extreme may be the turning point itself), every
-integer is a run of its own.  A block whose runs all clear their guards at
-their worst integers is decided from those comparisons alone; any other block
-is compared integer by integer, so violation counts, the last violation,
-ambiguous points and sign changes stay exact.  Verdicts still report
-points_checked as the number of integers covered.
+integer is a run of its own.  A run whose worst integer clears its guard is
+decided by that one comparison.  Verdicts still report points_checked as the
+number of integers covered.
 
 Stretch reduction.  A crossover search compares two smooth expressions, so
 it has no runs; instead each block is cut every STRETCH integers, and a
@@ -40,17 +38,21 @@ G = fe + ge of the float one.  Where both guard formulas are nondecreasing
 on [a, b], max(G(a), G(b)) bounds the guard of every integer inside.  If the
 lowest true d so bounded exceeds twice that guard (with a small slack for
 rounding), every integer of the stretch would be classified PASS; the mirror
-case gives FAIL.  A stretch that is not so decided is compared integer by
-integer.  A decided stretch is one state from end to end and holds no
-ambiguous point, so the last failure, sign changes and ambiguous points stay
-exact (the closest margin does not, and a crossover reports none).
+case gives FAIL.  A decided stretch is one state from end to end and holds no
+ambiguous point (the closest margin is not kept, and a crossover reports none).
+
+Undecided pieces.  A run or a stretch is a piece of its block.  A piece that
+its deciding integers leave open is compared integer by integer, and the
+decided pieces of the same block keep their one comparison each.  So
+violation counts, the last violation or failure, ambiguous points and sign
+changes stay exact.
 
 Segments and blocks.  A range is cut into segments of SCAN_SEGMENT integers,
 the unit of threading: each worker thread takes whole segments.  A segment is
 evaluated and classified in blocks of SCAN_BLOCK integers, the unit of
 evaluation, so that a block's arrays stay in a core's L2 cache.  Neither cut
 changes a verdict.  Every integer's comparison depends on that integer alone
-(a run cut by a block edge is checked at the worst integer of each piece,
+(a run cut by a block edge is checked at the worst integer of each part,
 which the argument above covers), and the summaries of consecutive blocks and
 segments merge exactly: counts add, the last failure and the closest margin
 are taken in order with ties to the earlier point, ambiguous points are
@@ -70,12 +72,7 @@ import numpy as np
 
 from . import primes
 from .bounds import BoundExpr, evaluate
-from .errors import (
-    CrossoverNotFoundError,
-    DomainError,
-    MonotonicityError,
-    ResourceLimitError,
-)
+from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
 SCAN_SEGMENT = 1 << 20  # integers per thread task
@@ -229,22 +226,29 @@ def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     )
 
 
-def _scan(margins, lo: int, hi: int, threads: int, coarse=None) -> _SegmentSummary:
+def _scan(margins, lo: int, hi: int, threads: int, pieces=None) -> _SegmentSummary:
     """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
     margins(ns) gives the (diff, guard) arrays of the ascending integers ns.
-    coarse(s, e), when given, gives the (diff, guard, ns) of the integers that
-    decide the block [s, e] (see Run reduction and Stretch reduction), or
-    None when the block must be compared integer by integer.  Each segment is
-    evaluated in blocks of SCAN_BLOCK integers, so that its arrays stay in
-    cache, and the block summaries are merged.
+    pieces(s, e), when given, cuts the block [s, e] into pieces and gives
+    (starts, ns, diff, guard, decided): the first integer of each piece, the
+    ascending integers that decide the pieces with their margins, and whether
+    each piece is decided (see Undecided pieces).  Without it every integer
+    is compared.  Each segment is evaluated in blocks of SCAN_BLOCK integers,
+    so that its arrays stay in cache, and the block summaries are merged.
     """
     def block(s: int, e: int) -> _SegmentSummary:
-        picked = None if coarse is None else coarse(s, e)
-        if picked is None:
+        if pieces is None:
             ns = np.arange(s, e + 1, dtype=np.int64)
-            picked = (*margins(ns), ns)
-        return _classify(*picked, e - s + 1)
+            diff, guard = margins(ns)
+        else:
+            starts, ns, diff, guard, decided = pieces(s, e)
+            if not decided.all():
+                keep = np.repeat(~decided, np.diff(starts, append=e + 1))
+                keep[ns - s] = True
+                ns = s + np.flatnonzero(keep)
+                diff, guard = margins(ns)
+        return _classify(diff, guard, ns, e - s + 1)
 
     def segment(s: int) -> _SegmentSummary:
         e = min(s + SCAN_SEGMENT - 1, hi)
@@ -287,13 +291,9 @@ def _decided_stretches(f: BoundExpr, g: BoundExpr, ends: np.ndarray,
 
 
 def _check_range(lo: int, hi: int, cap: int) -> None:
-    primes.check_cap(cap)
+    primes.check_cap(cap, hi, "scan end")
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > cap:
-        raise ResourceLimitError(
-            f"scan end {hi} exceeds the scan cap {cap}; raise the cap to allow it"
-        )
 
 
 def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
@@ -343,18 +343,18 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
         return diff, guard
 
-    def coarse(s: int, e: int):
-        """The worst integer of each run of constant f in [s, e], when every
-        one clears its guard; every integer below run_from is a run of its own."""
+    def pieces(s: int, e: int):
+        """The runs of constant f in [s, e], each decided at its worst integer;
+        every integer below run_from is a run of its own."""
         f_seg = f_table[s : e + 1]
         cut = f_seg[1:] != f_seg[:-1]  # cut[i]: s + i + 1 starts a run
         cut[: max(run_from - s, 0)] = True
-        starts = s + 1 + np.flatnonzero(cut)
-        ns = np.concatenate(([s], starts)) if upper else np.append(starts - 1, e)
+        starts = np.concatenate(([s], s + 1 + np.flatnonzero(cut)))
+        ns = starts if upper else np.append(starts[1:] - 1, e)
         diff, guard = margins(ns)
-        return (diff, guard, ns) if np.all(diff > guard) else None
+        return starts, ns, diff, guard, diff > guard
 
-    return _scan(margins, lo, hi, threads, coarse)
+    return _scan(margins, lo, hi, threads, pieces)
 
 
 def _to_verdict(out: _SegmentSummary) -> Verdict:
@@ -420,21 +420,13 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
         diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
         return diff, fe + ge
 
-    def coarse(s: int, e: int):
-        """Each stretch's ends, and every integer of a stretch they leave undecided."""
+    def pieces(s: int, e: int):
+        """The stretches of [s, e], each decided from its two ends."""
         ends = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
         diff, guard = margins(ends)
-        undecided = ~_decided_stretches(f, g, ends, diff, guard)
-        if not undecided.any():
-            return diff, guard, ends
-        keep = np.zeros(e - s + 1, dtype=bool)
-        keep[ends - s] = True
-        for a in ends[:-1][undecided].tolist():
-            keep[a - s : a - s + STRETCH + 1] = True
-        ns = s + np.flatnonzero(keep)
-        return (*margins(ns), ns)
+        return ends[:-1], ends, diff, guard, _decided_stretches(f, g, ends, diff, guard)
 
-    out = _scan(margins, lo, hi, threads, coarse)
+    out = _scan(margins, lo, hi, threads, pieces)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:

@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 
 from pibounds import primes, scan
-from pibounds.bounds import builtin_bounds, evaluate
-from pibounds.claims import Claim, ClaimKind, builtin_claims, run_all, run_claim
+from pibounds.bounds import builtin_bounds, chebyshev_constants, evaluate
+from pibounds.claims import (
+    Claim,
+    ClaimKind,
+    _check_tail,
+    builtin_claims,
+    run_all,
+    run_claim,
+)
 from pibounds.errors import UnknownNameError
 from pibounds.primes import PSI_ERR_FACTOR
 from pibounds.scan import Direction
@@ -90,6 +97,21 @@ class TestRunClaim:
         )
         out = run_claim(fake)
         assert out.status == "MISMATCH"
+
+    def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
+        assert _check_tail(builtin_bounds(), 1.11, 112006, cap=primes.DEFAULT_CAP,
+                           threads=1) == []
+
+    @pytest.mark.parametrize("shift", [1.10, 1.12])
+    def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift):
+        # t moves by about 1e4 either way; the scan end covers it and the shifted
+        # bound holds past it, so only the flip check can fail
+        hi_pt = math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1]))
+        problems = _check_tail(builtin_bounds(), shift, 200_000, cap=primes.DEFAULT_CAP,
+                               threads=1)
+        assert problems == [
+            f"shifted bound does not flip below the scaled bound exactly at {hi_pt}"
+        ]
 
     def test_cap_yields_skipped_not_mismatch(self):
         out = run_claim(by_id("C14"), cap=10**6)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pibounds import primes
+from pibounds import cli, primes, scan
+from pibounds.bounds import builtin_bounds
 from pibounds.errors import ConfigurationError, ResourceLimitError
 from pibounds.primes import (
     cumulative_pi,
@@ -17,6 +18,18 @@ from pibounds.primes import (
     psi_at,
     sieve_segment,
 )
+from pibounds.scan import Direction
+
+
+def refused(query):
+    with pytest.raises(ResourceLimitError) as info:
+        query()
+    return str(info.value)
+
+
+def cli_refused(capsys, *argv):
+    assert cli.main(list(argv)) == 2
+    return capsys.readouterr().err
 
 
 def flagged(lo, hi, base):
@@ -218,6 +231,27 @@ class TestLegendre:
             samples += [p * p - 1, p * p, p * p + 1]
         for x in samples:
             assert pi_point_legendre(x) == int(counts[x]), x
+
+
+class TestEntryChecks:
+    """Every entry point refuses bad input by name, before any table."""
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -1])
+    @pytest.mark.parametrize("query", [pi_at, pi_point_legendre, psi_at],
+                             ids=["pi_at", "pi_point_legendre", "psi_at"])
+    def test_non_finite_and_low_inputs_are_named(self, no_tables, query, x):
+        with pytest.raises(ValueError, match=f"got {x}$"):
+            query(x)
+
+    @pytest.mark.parametrize("refusal", [
+        lambda capsys: refused(lambda: psi_at(1001, cap=1000)),
+        lambda capsys: refused(lambda: pi_point_legendre(1001**2, cap=1000)),
+        lambda capsys: refused(lambda: scan.verify_pi(
+            builtin_bounds()["cheb_upper"], Direction.UPPER_STRICT, 30, 1001, cap=1000)),
+        lambda capsys: cli_refused(capsys, "--cap", "1000", "pi", "1001", "--method", "sieve"),
+    ], ids=["psi_at", "pi_point_legendre", "scan", "pi --method sieve"])
+    def test_every_cap_site_gives_the_shared_text(self, no_tables, capsys, refusal):
+        assert "exceeds the scan cap 1000; raise the cap to allow it" in refusal(capsys)
 
 
 def log_lcm(n):

@@ -241,16 +241,22 @@ def test_clean_blocks_evaluate_each_run_once(kernel_calls):
     assert sum(xs.size for xs in calls) == 2 * len(starts)
 
 
-def test_only_a_block_with_a_failing_run_is_compared_per_integer(kernel_calls):
-    # the 19 violations of pan_upper past its turn lie in [24121, 24254]
+def test_only_the_failing_runs_of_a_block_are_compared_per_integer(kernel_calls):
+    # the 19 violations of pan_upper past its turn lie in 6 runs of [24121, 24254],
+    # inside the first block; the block's other runs keep their one comparison
     b = REGISTRY["pan_upper"]
     calls = kernel_calls(b)
     assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
-    compared = [(int(xs[0]), int(xs[-1]) - 1) for xs in calls
-                if xs.size > 2 and np.all(np.diff(xs[0::2]) == 1)]
-    first = (4, 4 + scan.SCAN_BLOCK - 1)
-    assert compared == [first]
-    assert first[0] <= 24121 and 24254 <= first[1]
+    reps, expanded, later = [xs[0::2].astype(np.int64) for xs in calls if xs.size > 2]
+    assert reps[0] == 4 and reps[-1] < 4 + scan.SCAN_BLOCK <= later[0]
+    fails = [n for n in range(24121, 24255)
+             if verify_pi(b, Direction.UPPER_STRICT, n, n).status is Status.FAIL]
+    assert len(fails) == 19
+    f = primes.cumulative_pi(10**5)
+    runs = np.flatnonzero(np.isin(f, f[fails]))
+    assert len(set(f[fails].tolist())) == 6
+    assert np.setdiff1d(runs, reps).size == 104
+    assert np.array_equal(expanded, np.union1d(reps, runs))
 
 
 def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
