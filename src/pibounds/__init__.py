@@ -16,7 +16,6 @@ from .primes import (
     DEFAULT_CAP,
     PsiValue,
     pi_at,
-    pi_oracle_trial_division,
     pi_point_legendre,
     psi_at,
     sieve_segment,
@@ -41,8 +40,8 @@ __all__ = [
     "BoundExpr", "ScaledLog", "ShiftedLog", "DusartSeries", "PsiAffine",
     "EvalResult", "builtin_bounds", "chebyshev_constants", "evaluate",
     "Claim", "ClaimKind", "Report", "builtin_claims", "run_all", "run_claim",
-    "DEFAULT_CAP", "PsiValue", "pi_at", "pi_oracle_trial_division",
-    "pi_point_legendre", "psi_at", "sieve_segment",
+    "DEFAULT_CAP", "PsiValue", "pi_at", "pi_point_legendre", "psi_at",
+    "sieve_segment",
     "CrossoverResult", "Direction", "Status", "Verdict", "analytic_crossover",
     "count_violations", "exp_threshold", "last_violation", "verify_pi",
     "verify_psi", "verify_sandwich",

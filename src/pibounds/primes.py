@@ -31,7 +31,6 @@ DEFAULT_CAP = 5_000_000
 # arrays of isqrt(x) <= cap entries, 24 GB at most.
 MAX_CAP = 10**9
 SEGMENT_LENGTH = 1 << 20
-ORACLE_CAP = 100_000
 
 _EPS = sys.float_info.epsilon
 
@@ -64,7 +63,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def is_prime_trial(n: int) -> bool:
-    """Trial-division primality check (the oracle's own primitive)."""
+    """Trial-division primality check."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -295,17 +294,3 @@ def psi_array(limit: int) -> np.ndarray:
 
     return _cached("psi_array", limit, build)
 
-
-# ---------------------------------------------------------------------------
-# test oracle
-# ---------------------------------------------------------------------------
-
-def pi_oracle_trial_division(x: int) -> int:
-    """pi(x) by per-integer trial division; slow by design, tests only."""
-    if x < 0:
-        raise ValueError("pi_oracle_trial_division requires x >= 0")
-    if x > ORACLE_CAP:
-        raise ResourceLimitError(
-            f"trial-division oracle refuses x={x} beyond its cap {ORACLE_CAP}"
-        )
-    return sum(1 for n in range(2, x + 1) if is_prime_trial(n))

@@ -5,59 +5,47 @@ jumping only at integers, so checking an inequality against a continuous
 bound for *all real x* in a range reduces to integer comparisons against the
 bound's extreme over each unit slab.  Every supported bound shape is either
 increasing or falls-then-rises through a single turning point, so the slab
-extreme sits at a slab endpoint or at that one turning point:
+extreme sits at a slab endpoint or at that one turning point: upper checks
+(f < B) compare f(n) against the slab infimum of B, lower checks (B < f)
+against the slab supremum.  Comparisons are guarded: a difference within the
+combined evaluation error bound (bound rounding + psi summation error; pi is
+exact) is reported AMBIGUOUS rather than silently decided either way.
 
-* upper checks (f < B) compare f(n) against the slab infimum of B,
-* lower checks (B < f) compare f(n) against the slab supremum B(n+1)/B(n).
+Brackets.  Each segment starts as pieces of STRETCH integer steps that share
+their ends, and a piece [a, b] is decided from the comparisons at its ends.
+An undecided piece splits in halves; one of at most BASE_CASE steps, or all
+left once they hold at most STRETCH integers, are compared integer by
+integer.  A decided piece holds no ambiguous point or sign change, and its
+ends are compared, so counts, ambiguous points and sign changes stay exact.
 
-Comparisons are guarded: a difference within the combined evaluation error
-bound (bound rounding + psi summation error; pi is exact) is reported
-AMBIGUOUS rather than silently decided either way.
+* An inequality or sandwich margin is hi - lo with hi and lo nondecreasing:
+  the slab bound and f for an upper check, f and the slab bound for a lower
+  one, pi(n) log n over psi(n) and 2 psi(n) over pi(n) log n for the
+  sandwich.  So hi(a) - lo(b) bounds every margin of [a, b] from below
+  (Rosser and Schoenfeld's check at the primes, applied to whole ranges of
+  primes).  The float hi at a, lo at b and hi - lo inside may each be off by
+  the error bound at the far end, and the guard inside is at most the far
+  end's, which for psi holds PSI_ERR_FACTOR * f(b).  A piece is PASS when
+  hi(a) - lo(b), less three such errors and a small rounding slack, clears
+  that guard.  This holds where the bound increases and its guard formula no
+  longer falls, so a piece below floor(turn) + 2 or guard_increase_start is
+  split.
+* A crossover bounds d = g - f by its chord: d >= min(d(a), d(b)) -
+  M (b-a)^2 / 8 on [a, b], M = f.curvature(a) + g.curvature(a) bounding |d''|.
+  With each end's true d within its guard G = fe + ge, and max(G(a), G(b))
+  bounding the guard inside where both guard formulas rise, a piece whose
+  lowest true d clears twice that guard is PASS throughout; mirrored, FAIL.
 
-Run reduction.  pi is constant between consecutive primes and psi between
-consecutive prime powers, so the integers of a range fall into runs on which
-f is constant.  From floor(turn) + 2 onward every slab lies where the bound
-increases, so within a run the slab margin only grows away from one *worst*
-integer: the run's first integer for an upper check (B(n) is smallest there)
-and its last for a lower check (B(n+1) is largest there).  If the worst slab
-clears f by more than its guard, the bound's true value clears f on every
-slab of the run, because the true bound only moves away from f inside the
-run and f does not move at all.  Below floor(turn) + 2, where the bound may
-still fall (and the slab extreme may be the turning point itself), every
-integer is a run of its own.  A run whose worst integer clears its guard is
-decided by that one comparison.  Verdicts still report points_checked as the
-number of integers covered.
+Closest margin.  A segment keeps the smallest margin it has compared, and a
+decided piece is split anyway until its lower bound on the margins inside
+exceeds it (branch and bound over enclosures).  So a PASS scan's closest
+integer was compared, ties going to the earlier one.  A crossover keeps none.
 
-Stretch reduction.  A crossover search compares two smooth expressions, so
-it has no runs; instead each block is cut every STRETCH integers, and a
-stretch [a, b] is decided from its two ends when a chord bound allows it.
-With d = g - f, a linear interpolant's error bound gives
-d(x) >= min(d(a), d(b)) - M (b-a)^2 / 8 on [a, b], where M = f.curvature(a) +
-g.curvature(a) bounds |d''| there; each end's true d lies within its guard
-G = fe + ge of the float one.  Where both guard formulas are nondecreasing
-on [a, b], max(G(a), G(b)) bounds the guard of every integer inside.  If the
-lowest true d so bounded exceeds twice that guard (with a small slack for
-rounding), every integer of the stretch would be classified PASS; the mirror
-case gives FAIL.  A decided stretch is one state from end to end and holds no
-ambiguous point (the closest margin is not kept, and a crossover reports none).
-
-Undecided pieces.  A run or a stretch is a piece of its block.  A piece that
-its deciding integers leave open is compared integer by integer, and the
-decided pieces of the same block keep their one comparison each.  So
-violation counts, the last violation or failure, ambiguous points and sign
-changes stay exact.
-
-Segments and blocks.  A range is cut into segments of SCAN_SEGMENT integers,
-the unit of threading: each worker thread takes whole segments.  A segment is
-evaluated and classified in blocks of SCAN_BLOCK integers, the unit of
-evaluation, so that a block's arrays stay in a core's L2 cache.  Neither cut
-changes a verdict.  Every integer's comparison depends on that integer alone
-(a run cut by a block edge is checked at the worst integer of each part,
-which the argument above covers), and the summaries of consecutive blocks and
-segments merge exactly: counts add, the last failure and the closest margin
-are taken in order with ties to the earlier point, ambiguous points are
-concatenated in order, and a sign change across an edge is counted from the
-last definite state before it and the first after it.
+Segments.  A range is cut into segments of SCAN_SEGMENT integers, the unit of
+threading, whose summaries merge exactly: counts add, the last failure and
+the closest margin are taken in order (ties to the earlier point), ambiguous
+points are concatenated, and a sign change across an edge is counted from
+the last definite state before it and the first after it.
 """
 
 from __future__ import annotations
@@ -75,15 +63,15 @@ from .bounds import BoundExpr, evaluate
 from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
-SCAN_SEGMENT = 1 << 20  # integers per thread task
-SCAN_BLOCK = 1 << 16  # integers per evaluation; its arrays fit in L2
-STRETCH = 1 << 10  # integer steps per crossover stretch, decided from its two ends
+SCAN_SEGMENT = 1 << 20  # integers per thread task, each split in one loop
+STRETCH = 1 << 10  # integer steps per starting piece of a segment
+BASE_CASE = 1 << 5  # integer steps of the widest piece compared integer by integer
 
 _EPS = np.finfo(np.float64).eps
-# relative slack of the stretch certificate: it covers the rounding of g - f and
-# of the certificate's own arithmetic, and the ulp wobble of the float guards
-# between a stretch's ends, each a few eps
-_STRETCH_SLACK = 4096 * _EPS
+# relative slack of the piece certificates: it covers the rounding of the
+# margins and of the certificate's own arithmetic, and the ulp wobble of the
+# float guards between a piece's ends, each a few eps
+_CERT_SLACK = 4096 * _EPS
 
 
 class Direction(Enum):
@@ -226,34 +214,50 @@ def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
     )
 
 
-def _scan(margins, lo: int, hi: int, threads: int, pieces=None) -> _SegmentSummary:
+def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _SegmentSummary:
     """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
-    margins(ns) gives the (diff, guard) arrays of the ascending integers ns.
-    pieces(s, e), when given, cuts the block [s, e] into pieces and gives
-    (starts, ns, diff, guard, decided): the first integer of each piece, the
-    ascending integers that decide the pieces with their margins, and whether
-    each piece is decided (see Undecided pieces).  Without it every integer
-    is compared.  Each segment is evaluated in blocks of SCAN_BLOCK integers,
-    so that its arrays stay in cache, and the block summaries are merged.
+    margins(ns) gives one column per integer of ns: the diff and the guard of
+    its comparison, then the rows that bracket reads.  bracket(a, b, at_a,
+    at_b) gives, for the pieces [a[i], b[i]] and their ends' columns, whether
+    every integer of each classifies as its ends do, and a lower bound on
+    their diffs, inf where none is needed (see Brackets and Closest margin).
     """
-    def block(s: int, e: int) -> _SegmentSummary:
-        if pieces is None:
-            ns = np.arange(s, e + 1, dtype=np.int64)
-            diff, guard = margins(ns)
-        else:
-            starts, ns, diff, guard, decided = pieces(s, e)
-            if not decided.all():
-                keep = np.repeat(~decided, np.diff(starts, append=e + 1))
-                keep[ns - s] = True
-                ns = s + np.flatnonzero(keep)
-                diff, guard = margins(ns)
-        return _classify(diff, guard, ns, e - s + 1)
-
     def segment(s: int) -> _SegmentSummary:
         e = min(s + SCAN_SEGMENT - 1, hi)
-        return _merge([block(b, min(b + SCAN_BLOCK - 1, e))
-                       for b in range(s, e + 1, SCAN_BLOCK)])
+        new = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
+        rows = margins(new)
+        a, b, at_a, at_b = new[:-1], new[1:], rows[:, :-1], rows[:, 1:]
+        ns, cols, best = [new], [rows[:2]], rows[0].min()  # best: smallest margin compared
+        while a.size:
+            decided, low = bracket(a, b, at_a, at_b)
+            keep = np.flatnonzero(~(decided & (low > best)))
+            a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
+            width = b - a
+            # narrow pieces, or all of them once they hold few integers, are compared whole
+            whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
+            inner = a[:0]
+            if whole.any():
+                counts = width[whole] - 1  # the integers inside each whole piece
+                inner = np.repeat(a[whole] + 1 - np.cumsum(counts) + counts, counts)
+                inner += np.arange(inner.size)
+                keep = np.flatnonzero(~whole)
+                a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
+            mid = (a + b) // 2
+            new = np.concatenate((inner, mid))
+            if not new.size:
+                break
+            rows = margins(new)
+            ns.append(new)
+            cols.append(rows[:2])
+            best = min(best, rows[0].min())
+            at_mid = rows[:, inner.size :]
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            at_a, at_b = np.concatenate((at_a, at_mid), 1), np.concatenate((at_mid, at_b), 1)
+        ns = np.concatenate(ns)
+        order = np.argsort(ns, kind="stable")
+        diff, guard = np.concatenate(cols, axis=1)[:, order]
+        return _classify(diff, guard, ns[order], e - s + 1)
 
     starts = range(lo, hi + 1, SCAN_SEGMENT)
     workers = min(len(starts), threads if threads > 0 else os.cpu_count() or 1)
@@ -263,31 +267,49 @@ def _scan(margins, lo: int, hi: int, threads: int, pieces=None) -> _SegmentSumma
         return _merge(list(pool.map(segment, starts)))
 
 
-def _stretch_guard(f: BoundExpr, g: BoundExpr, ends: np.ndarray,
-                   guard: np.ndarray) -> np.ndarray:
-    """A bound on the guard at every integer of each stretch [ends[i], ends[i+1]]:
-    its larger end guard where both guard formulas are nondecreasing, else inf."""
-    rising = ends[:-1] >= max(f.guard_increase_start(), g.guard_increase_start())
-    return np.where(rising, np.maximum(guard[:-1], guard[1:]), np.inf)
+def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
+    """A bound on a quantity inside each piece from its values at the ends: the
+    larger where the piece starts at or past start (the quantity never falls
+    from there), else inf."""
+    return np.where(a >= start, np.maximum(at_a, at_b), np.inf)
 
 
-def _decided_stretches(f: BoundExpr, g: BoundExpr, ends: np.ndarray,
-                       diff: np.ndarray, guard: np.ndarray) -> np.ndarray:
-    """Mask of the stretches [ends[i], ends[i+1]] whose every integer classifies
-    as both its ends do, given the (diff, guard) of g - f at the ends."""
-    d = np.where(np.isinf(diff), 0.0, diff)  # an exact tie is d = 0, which decides nothing
-    xs = ends[:-1].astype(np.float64)
-    logs = np.log(xs)
-    width = np.diff(ends).astype(np.float64)
-    # on [a, b], d sags at most M h^2 / 8 below its chord, M bounding |f''| + |g''|
-    sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * (width * width / 8.0)
-    sag *= 1.0 + _STRETCH_SLACK
-    bar = 2.0 * (1.0 + _STRETCH_SLACK) * _stretch_guard(f, g, ends, guard)
-    decided = np.zeros(width.size, dtype=bool)
-    for sd in (d, -d):  # every integer PASS, then the mirror case, every one FAIL
-        low = np.minimum(sd[:-1] - guard[:-1], sd[1:] - guard[1:])
-        decided |= low * (1.0 - _STRETCH_SLACK) - sag > bar
-    return decided
+def _monotone(start: float):
+    """The bracket of margins hi - lo, hi and lo nondecreasing from start (see
+    Brackets).  Below the diff and the guard, the margin rows are a bound on
+    the errors of the float hi and lo together, then k rows of hi and k of lo."""
+    def bracket(a, b, at_a, at_b):
+        k = (at_a.shape[0] - 3) // 2
+        d = (at_a[3 : 3 + k] - at_b[3 + k :]).min(axis=0)
+        # hi at a, lo at b and hi - lo inside may each be off by its error
+        err = _stretch_guard(a, start, at_a[2], at_b[2])
+        low = d - _CERT_SLACK * np.abs(d) - 3.0 * (1.0 + _CERT_SLACK) * err
+        guard = _stretch_guard(a, start, at_a[1], at_b[1])
+        return low > (1.0 + _CERT_SLACK) * guard, low
+
+    return bracket
+
+
+def _chord(f: BoundExpr, g: BoundExpr):
+    """The bracket of the crossover g - f (see Brackets)."""
+    start = max(f.guard_increase_start(), g.guard_increase_start())
+
+    def bracket(a, b, at_a, at_b):
+        # an exact tie is d = 0, which decides nothing
+        d_a, d_b = (np.where(np.isinf(at[0]), 0.0, at[0]) for at in (at_a, at_b))
+        xs = a.astype(np.float64)
+        logs = np.log(xs)
+        # on [a, b], d sags at most M h^2 / 8 below its chord, M bounding |f''| + |g''|
+        sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * ((b - a) ** 2 / 8.0)
+        sag *= 1.0 + _CERT_SLACK
+        bar = 2.0 * (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
+        decided = np.zeros(a.size, dtype=bool)
+        for sign in (1.0, -1.0):  # every integer PASS, then the mirror case, every one FAIL
+            low = np.minimum(sign * d_a - at_a[1], sign * d_b - at_b[1])
+            decided |= low * (1.0 - _CERT_SLACK) - sag > bar
+        return decided, np.full(a.size, np.inf)  # a crossover keeps no closest margin
+
+    return bracket
 
 
 def _check_range(lo: int, hi: int, cap: int) -> None:
@@ -307,10 +329,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
             f"bound {b.name!r} does not expose a monotone/single-minimum shape"
         ) from exc
 
-    if use_psi:
-        f_table = primes.psi_array(hi)
-    else:
-        f_table = primes.cumulative_pi(hi)
+    f_table = primes.psi_array(hi) if use_psi else primes.cumulative_pi(hi)
 
     upper = direction is Direction.UPPER_STRICT
     turn_patch = None
@@ -319,42 +338,29 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         if lo <= n0 <= hi and turn > b.domain_start():
             res = evaluate(b, turn)
             turn_patch = (n0, res.value, res.abs_error_bound)
-    run_from = math.floor(turn) + 2  # every slab from here on is increasing
+    # pieces from here on may be decided: the bound increases on every slab,
+    # and its guard formula no longer falls
+    start = max(math.floor(turn) + 2, math.ceil(b.guard_increase_start()))
 
-    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slab margin and guard of each integer in ns (ascending)."""
-        xs = np.empty(2 * ns.size, dtype=np.float64)
-        xs[0::2] = ns
-        xs[1::2] = ns + 1
+    def margins(ns: np.ndarray) -> np.ndarray:
+        """Diff, guard, slab error bound, hi and lo of each integer in ns."""
+        xs = np.repeat(ns.astype(np.float64), 2)
+        xs[1::2] += 1.0  # the slab ends n and n + 1
         vals, errs = b.values_with_error(xs, np.log(xs))
-        err_b = np.maximum(errs[0::2], errs[1::2])
-        f_vals = f_table[ns]
-        if upper:
-            slab = np.minimum(vals[0::2], vals[1::2])
-            if turn_patch is not None:
-                i = int(np.searchsorted(ns, turn_patch[0]))
-                if i < ns.size and ns[i] == turn_patch[0]:
-                    slab[i] = min(slab[i], turn_patch[1])
-                    err_b[i] = max(err_b[i], turn_patch[2])
-            diff = slab - f_vals
-        else:
-            slab = np.maximum(vals[0::2], vals[1::2])
-            diff = f_vals - slab
-        guard = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
-        return diff, guard
+        diff, guard, err_b, hi_, lo_ = rows = np.empty((5, ns.size))
+        np.maximum(errs[0::2], errs[1::2], out=err_b)
+        f_vals, slab = (lo_, hi_) if upper else (hi_, lo_)
+        f_vals[:] = f_table[ns]
+        (np.minimum if upper else np.maximum)(vals[0::2], vals[1::2], out=slab)
+        if turn_patch is not None:  # set for upper checks only
+            at = ns == turn_patch[0]
+            slab[at] = np.minimum(slab[at], turn_patch[1])
+            err_b[at] = np.maximum(err_b[at], turn_patch[2])
+        np.subtract(hi_, lo_, out=diff)
+        guard[:] = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
+        return rows
 
-    def pieces(s: int, e: int):
-        """The runs of constant f in [s, e], each decided at its worst integer;
-        every integer below run_from is a run of its own."""
-        f_seg = f_table[s : e + 1]
-        cut = f_seg[1:] != f_seg[:-1]  # cut[i]: s + i + 1 starts a run
-        cut[: max(run_from - s, 0)] = True
-        starts = np.concatenate(([s], s + 1 + np.flatnonzero(cut)))
-        ns = starts if upper else np.append(starts[1:] - 1, e)
-        diff, guard = margins(ns)
-        return starts, ns, diff, guard, diff > guard
-
-    return _scan(margins, lo, hi, threads, pieces)
+    return _scan(margins, _monotone(start), lo, hi, threads)
 
 
 def _to_verdict(out: _SegmentSummary) -> Verdict:
@@ -402,8 +408,8 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
     """Smallest n in [lo, hi] with f(n) <= g(n) for every scanned point onward.
 
     Pure expression comparison; no prime data involved.  Every integer is
-    decided, most of them a stretch at a time (see Stretch reduction), and
-    sign alternations are recorded as evidence of a single crossing.  An exact
+    decided, most of them a piece at a time (see Brackets), and sign
+    alternations are recorded as evidence of a single crossing.  An exact
     floating-point tie counts as satisfied (the relation is non-strict), which
     also covers comparing an expression against itself.
     """
@@ -411,22 +417,16 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
     f.check_domain(lo)
     g.check_domain(lo)
 
-    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def margins(ns: np.ndarray) -> np.ndarray:
         xs = ns.astype(np.float64)
         logs = np.log(xs)
         fv, fe = f.values_with_error(xs, logs)
         gv, ge = g.values_with_error(xs, logs)
         diff = gv - fv
         diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
-        return diff, fe + ge
+        return np.stack((diff, fe + ge))
 
-    def pieces(s: int, e: int):
-        """The stretches of [s, e], each decided from its two ends."""
-        ends = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
-        diff, guard = margins(ends)
-        return ends[:-1], ends, diff, guard, _decided_stretches(f, g, ends, diff, guard)
-
-    out = _scan(margins, lo, hi, threads, pieces)
+    out = _scan(margins, _chord(f, g), lo, hi, threads)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:
@@ -448,16 +448,16 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
     counts = primes.cumulative_pi(hi)
     psis = primes.psi_array(hi)
 
-    def margins(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        logs = np.log(ns.astype(np.float64))
-        pi_log = counts[ns] * logs
+    def margins(ns: np.ndarray) -> np.ndarray:
+        """Diff, guard (also the error bound of hi and lo), hi rows, lo rows."""
+        pi_log = counts[ns] * np.log(ns.astype(np.float64))
         psi_vals = psis[ns]
         diff = np.minimum(pi_log - psi_vals, 2.0 * psi_vals - pi_log)
         guard = _EPS * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi_vals))
         diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2
-        return diff, guard
+        return np.stack((diff, guard, guard, pi_log, 2.0 * psi_vals, psi_vals, pi_log))
 
-    return _to_verdict(_scan(margins, lo, hi, threads))
+    return _to_verdict(_scan(margins, _monotone(2), lo, hi, threads))
 
 
 def exp_threshold(m: float, C: float) -> float:

@@ -19,6 +19,8 @@ from pibounds.bounds import builtin_bounds, chebyshev_constants, evaluate
 from pibounds.cli import main
 from pibounds.scan import exp_threshold
 
+from oracle import pi_oracle_trial_division
+
 
 def _outcome(report, cid):
     return next(o for o in report.outcomes if o.claim.id == cid)
@@ -111,7 +113,7 @@ def test_criterion_7_oracle_equivalences():
             count += 1
         assert primes.pi_at(x) == count, f"pi_at({x}) != running trial-division count"
     for x in (0, 1, 2, 100, 4999, 10_000):
-        assert primes.pi_oracle_trial_division(x) == primes.pi_at(x)
+        assert pi_oracle_trial_division(x) == primes.pi_at(x)
 
     counts = primes.cumulative_pi(5_000_000)
     rng = random.Random(778899)

@@ -3,12 +3,14 @@
 Every verdict trusts that a float value lies within its guard of the true
 value.  Here the true value is computed in mpmath at 120 bits, from the same
 float inputs and float constants, so the only difference left is the
-rounding of the float computation.  The stretch reduction of crossover
-searches also trusts each shape's curvature bound and the growth of its
-guard, which are checked here the same way.
+rounding of the float computation.  The piece certificates of range scans
+also trust each shape's curvature bound and the growth of its guard, which
+are checked here the same way, and the pieces they decide are re-checked
+here at 120 bits.
 """
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -63,16 +65,21 @@ def test_shape_values_lie_within_their_guard(name, u):
         assert abs(mpmath.mpf(res.value) - exact(b, x)) <= res.abs_error_bound
 
 
-def test_psi_prefixes_lie_within_their_guard():
-    limit = 200_000
-    pos, val = primes.psi_steps(limit)
-    powers = []  # (p^k, p) for every prime power up to limit
+def prime_powers(limit):
+    """(p^k, p) for every prime power up to limit, in ascending order."""
+    powers = []
     for p in primes.prime_array(limit).tolist():
         q = p
         while q <= limit:
             powers.append((q, p))
             q *= p
-    powers.sort()
+    return sorted(powers)
+
+
+def test_psi_prefixes_lie_within_their_guard():
+    limit = 200_000
+    pos, val = primes.psi_steps(limit)
+    powers = prime_powers(limit)
     assert pos.tolist() == [q for q, _ in powers]
     with mpmath.workprec(PREC):
         total = mpmath.mpf(0)
@@ -100,15 +107,87 @@ def test_curvature_bounds_the_second_derivative_onward(name, u, v):
 @given(u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_end_guards_bound_the_guard_inside_a_stretch(name, u, v):
-    # the certificate compares a stretch against the guard bound that
-    # scan._stretch_guard gives it; where that is finite, it must hold for
-    # every integer inside (with f = g = b, the guard is twice b's)
+    # the piece certificates bound the guard inside a piece by what
+    # scan._stretch_guard gives from its ends; where that is finite, it must
+    # hold for every integer inside (with f = g = b, the guard is twice b's)
     b = builtin_bounds()[name]
     a = math.ceil(above_start(b, u))
     n = a + math.floor(v * WIDTH)
     xs = np.array([a, a + WIDTH, n], dtype=np.float64)
     _, errs = b.values_with_error(xs, np.log(xs))
-    ends = np.array([a, a + WIDTH], dtype=np.int64)
-    bound = scan._stretch_guard(b, b, ends, 2.0 * errs[:2])[0]
+    bound = scan._stretch_guard(np.array([a]), b.guard_increase_start(),
+                                2.0 * errs[:1], 2.0 * errs[1:2])[0]
     if math.isfinite(bound):
-        assert 2.0 * errs[2] <= bound * (1.0 + scan._STRETCH_SLACK)
+        assert 2.0 * errs[2] <= bound * (1.0 + scan._CERT_SLACK)
+
+
+def exact_psi(points):
+    """psi(n) at PREC bits for each n of points, as a dict."""
+    wanted = sorted(set(points))
+    out = {}
+    total = mpmath.mpf(0)
+    for q, p in prime_powers(wanted[-1]) + [(math.inf, None)]:
+        while wanted and wanted[0] < q:
+            out[wanted.pop(0)] = +total
+        if p is not None:
+            total += mpmath.log(p)
+    return out
+
+
+def settled_pieces(monkeypatch, check):
+    """(a, b, G) of a seeded sample of the pieces that check() decides PASS
+    by their certificate, G bounding the guard of every integer inside."""
+    settled = []
+    monotone = scan._monotone
+
+    def recording(start):
+        bracket = monotone(start)
+
+        def record(a, b, at_a, at_b):
+            decided, low = bracket(a, b, at_a, at_b)
+            guard = np.maximum(at_a[1], at_b[1])
+            settled.extend(zip(a[decided].tolist(), b[decided].tolist(),
+                               guard[decided].tolist()))
+            return decided, low
+
+        return record
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scan, "_monotone", recording)
+        assert check().status is scan.Status.PASS
+    assert len(settled) > 100
+    return random.Random(2029).sample(settled, 40)
+
+
+@pytest.mark.parametrize("claim", ["C6b", "C9", "C11"])
+def test_decided_pieces_hold_at_120_bits(monkeypatch, claim):
+    # a piece is decided PASS from hi(a) - lo(b), which bounds the margin of
+    # every integer inside it; computed at 120 bits, that bound must clear
+    # twice the guard, so that each float margin inside still clears its own
+    U = scan.Direction.UPPER_STRICT
+    registry = builtin_bounds()
+    if claim == "C6b":
+        b = registry["dusart_upper"]
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_pi(b, U, 355_991, 5 * 10**6))
+        pi = primes.cumulative_pi(5 * 10**6)
+        with mpmath.workprec(PREC):
+            lows = [(exact(b, a) - int(pi[e]), g) for a, e, g in pieces]
+    elif claim == "C9":
+        b = registry["psi_upper"]
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_psi(b, U, 30, 10**6))
+        with mpmath.workprec(PREC):
+            psi = exact_psi([e for _, e, _ in pieces])
+            lows = [(exact(b, a) - psi[e], g) for a, e, g in pieces]
+    else:
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_sandwich(2, 10**6))
+        pi = primes.cumulative_pi(10**6)
+        with mpmath.workprec(PREC):
+            psi = exact_psi([n for a, e, _ in pieces for n in (a, e)])
+
+            def pi_log(n):
+                return int(pi[n]) * mpmath.log(n)
+
+            lows = [(min(pi_log(a) - psi[e], 2 * psi[a] - pi_log(e)), g) for a, e, g in pieces]
+    with mpmath.workprec(PREC):
+        for low, guard in lows:
+            assert low > 2 * guard

@@ -13,12 +13,13 @@ from pibounds.errors import ConfigurationError, ResourceLimitError
 from pibounds.primes import (
     cumulative_pi,
     pi_at,
-    pi_oracle_trial_division,
     pi_point_legendre,
     psi_at,
     sieve_segment,
 )
 from pibounds.scan import Direction
+
+from oracle import pi_oracle_trial_division
 
 
 def refused(query):
@@ -290,6 +291,12 @@ class TestPsi:
             if m == 1:  # n is a power of its least prime factor
                 count += 1
         assert psi_at(100).term_count == count
+
+    def test_values_never_fall_in_floats(self):
+        # a range scan bounds psi inside a piece by its float value at the far end
+        _, val = primes.psi_steps(5 * 10**6)
+        assert np.all(np.diff(val) >= 0.0)
+        assert np.all(np.diff(primes.psi_array(5 * 10**6)) >= 0.0)
 
     def test_jumps_equal_von_mangoldt(self):
         # psi(n) - psi(n-1) is log p at prime powers p^k and 0 elsewhere;

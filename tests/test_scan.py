@@ -305,16 +305,18 @@ class TestDeterminism:
 
 
 def with_small_blocks(monkeypatch, scan_call, threads=(1, 2)):
-    """scan_call(threads) with the default segments and blocks, and the results
-    with small coprime segment and block sizes (blocks cut every segment)."""
+    """scan_call(threads) with the default segments and pieces, and the results
+    with small segments, starting pieces and base case (pieces cut every
+    segment, and their halves cut runs)."""
     default = scan_call(1)
     monkeypatch.setattr(scan, "SCAN_SEGMENT", 1111)
-    monkeypatch.setattr(scan, "SCAN_BLOCK", 97)
+    monkeypatch.setattr(scan, "STRETCH", 97)
+    monkeypatch.setattr(scan, "BASE_CASE", 5)
     return default, [scan_call(t) for t in threads]
 
 
 class TestBlockIndependence:
-    """Neither the thread segment nor the evaluation block changes a result."""
+    """Neither the thread segment nor the piece widths change a result."""
 
     def test_crossover_c13(self, registry, monkeypatch):
         f, g = registry["dusart_upper"], registry["pan_upper"]
@@ -349,7 +351,7 @@ class TestBlockIndependence:
         assert small == [default, default]
 
     def test_one_pass_merge_equals_pairwise_merges(self, registry, monkeypatch):
-        # cheb_upper fails on most runs below 96098, so block edges cut
+        # cheb_upper fails on most runs below 96098, so segment edges cut
         # through failures and sign changes
         b = registry["cheb_upper"]
 
@@ -357,7 +359,7 @@ class TestBlockIndependence:
             return scan._scan_inequality(b, U, 30, 120_000, use_psi=False,
                                          cap=primes.DEFAULT_CAP, threads=1)
 
-        whole = summary()  # one block
+        whole = summary()  # one segment
         blocks = []
         classify = scan._classify
 
@@ -366,7 +368,7 @@ class TestBlockIndependence:
             return blocks[-1]
 
         monkeypatch.setattr(scan, "_classify", recording)
-        monkeypatch.setattr(scan, "SCAN_BLOCK", 97)
+        monkeypatch.setattr(scan, "SCAN_SEGMENT", 97)
         assert summary() == whole
         assert len(blocks) > 1000 and whole.state_changes > 100
         assert scan._merge(blocks) == whole

@@ -1,12 +1,14 @@
-"""The run and stretch reductions agree with a brute-force per-integer scan,
-and they evaluate the bounds only where they say they do.
+"""Scans that decide pieces from their ends agree with a brute-force
+per-integer scan, and they evaluate the bounds only where they say they do.
 
-The references below evaluate every slab (or, for a crossover, every
-integer) of the range, exactly as a scan without the reductions does, and
-classify each integer on its own.
+The references below evaluate every slab (or, for a crossover or the
+sandwich, every integer) of the range, exactly as a scan without the
+pieces does, and classify each integer on its own.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pibounds import primes, scan
-from pibounds.bounds import PsiAffine, builtin_bounds, evaluate
+from pibounds.bounds import BoundExpr, PsiAffine, builtin_bounds, evaluate
 from pibounds.errors import CrossoverNotFoundError
 from pibounds.primes import PSI_ERR_FACTOR
 from pibounds.scan import (
@@ -27,6 +29,7 @@ from pibounds.scan import (
     last_violation,
     verify_pi,
     verify_psi,
+    verify_sandwich,
 )
 
 TOP = 200_000
@@ -87,22 +90,33 @@ def scans(draw):
     assume(lo > b.domain_start())
     hi = draw(st.integers(lo, min(TOP, lo + draw(st.sampled_from([0, 10, 1000, TOP])))))
     direction = draw(st.sampled_from(list(Direction)))
-    # at most ~500 segments and ~500 blocks per scan keep the run time bounded
-    least = -(-(hi - lo + 1) // 500)
-    segment = max(least, draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
-    block = max(least, draw(st.sampled_from([1, 2, 5, 97, 1 << 16])))
+    return b, direction, lo, hi, *draw(cuts(hi - lo + 1))
+
+
+@st.composite
+def cuts(draw, size):
+    """Segment, starting piece and base case widths, and a thread count."""
+    # at most ~500 segments per scan keep the run time bounded
+    segment = max(-(-size // 500), draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
+    stretch = draw(st.sampled_from([1, 2, 5, 97, 1 << 10]))
+    base = draw(st.sampled_from([1, 2, 5, 32, 97]))
     threads = draw(st.sampled_from([1, 2]))
-    return b, direction, lo, hi, segment, block, threads
+    return segment, stretch, base, threads
+
+
+def cut(mp, segment, stretch, base):
+    mp.setattr(scan, "SCAN_SEGMENT", segment)
+    mp.setattr(scan, "STRETCH", stretch)
+    mp.setattr(scan, "BASE_CASE", base)
 
 
 @settings(max_examples=60, deadline=None)
 @given(scans())
 def test_pi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, block, threads = case
+    b, direction, lo, hi, segment, stretch, base, threads = case
     verdict, count, last = per_integer(b, direction, lo, hi, use_psi=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "SCAN_SEGMENT", segment)
-        mp.setattr(scan, "SCAN_BLOCK", block)
+        cut(mp, segment, stretch, base)
         assert verify_pi(b, direction, lo, hi, threads=threads) == verdict
         assert count_violations(b, direction, lo, hi, threads=threads) == count
         assert last_violation(b, direction, lo, hi, threads=threads) == last
@@ -111,12 +125,54 @@ def test_pi_scans_match_per_integer_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(scans())
 def test_psi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, block, threads = case
+    b, direction, lo, hi, segment, stretch, base, threads = case
     verdict, _, _ = per_integer(b, direction, lo, hi, use_psi=True)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "SCAN_SEGMENT", segment)
-        mp.setattr(scan, "SCAN_BLOCK", block)
+        cut(mp, segment, stretch, base)
         assert verify_psi(b, direction, lo, hi, threads=threads) == verdict
+
+
+def sandwich_per_integer(lo, hi):
+    """verify_sandwich's verdict, one integer at a time."""
+    ns = np.arange(lo, hi + 1)
+    pi_log = primes.cumulative_pi(hi)[lo : hi + 1] * np.log(ns.astype(np.float64))
+    psi = primes.psi_array(hi)[lo : hi + 1]
+    diff = np.minimum(pi_log - psi, 2.0 * psi - pi_log)
+    guard = np.finfo(np.float64).eps * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi))
+    fails, ambiguous = [], []
+    closest = None
+    for n, d, g in zip(ns.tolist(), diff.tolist(), guard.tolist()):
+        if n == 2 and d == 0.0:
+            d = math.inf  # log 2 <= log 2: the provable tie passes, with no margin
+        if d < -g:
+            fails.append((n, d, g))
+        elif not d > g:
+            ambiguous.append(n)
+        if closest is None or d < closest[1]:
+            closest = (n, d, g)
+    points = hi - lo + 1
+    if fails:
+        return Verdict(Status.FAIL, *fails[-1][:2], points, ambiguous, fails[-1][2])
+    n, d, g = closest
+    status = Status.AMBIGUOUS if ambiguous else Status.PASS
+    return Verdict(status, n, d, points, ambiguous, g)
+
+
+@st.composite
+def sandwiches(draw):
+    lo = draw(st.integers(2, TOP))
+    hi = draw(st.integers(lo, min(TOP, lo + draw(st.sampled_from([0, 10, 1000, TOP])))))
+    return lo, hi, *draw(cuts(hi - lo + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sandwiches())
+def test_sandwich_matches_per_integer_reference(case):
+    lo, hi, segment, stretch, base, threads = case
+    expected = sandwich_per_integer(lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        cut(mp, segment, stretch, base)
+        assert verify_sandwich(lo, hi, threads=threads) == expected
 
 
 @pytest.mark.parametrize("name, direction, lo, hi", [
@@ -172,23 +228,16 @@ def crossovers(draw):
     lo = draw(st.integers(30, TOP))
     assume(lo > max(f.domain_start(), g.domain_start()))
     hi = draw(st.integers(lo, min(TOP, lo + draw(st.sampled_from([0, 10, 1000, TOP])))))
-    least = -(-(hi - lo + 1) // 500)
-    segment = max(least, draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
-    block = max(least, draw(st.sampled_from([1, 2, 5, 97, 1 << 16])))
-    stretch = draw(st.sampled_from([1, 2, 5, 97, 1 << 10]))
-    threads = draw(st.sampled_from([1, 2]))
-    return f, g, lo, hi, segment, block, stretch, threads
+    return f, g, lo, hi, *draw(cuts(hi - lo + 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(crossovers())
 def test_crossovers_match_per_integer_reference(case):
-    f, g, lo, hi, segment, block, stretch, threads = case
+    f, g, lo, hi, segment, stretch, base, threads = case
     expected = crossover_per_integer(f, g, lo, hi)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scan, "SCAN_SEGMENT", segment)
-        mp.setattr(scan, "SCAN_BLOCK", block)
-        mp.setattr(scan, "STRETCH", stretch)
+        cut(mp, segment, stretch, base)
         assert crossover_or_none(f, g, lo, hi, threads) == expected
 
 
@@ -228,35 +277,27 @@ def kernel_calls(monkeypatch):
     return watch
 
 
-def test_clean_blocks_evaluate_each_run_once(kernel_calls):
-    # unit_lower holds on all of [17, 10**5]: each run costs the two slab
-    # ends of its worst integer, and each block start begins a run
+def test_a_clean_range_takes_few_kernel_points(kernel_calls):
+    # unit_lower holds on all of [17, 10**5]: most pieces are decided from
+    # their ends, where one comparison per run of constant pi would take two
+    # kernel points for each of 9,586 runs
     b = REGISTRY["unit_lower"]
-    lo, hi = 17, 10**5
     calls = kernel_calls(b)
-    assert verify_pi(b, Direction.LOWER_STRICT, lo, hi).status is Status.PASS
-    f = primes.cumulative_pi(hi)
-    starts = set(range(lo, hi + 1, scan.SCAN_BLOCK))
-    starts.update((lo + 1 + np.flatnonzero(f[lo + 1 : hi + 1] != f[lo:hi])).tolist())
-    assert sum(xs.size for xs in calls) == 2 * len(starts)
+    assert verify_pi(b, Direction.LOWER_STRICT, 17, 10**5).status is Status.PASS
+    assert sum(xs.size for xs in calls) <= 2000
 
 
-def test_only_the_failing_runs_of_a_block_are_compared_per_integer(kernel_calls):
-    # the 19 violations of pan_upper past its turn lie in 6 runs of [24121, 24254],
-    # inside the first block; the block's other runs keep their one comparison
+def test_each_violation_is_compared_on_its_own(kernel_calls):
+    # pan_upper fails at 19 integers of [24121, 24254]; pieces are decided
+    # PASS only, so each violation is compared as an integer of its own
     b = REGISTRY["pan_upper"]
     calls = kernel_calls(b)
     assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
-    reps, expanded, later = [xs[0::2].astype(np.int64) for xs in calls if xs.size > 2]
-    assert reps[0] == 4 and reps[-1] < 4 + scan.SCAN_BLOCK <= later[0]
+    compared = np.concatenate([xs[0::2] for xs in calls])
     fails = [n for n in range(24121, 24255)
              if verify_pi(b, Direction.UPPER_STRICT, n, n).status is Status.FAIL]
     assert len(fails) == 19
-    f = primes.cumulative_pi(10**5)
-    runs = np.flatnonzero(np.isin(f, f[fails]))
-    assert len(set(f[fails].tolist())) == 6
-    assert np.setdiff1d(runs, reps).size == 104
-    assert np.array_equal(expanded, np.union1d(reps, runs))
+    assert np.isin(fails, compared).all()
 
 
 def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
@@ -267,3 +308,151 @@ def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
     res = analytic_crossover(b, REGISTRY["legendre_a"], 10**6 + 1, 5 * 10**6)
     assert res == CrossoverResult(2846396, 2846395, 1, [])
     assert sum(xs.size for xs in calls) <= 2 * 10**4
+
+
+def touching_line(use_psi, direction, lo, hi, shift):
+    """A line that meets f (pi or psi) at two integers inside [lo, hi] and
+    clears it at every other, moved by shift toward a larger margin.
+
+    For an upper check the margin at n is B(n) - f(n), so the line runs
+    through two neighbouring vertices of the upper hull of the points
+    (n, f(n)); for a lower check it is f(n) - B(n + 1), and the line runs
+    through the lower hull of (n + 1, f(n)).  Returns the line as a bound and
+    the two integers where it meets f.
+    """
+    upper = direction is Direction.UPPER_STRICT
+    f = (primes.psi_array(hi) if use_psi else primes.cumulative_pi(hi)).astype(np.float64)
+    ns = range(lo, hi + 1)
+    points = [(n if upper else n + 1, f[n]) for n in ns]
+    hull = []  # the monotone chain over the points, kept on one side
+    for x, y in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            turn = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if (turn >= 0) if upper else (turn <= 0):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    middle = (lo + hi) / 2
+    i = min(range(len(hull) - 1), key=lambda i: abs(hull[i][0] - middle))
+    (x1, y1), (x2, y2) = hull[i], hull[i + 1]
+    slope = (y2 - y1) / (x2 - x1)
+    offset = y1 - slope * x1 + (shift if upper else -shift)
+    line = PsiAffine("line", 2.0, slope, 0.0, 0.0, offset)
+    touches = [int(x1), int(x2)] if upper else [int(x1) - 1, int(x2) - 1]
+    return line, touches
+
+
+@pytest.mark.parametrize("shift, status", [
+    (0.0, Status.AMBIGUOUS),   # the line meets f within its guard
+    (-1e-3, Status.FAIL),      # it dips below f
+    (1e-6, Status.PASS),       # it clears f by far less than any piece's spread
+])
+@pytest.mark.parametrize("use_psi, direction", [
+    (False, Direction.UPPER_STRICT),
+    (False, Direction.LOWER_STRICT),
+    (True, Direction.UPPER_STRICT),
+    (True, Direction.LOWER_STRICT),
+])
+def test_a_touch_between_piece_ends_is_found(use_psi, direction, shift, status):
+    lo, hi = 100_003, 110_000
+    line, touches = touching_line(use_psi, direction, lo, hi, shift)
+    assert all((n - lo) % scan.STRETCH and lo < n < hi for n in touches)
+    expected, _, _ = per_integer(line, direction, lo, hi, use_psi=use_psi)
+    assert expected.status is status
+    if status is Status.AMBIGUOUS:
+        assert set(touches) <= set(expected.ambiguous_points)
+    else:
+        assert expected.witness in touches
+    check = verify_psi if use_psi else verify_pi
+    assert check(line, direction, lo, hi) == expected
+
+
+@dataclass(frozen=True)
+class Drawn(BoundExpr):
+    """A bound given by its float values and guards as functions of x, with
+    its turning points declared."""
+
+    values: Callable = None
+    errors: Callable = None
+    turn: float = 1.0
+    guard_turn: float = 1.0
+
+    def values_with_error(self, xs, logs):
+        return self.values(xs), self.errors(xs)
+
+    def increase_start(self):
+        return self.turn
+
+    def guard_increase_start(self):
+        return self.guard_turn
+
+
+def test_no_piece_is_decided_where_the_bound_falls():
+    # the bound falls to 100 at 1000, below pi there; the piece [2, 1026]
+    # clears from its ends, which only holds where the bound increases
+    b = Drawn("v", 1.0, lambda x: np.abs(x - 1000.0) + 100.0,
+              lambda x: np.full_like(x, 1e-9), turn=1000.0)
+    verdict, count, _ = per_integer(b, Direction.UPPER_STRICT, 2, 3000, use_psi=False)
+    assert verdict.status is Status.FAIL
+    assert verify_pi(b, Direction.UPPER_STRICT, 2, 3000) == verdict
+    assert count_violations(b, Direction.UPPER_STRICT, 2, 3000) == count
+
+
+def test_no_piece_is_decided_where_the_guard_falls(monkeypatch):
+    # the guard spikes around 500 and falls after it: the end guards of a
+    # piece bound the guards inside only from guard_increase_start on.  Short
+    # starting pieces keep the spike's piece from being compared whole only
+    # because the pieces left to split hold few integers.
+    b = Drawn("spike", 1.0, lambda x: x + 1000.0,
+              lambda x: np.where(np.abs(x - 500.0) < 3.0, 1e4, 0.0), guard_turn=600.0)
+    verdict, _, _ = per_integer(b, Direction.UPPER_STRICT, 2, 3000, use_psi=False)
+    assert verdict.status is Status.AMBIGUOUS
+    monkeypatch.setattr(scan, "STRETCH", 64)
+    assert verify_pi(b, Direction.UPPER_STRICT, 2, 3000) == verdict
+
+
+# pi and psi are constant on [9551, 9586] (no prime power lies between the
+# primes 9551 and 9587).  Scanned over [9551, 9587] in two starting pieces of
+# 18 steps, wider than the base case, the right piece ends at 9587, where a
+# bound level with the plateau fails: its margin is the smallest compared, so
+# the left piece [9551, 9569] is decided or split on its certificate alone.
+PLATEAU = 9551, 9587
+
+
+def two_pieces(monkeypatch):
+    monkeypatch.setattr(scan, "STRETCH", 18)
+    monkeypatch.setattr(scan, "BASE_CASE", 8)
+
+
+def test_the_psi_guard_inside_a_piece_is_kept(monkeypatch):
+    # an exact constant bound sits half of psi's own guard above the plateau:
+    # every integer of it is ambiguous, though the bound's own guard is 0
+    lo, hi = PLATEAU
+    psi = primes.psi_array(hi)
+    assert len(set(psi[lo:hi].tolist())) == 1
+    level = psi[lo] * (1.0 + 0.5 * PSI_ERR_FACTOR)
+    b = Drawn("flat", 1.0, lambda x: np.full_like(x, level), np.zeros_like)
+    verdict, _, _ = per_integer(b, Direction.UPPER_STRICT, lo, hi, use_psi=True)
+    assert verdict.status is Status.FAIL and verdict.ambiguous_points == list(range(lo, hi))
+    two_pieces(monkeypatch)
+    assert verify_psi(b, Direction.UPPER_STRICT, lo, hi) == verdict
+
+
+def test_float_values_inside_a_piece_may_sit_below_its_ends(monkeypatch):
+    # the true bound is a constant level just above the plateau, and its float
+    # values stay within the guard E of it: 0.9 E above at the slab ends of the
+    # left piece's ends, 0.9 E below elsewhere, where the integers are ambiguous
+    lo, hi = PLATEAU
+    pi = primes.cumulative_pi(hi)
+    assert len(set(pi[lo:hi].tolist())) == 1
+    E = 1e-3
+    level = pi[lo] + 1.5 * E
+    ends = np.array([lo, lo + 1, lo + 18, lo + 19], dtype=np.float64)
+    b = Drawn("wobble", 1.0, lambda x: level + np.where(np.isin(x, ends), 0.9, -0.9) * E,
+              lambda x: np.full_like(x, E))
+    verdict, _, _ = per_integer(b, Direction.UPPER_STRICT, lo, hi, use_psi=False)
+    assert set(range(lo + 1, lo + 18)) <= set(verdict.ambiguous_points)
+    two_pieces(monkeypatch)
+    assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == verdict
