@@ -62,25 +62,14 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
 # sieving
 # ---------------------------------------------------------------------------
 
-def is_prime_trial(n: int) -> bool:
-    """Trial-division primality check."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _largest_prime_le(n: int) -> int | None:
-    for q in range(n, 1, -1):
-        if is_prime_trial(q):
-            return q
-    return None
+def _prime_flags(n: int) -> np.ndarray:
+    """uint8 flags for 0..n, 1 at the primes, sieved with every integer up to
+    the root of n."""
+    flags = np.ones(n + 1, dtype=np.uint8)
+    flags[:2] = 0
+    for d in range(2, isqrt(n) + 1):
+        flags[d * d :: d] = 0
+    return flags
 
 
 def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
@@ -91,13 +80,15 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    need = isqrt(hi)
-    if need >= 2:
-        top = _largest_prime_le(need)
-        if top is not None and (len(base_primes) == 0 or max(base_primes) < top):
-            raise ConfigurationError(
-                f"base_primes must cover primes up to {top} to sieve [{lo}, {hi}]"
-            )
+    root = isqrt(hi)
+    missing = _prime_flags(root)
+    given = np.asarray(base_primes, dtype=np.int64)
+    missing[given[(given >= 0) & (given <= root)]] = 0
+    if missing.any():
+        raise ConfigurationError(
+            f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
+            f"missing {np.flatnonzero(missing)[:5].tolist()}"
+        )
     flags = np.ones(hi - lo + 1, dtype=np.uint8)
     for p in base_primes:
         if 2 <= p and p * p <= hi:
@@ -128,10 +119,7 @@ def _cached(name: str, limit: int, build):
 def _prime_bitmap(limit: int) -> np.ndarray:
     """uint8 primality indicator for 0..limit, chained from sieve segments."""
     def build(limit: int) -> tuple[int, np.ndarray]:
-        root = isqrt(limit)
-        base = []
-        if root >= 2:  # the primes up to the root, sieved with every integer up to its root
-            base = np.flatnonzero(sieve_segment(2, root, range(2, isqrt(root) + 1))) + 2
+        base = np.flatnonzero(_prime_flags(isqrt(limit)))
         parts = [np.zeros(2, dtype=np.uint8)]
         for lo in range(2, limit + 1, SEGMENT_LENGTH):
             parts.append(sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base))

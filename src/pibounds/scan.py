@@ -12,24 +12,28 @@ combined evaluation error bound (bound rounding + psi summation error; pi is
 exact) is reported AMBIGUOUS rather than silently decided either way.
 
 Brackets.  Each segment starts as pieces of STRETCH integer steps that share
-their ends, and a piece [a, b] is decided from the comparisons at its ends.
-An undecided piece splits in halves; one of at most BASE_CASE steps, or all
-left once they hold at most STRETCH integers, are compared integer by
-integer.  A decided piece holds no ambiguous point or sign change, and its
-ends are compared, so counts, ambiguous points and sign changes stay exact.
+their ends, and a piece [a, b] is decided from the comparisons at its ends:
+every integer of it then classifies as its ends do, PASS or FAIL.  An
+undecided piece splits in halves; one of at most BASE_CASE steps, or all left
+once they hold at most STRETCH integers, are compared integer by integer.  A
+decided piece holds no ambiguous point or sign change, and its ends are
+compared.
 
 * An inequality or sandwich margin is hi - lo with hi and lo nondecreasing:
   the slab bound and f for an upper check, f and the slab bound for a lower
   one, pi(n) log n over psi(n) and 2 psi(n) over pi(n) log n for the
-  sandwich.  So hi(a) - lo(b) bounds every margin of [a, b] from below
-  (Rosser and Schoenfeld's check at the primes, applied to whole ranges of
-  primes).  The float hi at a, lo at b and hi - lo inside may each be off by
-  the error bound at the far end, and the guard inside is at most the far
-  end's, which for psi holds PSI_ERR_FACTOR * f(b).  A piece is PASS when
-  hi(a) - lo(b), less three such errors and a small rounding slack, clears
-  that guard.  This holds where the bound increases and its guard formula no
-  longer falls, so a piece below floor(turn) + 2 or guard_increase_start is
-  split.
+  sandwich.  So hi(a) - lo(b) bounds every margin of [a, b] from below, and
+  hi(b) - lo(a) from above (Rosser and Schoenfeld's check at the primes,
+  applied to whole ranges of primes).  The float hi and lo at the ends and
+  hi - lo inside may each be off by the error bound at the far end, and the
+  guard inside is at most the far end's, which for psi holds PSI_ERR_FACTOR *
+  f(b).  A piece is PASS when hi(a) - lo(b), less three such errors and a
+  small rounding slack, clears that guard, and FAIL when hi(b) - lo(a), plus
+  the same, stays below minus the guard.  This holds where the bound
+  increases and its guard formula no longer falls, so a piece below
+  floor(turn) + 2 or guard_increase_start is split.  A piece FAIL throughout
+  has failing ends, so FAIL is tried only once a segment has compared a
+  negative margin.
 * A crossover bounds d = g - f by its chord: d >= min(d(a), d(b)) -
   M (b-a)^2 / 8 on [a, b], M = f.curvature(a) + g.curvature(a) bounding |d''|.
   With each end's true d within its guard G = fe + ge, and max(G(a), G(b))
@@ -37,15 +41,18 @@ ends are compared, so counts, ambiguous points and sign changes stay exact.
   lowest true d clears twice that guard is PASS throughout; mirrored, FAIL.
 
 Closest margin.  A segment keeps the smallest margin it has compared, and a
-decided piece is split anyway until its lower bound on the margins inside
-exceeds it (branch and bound over enclosures).  So a PASS scan's closest
-integer was compared, ties going to the earlier one.  A crossover keeps none.
+piece decided PASS is split anyway until its lower bound on the margins
+inside exceeds it (branch and bound over enclosures).  So a PASS scan's
+closest integer was compared, ties going to the earlier one.  A piece decided
+FAIL, and a crossover, keep none: a FAIL verdict reports its last failure.
 
 Segments.  A range is cut into segments of SCAN_SEGMENT integers, the unit of
-threading, whose summaries merge exactly: counts add, the last failure and
-the closest margin are taken in order (ties to the earlier point), ambiguous
-points are concatenated, and a sign change across an edge is counted from
-the last definite state before it and the first after it.
+threading.  Each returns the integers it compared, in order, with their
+diffs and guards, and the range is classified once from them all.  Between
+two neighbouring compared integers lies the inside of one decided piece, so
+the integers there fail when both neighbours fail and pass otherwise: counts
+add the gaps between failing neighbours, and the last failure, sign changes
+and ambiguous points are those of the compared integers.
 """
 
 from __future__ import annotations
@@ -117,7 +124,7 @@ class CrossoverResult:
 
 
 @dataclass
-class _SegmentSummary:
+class _Summary:
     points: int
     fail_count: int
     last_fail: int | None
@@ -127,17 +134,16 @@ class _SegmentSummary:
     min_diff_n: int
     guard_at_min: float
     ambiguous: list[int]
-    first_state: int  # +1 pass, -1 fail, 0 no definite point
-    last_state: int
     state_changes: int
 
 
-def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
-              points: int) -> _SegmentSummary:
-    """Shared guarded classification of per-point margins.
+def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
+    """Guarded classification of a range from its compared integers.
 
-    Each entry stands for the integer ns[i]; points is the number of integers
-    the entries cover.  A diff of +inf marks a provable tie that passes.
+    Entry i stands for the integer ns[i]; ns ascends from the range's first
+    integer to its last, and the integers between two entries classify as
+    both do when both fail, else pass (see Segments).  A diff of +inf marks a
+    provable tie that passes.
     """
     fail = diff < -guard
     passing = diff > guard
@@ -160,14 +166,10 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
         margin_at_last_fail = float(diff[i])
         guard_at_last_fail = float(guard[i])
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
-    if definite.size:
-        first_state = -1 if definite[0] else 1
-        last_state = -1 if definite[-1] else 1
-    else:
-        first_state = last_state = 0
+        fail_count += int((np.diff(ns) - 1)[fail[1:] & fail[:-1]].sum())
 
-    return _SegmentSummary(
-        points=points,
+    return _Summary(
+        points=int(ns[-1] - ns[0]) + 1,
         fail_count=fail_count,
         last_fail=last_fail,
         margin_at_last_fail=margin_at_last_fail,
@@ -176,61 +178,30 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray,
         min_diff_n=int(ns[min_idx]),
         guard_at_min=float(guard[min_idx]),
         ambiguous=ambiguous,
-        first_state=first_state,
-        last_state=last_state,
         state_changes=changes,
     )
 
 
-def _merge(summaries: list[_SegmentSummary]) -> _SegmentSummary:
-    """Summary of consecutive ranges, given their summaries in order."""
-    latest = closest = summaries[0]
-    points = fail_count = changes = first_state = last_state = 0
-    for seg in summaries:
-        points += seg.points
-        fail_count += seg.fail_count
-        if seg.last_fail is not None:
-            latest = seg
-        if seg.min_diff < closest.min_diff:
-            closest = seg
-        changes += seg.state_changes
-        if last_state != 0 and seg.first_state != 0 and last_state != seg.first_state:
-            changes += 1
-        first_state = first_state or seg.first_state
-        last_state = seg.last_state or last_state
-    return _SegmentSummary(
-        points=points,
-        fail_count=fail_count,
-        last_fail=latest.last_fail,
-        margin_at_last_fail=latest.margin_at_last_fail,
-        guard_at_last_fail=latest.guard_at_last_fail,
-        min_diff=closest.min_diff,
-        min_diff_n=closest.min_diff_n,
-        guard_at_min=closest.guard_at_min,
-        ambiguous=[n for seg in summaries for n in seg.ambiguous],
-        first_state=first_state,
-        last_state=last_state,
-        state_changes=changes,
-    )
-
-
-def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _SegmentSummary:
+def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _Summary:
     """Summary of [lo, hi]; threads <= 0 means one worker per core.
 
     margins(ns) gives one column per integer of ns: the diff and the guard of
     its comparison, then the rows that bracket reads.  bracket(a, b, at_a,
-    at_b) gives, for the pieces [a[i], b[i]] and their ends' columns, whether
-    every integer of each classifies as its ends do, and a lower bound on
-    their diffs, inf where none is needed (see Brackets and Closest margin).
+    at_b, best) gives, for the pieces [a[i], b[i]] and their ends' columns,
+    whether every integer of each classifies as its ends do, and a lower bound
+    on their diffs, inf where none is needed; best is the smallest diff the
+    segment has compared (see Brackets and Closest margin).
     """
-    def segment(s: int) -> _SegmentSummary:
+    def segment(s: int) -> tuple[np.ndarray, np.ndarray]:
+        """The integers of the segment compared, ascending, and their diff and
+        guard rows."""
         e = min(s + SCAN_SEGMENT - 1, hi)
         new = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
         rows = margins(new)
         a, b, at_a, at_b = new[:-1], new[1:], rows[:, :-1], rows[:, 1:]
         ns, cols, best = [new], [rows[:2]], rows[0].min()  # best: smallest margin compared
         while a.size:
-            decided, low = bracket(a, b, at_a, at_b)
+            decided, low = bracket(a, b, at_a, at_b, best)
             keep = np.flatnonzero(~(decided & (low > best)))
             a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
             width = b - a
@@ -255,16 +226,19 @@ def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _SegmentSummary:
             a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
             at_a, at_b = np.concatenate((at_a, at_mid), 1), np.concatenate((at_mid, at_b), 1)
         ns = np.concatenate(ns)
-        order = np.argsort(ns, kind="stable")
-        diff, guard = np.concatenate(cols, axis=1)[:, order]
-        return _classify(diff, guard, ns[order], e - s + 1)
+        order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
+        return ns[order], np.concatenate(cols, axis=1)[:, order]
 
     starts = range(lo, hi + 1, SCAN_SEGMENT)
     workers = min(len(starts), threads if threads > 0 else os.cpu_count() or 1)
     if workers <= 1:
-        return _merge([segment(s) for s in starts])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merge(list(pool.map(segment, starts)))
+        parts = [segment(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(segment, starts))
+    ns, cols = zip(*parts)
+    diff, guard = np.concatenate(cols, axis=1)
+    return _classify(diff, guard, np.concatenate(ns))
 
 
 def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
@@ -278,14 +252,20 @@ def _monotone(start: float):
     """The bracket of margins hi - lo, hi and lo nondecreasing from start (see
     Brackets).  Below the diff and the guard, the margin rows are a bound on
     the errors of the float hi and lo together, then k rows of hi and k of lo."""
-    def bracket(a, b, at_a, at_b):
+    def bracket(a, b, at_a, at_b, best):
         k = (at_a.shape[0] - 3) // 2
+        # hi and lo at the ends and hi - lo inside may each be off by its error
+        err = 3.0 * (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[2], at_b[2])
+        guard = (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
         d = (at_a[3 : 3 + k] - at_b[3 + k :]).min(axis=0)
-        # hi at a, lo at b and hi - lo inside may each be off by its error
-        err = _stretch_guard(a, start, at_a[2], at_b[2])
-        low = d - _CERT_SLACK * np.abs(d) - 3.0 * (1.0 + _CERT_SLACK) * err
-        guard = _stretch_guard(a, start, at_a[1], at_b[1])
-        return low > (1.0 + _CERT_SLACK) * guard, low
+        low = d - _CERT_SLACK * np.abs(d) - err
+        decided = low > guard
+        if best < 0.0:  # a piece FAIL throughout has failing ends, compared already
+            d = (at_b[3 : 3 + k] - at_a[3 + k :]).min(axis=0)
+            failing = d + _CERT_SLACK * np.abs(d) + err < -guard
+            decided |= failing
+            low[failing] = np.inf
+        return decided, low
 
     return bracket
 
@@ -294,7 +274,7 @@ def _chord(f: BoundExpr, g: BoundExpr):
     """The bracket of the crossover g - f (see Brackets)."""
     start = max(f.guard_increase_start(), g.guard_increase_start())
 
-    def bracket(a, b, at_a, at_b):
+    def bracket(a, b, at_a, at_b, best):
         # an exact tie is d = 0, which decides nothing
         d_a, d_b = (np.where(np.isinf(at[0]), 0.0, at[0]) for at in (at_a, at_b))
         xs = a.astype(np.float64)
@@ -319,7 +299,7 @@ def _check_range(lo: int, hi: int, cap: int) -> None:
 
 
 def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
-                     *, use_psi: bool, cap: int, threads: int) -> _SegmentSummary:
+                     *, use_psi: bool, cap: int, threads: int) -> _Summary:
     _check_range(lo, hi, cap)
     b.check_domain(lo)
     try:
@@ -363,7 +343,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
     return _scan(margins, _monotone(start), lo, hi, threads)
 
 
-def _to_verdict(out: _SegmentSummary) -> Verdict:
+def _to_verdict(out: _Summary) -> Verdict:
     if out.fail_count:
         return Verdict(Status.FAIL, out.last_fail, out.margin_at_last_fail, out.points,
                        out.ambiguous, out.guard_at_last_fail)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from pibounds import claims, primes
@@ -24,3 +26,17 @@ def no_tables(monkeypatch):
         raise AssertionError(f"table {name!r} up to {limit} was requested")
 
     monkeypatch.setattr(primes, "_cached", refuse)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(call) runs call() under tracemalloc, which also sees numpy's
+    buffers, and returns its result and the peak of the bytes traced."""
+    def run(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

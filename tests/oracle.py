@@ -1,9 +1,22 @@
-"""A slow reference for the tests: pi(x) by trial division of every integer."""
+"""Slow references for the tests: primality and pi(x) by trial division."""
 
 from pibounds.errors import ResourceLimitError
-from pibounds.primes import is_prime_trial
 
 ORACLE_CAP = 100_000
+
+
+def is_prime_trial(n: int) -> bool:
+    """Trial-division primality check."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def pi_oracle_trial_division(x: int) -> int:

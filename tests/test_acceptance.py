@@ -19,7 +19,7 @@ from pibounds.bounds import builtin_bounds, chebyshev_constants, evaluate
 from pibounds.cli import main
 from pibounds.scan import exp_threshold
 
-from oracle import pi_oracle_trial_division
+from oracle import is_prime_trial, pi_oracle_trial_division
 
 
 def _outcome(report, cid):
@@ -109,7 +109,7 @@ def test_criterion_6_crossovers(full_report):
 def test_criterion_7_oracle_equivalences():
     count = 0
     for x in range(0, 10_001):
-        if primes.is_prime_trial(x):
+        if is_prime_trial(x):
             count += 1
         assert primes.pi_at(x) == count, f"pi_at({x}) != running trial-division count"
     for x in (0, 1, 2, 100, 4999, 10_000):

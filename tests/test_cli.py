@@ -4,7 +4,7 @@ import pytest
 
 from pibounds import primes
 from pibounds.bounds import builtin_bounds, evaluate
-from pibounds.cli import floor_exact, main
+from pibounds.cli import build_parser, floor_exact, main
 
 from oracle import pi_oracle_trial_division
 
@@ -314,6 +314,9 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_scans_take_one_thread_by_default(self):
+        assert build_parser().parse_args(["verify"]).threads == 1
 
     def test_failed_parse_leaves_the_parser_usable(self, capsys):
         assert run(capsys, "psi")[0] == 2

@@ -134,17 +134,19 @@ def exact_psi(points):
     return out
 
 
-def settled_pieces(monkeypatch, check):
-    """(a, b, G) of a seeded sample of the pieces that check() decides PASS
-    by their certificate, G bounding the guard of every integer inside."""
+def settled_pieces(monkeypatch, check, status):
+    """(a, b, G) of a seeded sample of the pieces that check() decides
+    status (PASS or FAIL) by their certificate, G bounding the guard of every
+    integer inside."""
     settled = []
     monotone = scan._monotone
 
     def recording(start):
         bracket = monotone(start)
 
-        def record(a, b, at_a, at_b):
-            decided, low = bracket(a, b, at_a, at_b)
+        def record(a, b, at_a, at_b, best):
+            decided, low = bracket(a, b, at_a, at_b, best)
+            decided &= (at_a[0] > 0) if status is scan.Status.PASS else (at_a[0] < 0)
             guard = np.maximum(at_a[1], at_b[1])
             settled.extend(zip(a[decided].tolist(), b[decided].tolist(),
                                guard[decided].tolist()))
@@ -154,32 +156,38 @@ def settled_pieces(monkeypatch, check):
 
     with monkeypatch.context() as mp:
         mp.setattr(scan, "_monotone", recording)
-        assert check().status is scan.Status.PASS
+        assert check().status is status
     assert len(settled) > 100
     return random.Random(2029).sample(settled, 40)
 
 
-@pytest.mark.parametrize("claim", ["C6b", "C9", "C11"])
+@pytest.mark.parametrize("claim", ["C6b", "C9", "C11", "cheb_upper", "d125506"])
 def test_decided_pieces_hold_at_120_bits(monkeypatch, claim):
     # a piece is decided PASS from hi(a) - lo(b), which bounds the margin of
-    # every integer inside it; computed at 120 bits, that bound must clear
-    # twice the guard, so that each float margin inside still clears its own
+    # every integer inside it from below; computed at 120 bits, that bound
+    # must clear twice the guard, so that each float margin inside still
+    # clears its own.  Mirrored, a piece is decided FAIL from hi(b) - lo(a),
+    # which must stay below minus twice the guard (checked negated below):
+    # cheb_upper fails on most of [30, 96097], and d125506 as a lower bound
+    # fails throughout.
     U = scan.Direction.UPPER_STRICT
+    PASS, FAIL = scan.Status.PASS, scan.Status.FAIL
     registry = builtin_bounds()
     if claim == "C6b":
         b = registry["dusart_upper"]
-        pieces = settled_pieces(monkeypatch, lambda: scan.verify_pi(b, U, 355_991, 5 * 10**6))
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_pi(b, U, 355_991, 5 * 10**6),
+                                PASS)
         pi = primes.cumulative_pi(5 * 10**6)
         with mpmath.workprec(PREC):
             lows = [(exact(b, a) - int(pi[e]), g) for a, e, g in pieces]
     elif claim == "C9":
         b = registry["psi_upper"]
-        pieces = settled_pieces(monkeypatch, lambda: scan.verify_psi(b, U, 30, 10**6))
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_psi(b, U, 30, 10**6), PASS)
         with mpmath.workprec(PREC):
             psi = exact_psi([e for _, e, _ in pieces])
             lows = [(exact(b, a) - psi[e], g) for a, e, g in pieces]
-    else:
-        pieces = settled_pieces(monkeypatch, lambda: scan.verify_sandwich(2, 10**6))
+    elif claim == "C11":
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_sandwich(2, 10**6), PASS)
         pi = primes.cumulative_pi(10**6)
         with mpmath.workprec(PREC):
             psi = exact_psi([n for a, e, _ in pieces for n in (a, e)])
@@ -188,6 +196,19 @@ def test_decided_pieces_hold_at_120_bits(monkeypatch, claim):
                 return int(pi[n]) * mpmath.log(n)
 
             lows = [(min(pi_log(a) - psi[e], 2 * psi[a] - pi_log(e)), g) for a, e, g in pieces]
+    elif claim == "cheb_upper":
+        b = registry[claim]
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_pi(b, U, 30, 96097), FAIL)
+        pi = primes.cumulative_pi(96097)
+        with mpmath.workprec(PREC):  # minus hi(e) - lo(a): pi at a less the slab bound at e
+            lows = [(int(pi[a]) - exact(b, e), g) for a, e, g in pieces]
+    else:
+        b = registry[claim]
+        L = scan.Direction.LOWER_STRICT
+        pieces = settled_pieces(monkeypatch, lambda: scan.verify_pi(b, L, 17, 10**6), FAIL)
+        pi = primes.cumulative_pi(10**6)
+        with mpmath.workprec(PREC):  # minus hi(e) - lo(a): the slab bound at a less pi at e
+            lows = [(exact(b, a + 1) - int(pi[e]), g) for a, e, g in pieces]
     with mpmath.workprec(PREC):
         for low, guard in lows:
             assert low > 2 * guard

@@ -19,7 +19,7 @@ from pibounds.primes import (
 )
 from pibounds.scan import Direction
 
-from oracle import pi_oracle_trial_division
+from oracle import is_prime_trial, pi_oracle_trial_division
 
 
 def refused(query):
@@ -59,6 +59,8 @@ class TestSieveSegment:
     def test_missing_base_primes(self):
         with pytest.raises(ConfigurationError):
             sieve_segment(2, 200, [2, 3, 5])
+        with pytest.raises(ConfigurationError):  # 5 is missing below the largest, 7
+            sieve_segment(2, 100, [2, 3, 7])
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ class TestSieveSegment:
     @pytest.mark.parametrize("r", [2, 3, 4, 48, 2237])
     def test_every_integer_up_to_the_root_as_base(self, r):
         # how the table build finds its base primes
-        expect = [n for n in range(2, r + 1) if primes.is_prime_trial(n)]
+        expect = [n for n in range(2, r + 1) if is_prime_trial(n)]
         assert flagged(2, r, range(2, isqrt(r) + 1)) == expect
 
 
@@ -157,7 +159,7 @@ class TestPiTable:
         counts = cumulative_pi(lo + width)[lo : lo + width + 1]
         for i in range(1, width + 1):
             is_step = counts[i] - counts[i - 1] == 1
-            assert is_step == primes.is_prime_trial(lo + i)
+            assert is_step == is_prime_trial(lo + i)
 
 
 class TestPiAt:
@@ -181,7 +183,7 @@ class TestPiAt:
     def test_matches_trial_division_oracle(self):
         count = 0
         for x in range(0, 2001):
-            if primes.is_prime_trial(x):
+            if is_prime_trial(x):
                 count += 1
             assert pi_at(x) == count
 

@@ -1,8 +1,8 @@
-import functools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from pibounds import primes, scan
@@ -350,44 +350,38 @@ class TestBlockIndependence:
         assert default[0].last_failure == 24254 and default[1] == 19
         assert small == [default, default]
 
-    def test_one_pass_merge_equals_pairwise_merges(self, registry, monkeypatch):
+    def test_segment_edges_through_failures_change_no_result(self, registry, monkeypatch):
         # cheb_upper fails on most runs below 96098, so segment edges cut
         # through failures and sign changes
         b = registry["cheb_upper"]
 
-        def summary():
-            return scan._scan_inequality(b, U, 30, 120_000, use_psi=False,
-                                         cap=primes.DEFAULT_CAP, threads=1)
+        def results():
+            return (verify_pi(b, U, 30, 120_000), last_violation(b, U, 30, 120_000),
+                    count_violations(b, U, 30, 120_000))
 
-        whole = summary()  # one segment
-        blocks = []
-        classify = scan._classify
-
-        def recording(*args, **kwargs):
-            blocks.append(classify(*args, **kwargs))
-            return blocks[-1]
-
-        monkeypatch.setattr(scan, "_classify", recording)
+        whole = results()  # one segment
+        assert whole[1].sign_changes > 100
         monkeypatch.setattr(scan, "SCAN_SEGMENT", 97)
-        assert summary() == whole
-        assert len(blocks) > 1000 and whole.state_changes > 100
-        assert scan._merge(blocks) == whole
-        assert functools.reduce(lambda x, y: scan._merge([x, y]), blocks) == whole
+        assert results() == whole
 
-    def test_merge_keeps_ambiguous_points_in_order(self):
-        def part(first, ambiguous, state):
-            return scan._SegmentSummary(
-                points=3, fail_count=0, last_fail=None, margin_at_last_fail=math.inf,
-                guard_at_last_fail=math.inf, min_diff=0.0, min_diff_n=first,
-                guard_at_min=1.0, ambiguous=ambiguous, first_state=state,
-                last_state=state, state_changes=0)
+    def test_ambiguous_points_between_a_pass_and_a_fail_keep_their_order(self):
+        # 10 passes, 13-15 are ambiguous, and the fails 16 and 20 enclose the
+        # inside of a piece decided FAIL
+        ns = np.array([10, 13, 14, 15, 16, 20])
+        diff = np.array([5.0, 0.5, -0.5, 0.0, -3.0, -4.0])
+        out = scan._classify(diff, np.ones(ns.size), ns)
+        assert out.ambiguous == [13, 14, 15]
+        assert out.state_changes == 1  # pass to fail across the ambiguous points
+        assert (out.points, out.fail_count, out.last_fail) == (11, 5, 20)
+        assert (out.min_diff_n, out.margin_at_last_fail) == (20, -4.0)
 
-        parts = [part(1, [1, 2], 0), part(4, [], 1), part(7, [7], 0), part(10, [], -1)]
-        out = scan._merge(parts)
-        assert out.ambiguous == [1, 2, 7]
-        assert (out.points, out.min_diff_n, out.first_state, out.last_state) == (12, 1, 1, -1)
-        assert out.state_changes == 1  # pass to fail across the ambiguous block
-        assert parts[0].ambiguous == [1, 2]
+    def test_only_gaps_between_failing_neighbours_count_as_failures(self):
+        # fail, fail, pass, pass, fail: of the gaps 3, 3, 4 and 5 between
+        # neighbours, only the first lies between two failures
+        ns = np.array([1, 5, 9, 14, 20])
+        diff = np.array([-2.0, -2.0, 2.0, 2.0, -2.0])
+        out = scan._classify(diff, np.ones(ns.size), ns)
+        assert (out.points, out.fail_count, out.state_changes) == (20, 6, 2)
 
 
 class TestWorkers:

@@ -180,6 +180,7 @@ def test_sandwich_matches_per_integer_reference(case):
     ("cheb_upper", Direction.UPPER_STRICT, 30, 100_000),   # fails on most runs
     ("unit_lower", Direction.LOWER_STRICT, 2, 1_000),      # fails below 17
     ("psi_lower", Direction.LOWER_STRICT, 2, 50_000),
+    ("d125506", Direction.LOWER_STRICT, 17, 200_000),     # fails throughout
 ])
 def test_known_failing_ranges_match_per_integer_reference(name, direction, lo, hi):
     b = REGISTRY[name]
@@ -288,8 +289,9 @@ def test_a_clean_range_takes_few_kernel_points(kernel_calls):
 
 
 def test_each_violation_is_compared_on_its_own(kernel_calls):
-    # pan_upper fails at 19 integers of [24121, 24254]; pieces are decided
-    # PASS only, so each violation is compared as an integer of its own
+    # pan_upper fails at 19 integers of [24121, 24254], with passes between
+    # them, so no piece around a violation is decided and each is compared
+    # as an integer of its own
     b = REGISTRY["pan_upper"]
     calls = kernel_calls(b)
     assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
@@ -298,6 +300,25 @@ def test_each_violation_is_compared_on_its_own(kernel_calls):
              if verify_pi(b, Direction.UPPER_STRICT, n, n).status is Status.FAIL]
     assert len(fails) == 19
     assert np.isin(fails, compared).all()
+
+
+FAILING = REGISTRY["d125506"], Direction.LOWER_STRICT, 17, 5 * 10**6  # fails throughout
+
+
+def test_a_range_failing_throughout_takes_few_kernel_points(kernel_calls):
+    # every integer fails, so pieces are decided FAIL from their ends, as a
+    # clean range is decided PASS: comparing all of them would take 10**7 points
+    b = FAILING[0]
+    calls = kernel_calls(b)
+    assert count_violations(*FAILING) == 4_999_984
+    assert sum(xs.size for xs in calls) <= 20_000
+
+
+def test_a_range_failing_throughout_stays_small_in_memory(traced_peak):
+    primes.cumulative_pi(FAILING[3])  # the tables are built before tracing
+    count, peak = traced_peak(lambda: count_violations(*FAILING))
+    assert count == 4_999_984
+    assert peak < 8 * 10**6
 
 
 def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
@@ -400,6 +421,19 @@ def test_no_piece_is_decided_where_the_bound_falls():
     assert count_violations(b, Direction.UPPER_STRICT, 2, 3000) == count
 
 
+def test_no_piece_is_decided_fail_where_the_bound_falls():
+    # a lower check against a narrow valley whose floor at 1000 lies below
+    # pi: the piece [2, 1026] fails at both ends and passes inside, so a
+    # piece is decided FAIL from its ends only where the bound increases
+    b = Drawn("valley", 1.0, lambda x: 10.0 * np.abs(x - 1000.0) + 100.0,
+              lambda x: np.full_like(x, 1e-9), turn=1000.0)
+    verdict, count, last = per_integer(b, Direction.LOWER_STRICT, 2, 3000, use_psi=False)
+    assert verdict.status is Status.FAIL and last.sign_changes == 2
+    assert verify_pi(b, Direction.LOWER_STRICT, 2, 3000) == verdict
+    assert count_violations(b, Direction.LOWER_STRICT, 2, 3000) == count
+    assert last_violation(b, Direction.LOWER_STRICT, 2, 3000) == last
+
+
 def test_no_piece_is_decided_where_the_guard_falls(monkeypatch):
     # the guard spikes around 500 and falls after it: the end guards of a
     # piece bound the guards inside only from guard_increase_start on.  Short
@@ -411,6 +445,19 @@ def test_no_piece_is_decided_where_the_guard_falls(monkeypatch):
     assert verdict.status is Status.AMBIGUOUS
     monkeypatch.setattr(scan, "STRETCH", 64)
     assert verify_pi(b, Direction.UPPER_STRICT, 2, 3000) == verdict
+
+
+def test_no_piece_is_decided_fail_where_the_guard_falls(monkeypatch):
+    # the bound lies above pi throughout, so a lower check fails everywhere
+    # except at the guard's spike around 500, where it is ambiguous; short
+    # starting pieces, as above, keep the spike's piece from being compared whole
+    b = Drawn("spike", 1.0, lambda x: x + 1000.0,
+              lambda x: np.where(np.abs(x - 500.0) < 3.0, 1e4, 0.0), guard_turn=600.0)
+    verdict, count, _ = per_integer(b, Direction.LOWER_STRICT, 2, 3000, use_psi=False)
+    assert verdict.status is Status.FAIL and verdict.ambiguous_points
+    monkeypatch.setattr(scan, "STRETCH", 64)
+    assert verify_pi(b, Direction.LOWER_STRICT, 2, 3000) == verdict
+    assert count_violations(b, Direction.LOWER_STRICT, 2, 3000) == count
 
 
 # pi and psi are constant on [9551, 9586] (no prime power lies between the
@@ -456,3 +503,23 @@ def test_float_values_inside_a_piece_may_sit_below_its_ends(monkeypatch):
     assert set(range(lo + 1, lo + 18)) <= set(verdict.ambiguous_points)
     two_pieces(monkeypatch)
     assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == verdict
+
+
+def test_float_values_inside_a_piece_may_sit_above_its_ends(monkeypatch):
+    # the mirror case: the true bound is a constant level just below the
+    # plateau, and its float values sit 0.9 E below it at the slab ends of the
+    # left piece's ends, where the integers fail, and 0.9 E above elsewhere,
+    # where they are ambiguous
+    lo, hi = PLATEAU
+    pi = primes.cumulative_pi(hi)
+    E = 1e-3
+    level = pi[lo] - 1.5 * E
+    ends = np.array([lo, lo + 1, lo + 18, lo + 19], dtype=np.float64)
+    b = Drawn("wobble", 1.0, lambda x: level + np.where(np.isin(x, ends), -0.9, 0.9) * E,
+              lambda x: np.full_like(x, E))
+    verdict, count, _ = per_integer(b, Direction.UPPER_STRICT, lo, hi, use_psi=False)
+    assert verdict.status is Status.FAIL
+    assert set(range(lo + 2, lo + 17)) <= set(verdict.ambiguous_points)
+    two_pieces(monkeypatch)
+    assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == verdict
+    assert count_violations(b, Direction.UPPER_STRICT, lo, hi) == count
