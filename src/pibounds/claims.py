@@ -43,17 +43,17 @@ class Claim:
     payload: dict[str, Any]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimOutcome:
     claim: Claim
     status: str  # MATCH | MISMATCH | SKIPPED
     verdict: str | None  # PASS | FAIL | AMBIGUOUS (None when skipped)
     witness: int | None
     min_margin: float | None
+    guard_at_witness: float | None
     scan_range: tuple[int, int]
     elapsed_ms: int
-    guard_at_witness: float | None = None
-    note: str = ""
+    note: str
 
 
 @dataclass
@@ -256,7 +256,7 @@ def _claim_range(claim: Claim) -> tuple[int, int]:
     return 0, 0
 
 
-def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
+def _run_range_check(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, list[str]]:
     p = claim.payload
     registry = builtin_bounds()
     lo, hi = int(p["lo"]), int(p["hi"])
@@ -325,18 +325,8 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
             _check_tail(registry, float(p["tail_shift"]), hi, cap=cap, threads=threads)
         )
 
-    status = "MATCH" if not problems else "MISMATCH"
-    return ClaimOutcome(
-        claim=claim,
-        status=status,
-        verdict=primary.status.value,
-        witness=primary.witness,
-        min_margin=primary.min_margin,
-        scan_range=(lo, hi),
-        elapsed_ms=0,
-        guard_at_witness=primary.guard_at_witness,
-        note="; ".join(problems),
-    )
+    return (primary.status.value, primary.witness, primary.min_margin,
+            primary.guard_at_witness), problems
 
 
 def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int) -> list[str]:
@@ -375,13 +365,15 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     return problems
 
 
-def _run_crossover(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
+def _run_crossover(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, list[str]]:
     p = claim.payload
     registry = builtin_bounds()
     f = registry[p["left"]]
     g = registry[p["right"]]
-    lo, hi = int(p["lo"]), int(p["hi"])
-    res = scan.analytic_crossover(f, g, lo, hi, cap=cap, threads=threads)
+    try:
+        res = scan.analytic_crossover(f, g, int(p["lo"]), int(p["hi"]), cap=cap, threads=threads)
+    except CrossoverNotFoundError as exc:
+        return ("FAIL", None, None, None), [str(exc)]
     problems = []
     if res.threshold != p["expected_threshold"]:
         problems.append(f"threshold {res.threshold}, expected {p['expected_threshold']}")
@@ -390,33 +382,15 @@ def _run_crossover(claim: Claim, *, cap: int, threads: int) -> ClaimOutcome:
     if res.ambiguous_points:
         problems.append(f"{len(res.ambiguous_points)} ambiguous comparison points")
 
-    margins = []
-    guards = []
-    for n in (res.threshold, res.last_failure):
-        if n is None:
-            continue
-        fr = evaluate(f, float(n))
-        gr = evaluate(g, float(n))
-        margins.append(abs(gr.value - fr.value))
-        guards.append(fr.abs_error_bound + gr.abs_error_bound)
-    min_margin = min(margins) if margins else None
-    guard = max(guards) if guards else None
-
-    status = "MATCH" if not problems else "MISMATCH"
-    return ClaimOutcome(
-        claim=claim,
-        status=status,
-        verdict="PASS" if not res.ambiguous_points else "AMBIGUOUS",
-        witness=res.threshold,
-        min_margin=min_margin,
-        scan_range=(lo, hi),
-        elapsed_ms=0,
-        guard_at_witness=guard,
-        note="; ".join(problems),
-    )
+    pairs = [(evaluate(f, float(n)), evaluate(g, float(n)))
+             for n in (res.threshold, res.last_failure) if n is not None]
+    min_margin = min(abs(gr.value - fr.value) for fr, gr in pairs)
+    guard = max(fr.abs_error_bound + gr.abs_error_bound for fr, gr in pairs)
+    verdict = "PASS" if not res.ambiguous_points else "AMBIGUOUS"
+    return (verdict, res.threshold, min_margin, guard), problems
 
 
-def _run_constant(claim: Claim) -> ClaimOutcome:
+def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
     p = claim.payload
     problems = []
     slacks = []
@@ -437,36 +411,28 @@ def _run_constant(claim: Claim) -> ClaimOutcome:
     else:
         problems.append(f"unknown constant check {p['kind']!r}")
 
-    status = "MATCH" if not problems else "MISMATCH"
-    return ClaimOutcome(
-        claim=claim,
-        status=status,
-        verdict="PASS" if not problems else "FAIL",
-        witness=None,
-        min_margin=min(slacks) if slacks else None,
-        scan_range=(0, 0),
-        elapsed_ms=0,
-        note="; ".join(problems),
-    )
+    verdict = "PASS" if not problems else "FAIL"
+    return (verdict, None, min(slacks) if slacks else None, None), problems
 
 
 def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP, threads: int = 1) -> ClaimOutcome:
     """Run one claim; SKIPPED (never a false MATCH) when the cap is too low."""
     start = time.perf_counter()
+    # a runner returns the four fields it decided, verdict through
+    # guard_at_witness, and its problems; the outcome is built here alone
     try:
         if claim.kind is ClaimKind.CROSSOVER:
-            outcome = _run_crossover(claim, cap=cap, threads=threads)
+            decided, problems = _run_crossover(claim, cap=cap, threads=threads)
         elif claim.kind is ClaimKind.CONSTANT_VALUE:
-            outcome = _run_constant(claim)
+            decided, problems = _run_constant(claim)
         else:
-            outcome = _run_range_check(claim, cap=cap, threads=threads)
+            decided, problems = _run_range_check(claim, cap=cap, threads=threads)
+        status = "MISMATCH" if problems else "MATCH"
     except ResourceLimitError as exc:
-        outcome = ClaimOutcome(
-            claim=claim, status="SKIPPED", verdict=None, witness=None,
-            min_margin=None, scan_range=_claim_range(claim), elapsed_ms=0, note=str(exc),
-        )
-    outcome.elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
-    return outcome
+        decided, problems, status = (None, None, None, None), [str(exc)], "SKIPPED"
+    elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
+    return ClaimOutcome(claim, status, *decided, _claim_range(claim), elapsed_ms,
+                        "; ".join(problems))
 
 
 def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,

@@ -228,9 +228,10 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     if not 0 <= x < math.inf:
         raise ValueError(f"psi_at requires a finite x >= 0, got {x}")
     n = int(x)
-    check_cap(cap, n, "psi_at argument")
+    check_cap(cap)
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
+    check_cap(cap, n, "psi_at argument")
     pos, val = psi_steps(n)
     total = float(val[-1])
     return PsiValue(n, total, int(pos.size), PSI_ERR_FACTOR * total)

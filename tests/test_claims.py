@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pibounds import primes, scan
+from pibounds import claims, primes, scan
 from pibounds.bounds import builtin_bounds, chebyshev_constants, evaluate
 from pibounds.claims import (
     Claim,
@@ -114,11 +115,37 @@ class TestRunClaim:
         ]
 
     def test_cap_yields_skipped_not_mismatch(self):
-        out = run_claim(by_id("C14"), cap=10**6)
-        assert out.status == "SKIPPED"
-        assert out.verdict is None
-        out = run_claim(by_id("C6b"), cap=10**6)
-        assert out.status == "SKIPPED"
+        for cid in ("C14", "C6b"):
+            claim = by_id(cid)
+            out = run_claim(claim, cap=10**6)
+            assert out.status == "SKIPPED"
+            assert out.verdict is None
+            assert out.scan_range == (claim.payload["lo"], claim.payload["hi"])
+            assert out.note == (
+                "scan end 5000000 exceeds the scan cap 1000000; raise the cap to allow it"
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                out.status = "MATCH"
+
+    def test_crossover_that_never_settles_is_a_mismatch(self, monkeypatch):
+        # dusart_upper drops below pan_upper from 28516 (C13), so pan_upper <=
+        # dusart_upper fails at every n from there to the end of the range
+        refuted = Claim(
+            "X2", "synthetic", ClaimKind.CROSSOVER,
+            dict(left="pan_upper", right="dusart_upper", lo=30, hi=50000,
+                 expected_threshold=28516, expected_sign_changes=1),
+        )
+        out = run_claim(refuted)
+        assert (out.status, out.verdict, out.witness, out.min_margin) == (
+            "MISMATCH", "FAIL", None, None)
+        assert out.note == (
+            "no n in [30, 50000] from which 'pan_upper' <= 'dusart_upper' holds onward"
+        )
+        # the report goes on to the next claim
+        monkeypatch.setattr(claims, "builtin_claims", lambda: [refuted, by_id("C3")])
+        rep = run_all()
+        assert [(o.claim.id, o.status) for o in rep.outcomes] == [
+            ("X2", "MISMATCH"), ("C3", "MATCH")]
 
 
 class TestRunAll:

@@ -64,11 +64,16 @@ class TestPsi:
         assert code == 0
         assert float(out.strip()) == pytest.approx(7.832014180505469, rel=1e-15)
 
-    @pytest.mark.parametrize("x, n", [("1e3", 1000), ("12.7", 12)])
-    def test_psi_floors_decimals(self, capsys, x, n):
-        code, out, _ = run(capsys, "psi", x)
+    @pytest.mark.parametrize("argv, n", [
+        pytest.param(("psi", "1e3"), 1000, id="1e3-1000"),
+        pytest.param(("psi", "12.7"), 12, id="12.7-12"),
+        # psi(1) = 0 needs no table, so no cap refuses it, as for pi
+        pytest.param(("--cap", "0", "psi", "1"), 1, id="cap0-1"),
+    ])
+    def test_psi_floors_decimals(self, capsys, argv, n):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert float(out.strip()) == primes.psi_at(n).value
+        assert out == f"{primes.psi_at(n).value}\n"
 
 
 class TestBound:

@@ -6,7 +6,7 @@ float inputs and float constants, so the only difference left is the
 rounding of the float computation.  The piece certificates of range scans
 also trust each shape's curvature bound and the growth of its guard, which
 are checked here the same way, and the pieces they decide are re-checked
-here at 120 bits.
+here at 120 bits, as are the pinned crossover flips and C8b's violators.
 """
 
 import math
@@ -212,3 +212,27 @@ def test_decided_pieces_hold_at_120_bits(monkeypatch, claim):
     with mpmath.workprec(PREC):
         for low, guard in lows:
             assert low > 2 * guard
+
+
+@pytest.mark.parametrize("f, g, flip", [
+    ("dusart_upper", "pan_upper", 28516),  # C13's threshold
+    ("dusart_upper", "legendre_a", 2_846_396),  # C14's threshold
+    ("pan_upper", "cheb_upper", 112_006),  # C2's tail flip
+])
+def test_pinned_flips_hold_at_120_bits(f, g, flip):
+    # f lies above g at flip - 1 and no longer at flip
+    registry = builtin_bounds()
+    f, g = registry[f], registry[g]
+    with mpmath.workprec(PREC):
+        assert exact(f, flip - 1) > exact(g, flip - 1)
+        assert not exact(f, flip) > exact(g, flip)
+
+
+def test_c8b_violators_hold_at_120_bits():
+    # pi(n) > n/(log n - 1.11) at exactly 19 integers, all in [24121, 24254]
+    b = builtin_bounds()["pan_upper"]
+    pi = primes.cumulative_pi(24_400)
+    with mpmath.workprec(PREC):
+        violators = [n for n in range(24_000, 24_401) if int(pi[n]) > exact(b, n)]
+    assert len(violators) == 19
+    assert (violators[0], violators[-1]) == (24121, 24254)
