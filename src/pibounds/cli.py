@@ -111,10 +111,9 @@ def _cmd_pi(args) -> int:
         value = 0
     elif args.method == "legendre":
         value = primes.pi_point_legendre(n, cap=args.cap)
-    elif args.method == "sieve":
-        primes.check_cap(args.cap, n, "sieve query")
-        value = int(primes.cumulative_pi(n)[n])
     else:
+        if args.method == "sieve":  # the sieve alone: refuse n past the cap
+            primes.check_cap(args.cap, n, "sieve query")
         value = primes.pi_at(n, cap=args.cap)
     print(value)
     return 0
@@ -183,8 +182,8 @@ def _cmd_table(args) -> int:
         raise DomainError(f"table needs 0 <= --from <= --to, got [{args.start}, {args.end}]")
     rows = range(args.start, args.end + 1, args.step)
     if rows[0] <= args.cap:
-        # one count table for every row the sieve serves, not one per row
-        primes.cumulative_pi(rows[min(len(rows) - 1, (args.cap - rows[0]) // args.step)])
+        # one rank directory for every row the sieve serves, not one per row
+        primes.pi_at(rows[min(len(rows) - 1, (args.cap - rows[0]) // args.step)], cap=args.cap)
     # raise every error before the header: the last row is the farthest from
     # the cap, and each bound's domain is a half-line, so the first row decides it
     last = primes.pi_at(rows[-1], cap=args.cap)

@@ -1,15 +1,20 @@
 """Exact prime counting and Chebyshev's second function.
 
 pi values come from a segmented Eratosthenes sieve, whose uint8 segments are
-appended into a primality bitmap, and its cumulative count table.  Point
-queries past the sieve cap run Legendre's sieve bottom-up over the O(sqrt x)
-distinct values of x // k (Lucy_Hedgehog's method), with the primes up to
-sqrt(x) taken from the sieve.  psi is one table: log(p) at every prime power
-p^k (vector powers of the primes up to sqrt(limit)), summed in ascending
-order with compensated (Kahan) accumulation.  Point values of psi are lookups
-into it, and every psi value carries a conservative bound on its accumulated
-rounding error.  All of these tables live in one store, by name, and each is
-rebuilt from scratch when a larger limit is asked for.
+appended into a primality bitmap.  The bitmap is packed into uint64 words
+with a count of the primes below each word beside them (a rank directory), so
+pi(n) is that count plus the set bits of n's word up to n.  Point queries past
+the sieve cap run Legendre's sieve bottom-up over the O(sqrt x) distinct
+values of x // k (Lucy_Hedgehog's method), with the primes up to sqrt(x) taken
+from the sieve.  psi is one table: log(p) at every prime power p^k (vector
+powers of the primes up to sqrt(limit)), summed in ascending order with
+compensated (Kahan) accumulation.  Point values of psi are lookups into it,
+and every psi value carries a conservative bound on its accumulated rounding
+error.  All of these tables live in one store, by name, which counts their
+builds, growths and hits.  When a larger limit is asked for, the bitmap
+continues its segment chain from its old end and the psi table its sum from
+its saved total and carry, so every prefix equals a fresh build bit for bit;
+the rank directory is packed again from the grown bitmap.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
-# The largest cap accepted.  Tables sized from the cap hold 17 bytes per integer
-# up to it (1 in the uint8 bitmap, 8 in the int64 counts, 8 in the float64 psi
-# array), so at 10**9 they take 17 GB; a Legendre query holds three int64
-# arrays of isqrt(x) <= cap entries, 24 GB at most.
+# The largest cap accepted.  Tables sized from the cap hold about 1.25 bytes per
+# integer up to it (1 in the uint8 bitmap, 0.25 in its packed words and rank
+# directory) and 16 bytes per prime power in psi_steps (an int64 position and a
+# float64 prefix; 0.8 GB for the 50.8 million up to 10**9), so at 10**9 they
+# take about 2 GB; a Legendre query holds three int64 arrays of isqrt(x) <= cap
+# entries, 24 GB at most.
 MAX_CAP = 10**9
 SEGMENT_LENGTH = 1 << 20
 
@@ -50,7 +57,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take 17 GB"
+            f"tables take about 2 GB"
         )
     if n > cap:
         raise ResourceLimitError(
@@ -97,31 +104,51 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# cached tables: one store, each table rebuilt from scratch when it must grow
+# cached tables: one store; a table asked for past its end is grown or rebuilt
 # ---------------------------------------------------------------------------
 
 _tables: dict[str, tuple[int, object]] = {}  # name -> (largest n covered, table)
+_stats: dict[str, dict[str, int]] = {}  # name -> builds, growths, hits, bytes held
+
+
+def _nbytes(table) -> int:
+    return sum(a.nbytes for a in (table if isinstance(table, tuple) else (table,))
+               if isinstance(a, np.ndarray))
 
 
 def _cached(name: str, limit: int, build):
     """The table called name, covering 0..limit.
 
-    On a miss build(limit) returns (largest n covered, table), which replaces
-    the cached entry.  Builds may nest: _lock is reentrant.
+    On a miss build(limit, old) returns (largest n covered, table), which
+    replaces old, the cached (largest n covered, table) or None; a builder
+    grows old where it can.  Builds may nest: _lock is reentrant.
     """
     with _lock:
         entry = _tables.get(name)
-        if entry is None or entry[0] < limit:
-            entry = _tables[name] = build(limit)
+        if entry is not None and entry[0] >= limit:
+            _stats[name]["hits"] += 1
+            return entry[1]
+        stats = _stats.setdefault(name, dict.fromkeys(("builds", "growths", "hits", "bytes"), 0))
+        stats["builds" if entry is None else "growths"] += 1
+        entry = _tables[name] = build(limit, entry)
+        stats["bytes"] = _nbytes(entry[1])
         return entry[1]
+
+
+def table_stats() -> dict[str, dict[str, int]]:
+    """Per table name: how often it was built from nothing, grown and found
+    covering the limit asked for, and the bytes its arrays hold now."""
+    with _lock:
+        return {name: dict(stats) for name, stats in _stats.items()}
 
 
 def _prime_bitmap(limit: int) -> np.ndarray:
     """uint8 primality indicator for 0..limit, chained from sieve segments."""
-    def build(limit: int) -> tuple[int, np.ndarray]:
+    def build(limit: int, old) -> tuple[int, np.ndarray]:
+        # a grown bitmap continues the segment chain from the old end
+        start, parts = (old[0] + 1, [old[1]]) if old else (2, [np.zeros(2, dtype=np.uint8)])
         base = np.flatnonzero(_prime_flags(isqrt(limit)))
-        parts = [np.zeros(2, dtype=np.uint8)]
-        for lo in range(2, limit + 1, SEGMENT_LENGTH):
+        for lo in range(start, limit + 1, SEGMENT_LENGTH):
             parts.append(sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base))
         bitmap = np.concatenate(parts)
         return bitmap.size - 1, bitmap
@@ -129,12 +156,51 @@ def _prime_bitmap(limit: int) -> np.ndarray:
     return _cached("bitmap", limit, build)
 
 
+# _LOW_MASKS[b] keeps bits 0..b of a word
+_LOW_MASKS = np.array([(2 << b) - 1 for b in range(64)], dtype=np.uint64)
+
+
+def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, before): the bitmap packed into uint64 words, bit n & 63 of word
+    n >> 6 set at the prime n, and the count of primes below each word."""
+    def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+        # packing the whole grown bitmap again is cheap next to growing it
+        bitmap = _prime_bitmap(limit)
+        packed = np.packbits(bitmap, bitorder="little")
+        words = np.concatenate((packed, np.zeros(-packed.size % 8, dtype=np.uint8))).view("<u8")
+        counts = np.bitwise_count(words)
+        return bitmap.size - 1, (words, np.cumsum(counts, dtype=np.int64) - counts)
+
+    return _cached("rank", limit, build)
+
+
+def pi_lookup(limit: int):
+    """pi over int64 arrays of n <= limit, read from the rank directory."""
+    words, before = _rank(limit)
+
+    def pi(ns: np.ndarray) -> np.ndarray:
+        i = ns >> 6
+        return before[i] + np.bitwise_count(words[i] & _LOW_MASKS[ns & 63])
+
+    return pi
+
+
+def psi_lookup(limit: int):
+    """psi over int64 arrays of n <= limit: the psi_steps prefix at the last
+    prime power <= n, 0 before the first, as psi_array spreads it."""
+    pos, val = psi_steps(max(limit, 2))  # from 2 on, val holds a prefix to read
+
+    def psi(ns: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(pos, ns, side="right") - 1
+        return np.where(i >= 0, val[i], 0.0)
+
+    return psi
+
+
 def cumulative_pi(limit: int) -> np.ndarray:
     """Array c with c[n] = pi(n) for 0 <= n <= limit (cached, shared)."""
-    def build(limit: int) -> tuple[int, np.ndarray]:
-        # the cached bitmap may reach past limit; counting all of it saves a rebuild
-        counts = np.cumsum(_prime_bitmap(limit), dtype=np.int64)
-        return counts.size - 1, counts
+    def build(limit: int, old) -> tuple[int, np.ndarray]:
+        return limit, np.cumsum(_prime_bitmap(limit)[: limit + 1], dtype=np.int64)
 
     return _cached("counts", limit, build)
 
@@ -146,9 +212,10 @@ def prime_array(limit: int) -> np.ndarray:
 
 
 def clear_caches() -> None:
-    """Drop all cached tables (mainly for tests)."""
+    """Drop all cached tables and their counts (mainly for tests)."""
     with _lock:
         _tables.clear()
+        _stats.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +235,9 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     if n < 2:
         return 0
     if n <= cap:
-        return int(cumulative_pi(n)[n])
+        words, before = _rank(n)
+        i = n >> 6
+        return before.item(i) + (words.item(i) & ((2 << (n & 63)) - 1)).bit_count()
     return pi_point_legendre(n, cap=cap)
 
 
@@ -239,43 +308,45 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
 
 def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): compensated psi prefix at every prime power <= limit."""
-    def build(limit: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-        primes = prime_array(limit)
-        logs = np.log(primes.astype(np.float64))
-        positions = [primes]
-        values = [logs]
+    def build(limit: int, old) -> tuple[int, tuple]:
+        # a grown table appends the prime powers past the old end and carries
+        # on the sum from its saved (total, carry)
+        done, (pos, val, total, carry) = old or (1, (np.zeros(0, np.int64), np.zeros(0), 0.0, 0.0))
+        added = np.flatnonzero(_prime_bitmap(limit)[done + 1 : limit + 1]) + (done + 1)
+        positions = [added]
+        values = [np.log(added.astype(np.float64))]
         # p^k for k >= 2: powers of the primes up to the root, while any is <= limit
-        small = primes <= isqrt(limit)
-        bases, lp = primes[small], logs[small]
+        bases = prime_array(isqrt(limit))
+        lp = np.log(bases.astype(np.float64))
         power = bases
         while power.size:
             power = power * bases
             keep = power <= limit
             bases, lp, power = bases[keep], lp[keep], power[keep]
-            positions.append(power)
-            values.append(lp)
-        pos = np.concatenate(positions)
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
+            past = power > done
+            positions.append(power[past])
+            values.append(lp[past])
+        added = np.concatenate(positions)
+        order = np.argsort(added, kind="stable")
         prefix = np.concatenate(values)[order].tolist()  # the terms, overwritten by their sums
-        total = 0.0
-        carry = 0.0
         for i, t in enumerate(prefix):
             y = t - carry
             s = total + y
             carry = (s - total) - y
             total = s
             prefix[i] = total
-        return limit, (pos, np.array(prefix, dtype=np.float64))
+        pos = np.concatenate((pos, added[order]))
+        val = np.concatenate((val, np.array(prefix, dtype=np.float64)))
+        return limit, (pos, val, total, carry)
 
-    pos, val = _cached("psi_steps", limit, build)
+    pos, val, _, _ = _cached("psi_steps", limit, build)
     keep = int(np.searchsorted(pos, limit, side="right"))
     return pos[:keep], val[:keep]
 
 
 def psi_array(limit: int) -> np.ndarray:
     """psi(n) for 0 <= n <= limit as a float64 array (cached)."""
-    def build(limit: int) -> tuple[int, np.ndarray]:
+    def build(limit: int, old) -> tuple[int, np.ndarray]:
         pos, val = psi_steps(limit)
         # psi is 0 below the first prime power, then val[i] from pos[i] on
         steps = np.diff(pos, prepend=0, append=limit + 1)

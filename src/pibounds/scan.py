@@ -309,7 +309,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
             f"bound {b.name!r} does not expose a monotone/single-minimum shape"
         ) from exc
 
-    f_table = primes.psi_array(hi) if use_psi else primes.cumulative_pi(hi)
+    f_of = primes.psi_lookup(hi) if use_psi else primes.pi_lookup(hi)
 
     upper = direction is Direction.UPPER_STRICT
     turn_patch = None
@@ -330,7 +330,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         diff, guard, err_b, hi_, lo_ = rows = np.empty((5, ns.size))
         np.maximum(errs[0::2], errs[1::2], out=err_b)
         f_vals, slab = (lo_, hi_) if upper else (hi_, lo_)
-        f_vals[:] = f_table[ns]
+        f_vals[:] = f_of(ns)
         (np.minimum if upper else np.maximum)(vals[0::2], vals[1::2], out=slab)
         if turn_patch is not None:  # set for upper checks only
             at = ns == turn_patch[0]
@@ -425,13 +425,13 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
     reports the tightest genuinely decided point.
     """
     _check_range(lo, hi, cap)
-    counts = primes.cumulative_pi(hi)
-    psis = primes.psi_array(hi)
+    pi_of = primes.pi_lookup(hi)
+    psi_of = primes.psi_lookup(hi)
 
     def margins(ns: np.ndarray) -> np.ndarray:
         """Diff, guard (also the error bound of hi and lo), hi rows, lo rows."""
-        pi_log = counts[ns] * np.log(ns.astype(np.float64))
-        psi_vals = psis[ns]
+        pi_log = pi_of(ns) * np.log(ns.astype(np.float64))
+        psi_vals = psi_of(ns)
         diff = np.minimum(pi_log - psi_vals, 2.0 * psi_vals - pi_log)
         guard = _EPS * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi_vals))
         diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2

@@ -278,3 +278,21 @@ class TestGuardAtWitness:
         assert len(full_report.outcomes) == 18
         for o in full_report.outcomes:
             assert o.guard_at_witness == _expected_guard(o), o.claim.id
+
+
+class TestColdRun:
+    """A cold run_all() grows the bitmap and psi_steps and builds no dense table."""
+
+    def test_tables_grow_and_none_is_rebuilt_from_zero(self):
+        primes.clear_caches()
+        assert run_all().outcomes[-1].claim.id == "C15"
+        stats = primes.table_stats()
+        assert stats["bitmap"]["builds"] == 1 and stats["bitmap"]["growths"] >= 1
+        assert stats["psi_steps"]["builds"] == 1
+        assert not {"counts", "psi_array"} & stats.keys()
+
+    def test_peak_memory_stays_small(self, traced_peak):
+        primes.clear_caches()
+        report, peak = traced_peak(run_all)
+        assert len(report.outcomes) == 18
+        assert peak < 20 * 10**6

@@ -208,7 +208,7 @@ class TestTable:
 
     def test_rows_up_to_the_cap_build_the_count_table_once(self, capsys, monkeypatch):
         builds = []
-        bitmap = primes._prime_bitmap  # cumulative_pi calls it only to rebuild
+        bitmap = primes._prime_bitmap  # the rank directory calls it only to grow
 
         def counting_bitmap(limit):
             builds.append(limit)

@@ -134,11 +134,92 @@ class TestTableEdges:
         assert val.tobytes() == expect_val.tobytes()
 
 
+class TestGrownTables:
+    """Tables grown through a chain of limits equal fresh builds at each limit."""
+
+    @pytest.mark.parametrize("chain", [
+        (100, 112_006, 10**6),
+        (2**20 - 1, 2**20, 2**20 + 1),
+        (3**12 - 1, 3**12, 3**12 + 1),
+        (64 * 1000, 64 * 1000 + 63, 64 * 3000 + 63, 64 * 3001),
+        (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64),
+    ], ids=["verify", "segment", "prime-power", "word", "small"])
+    def test_grown_bitmap_and_psi_steps_equal_fresh_builds(self, chain):
+        fresh = []
+        for limit in chain:
+            primes.clear_caches()
+            fresh.append((primes._prime_bitmap(limit), *primes.psi_steps(limit)))
+        primes.clear_caches()
+        for limit, (bitmap, pos, val) in zip(chain, fresh):
+            grown_pos, grown_val = primes.psi_steps(limit)
+            assert np.array_equal(primes._prime_bitmap(limit), bitmap)
+            assert np.array_equal(grown_pos, pos) and grown_val.tobytes() == val.tobytes()
+        stats = primes.table_stats()
+        assert stats["bitmap"]["builds"] == stats["psi_steps"]["builds"] == 1
+        assert stats["psi_steps"]["growths"] == len(chain) - 1
+
+    def test_a_grown_bitmap_sieves_each_integer_once(self, monkeypatch):
+        sieved = []
+        segment = primes.sieve_segment
+
+        def recording(lo, hi, base):
+            sieved.append((lo, hi))
+            return segment(lo, hi, base)
+
+        primes.clear_caches()
+        monkeypatch.setattr(primes, "sieve_segment", recording)
+        for limit in (100, 112_006, 10**6, 3 * 2**20):
+            primes._prime_bitmap(limit)
+        assert sieved[0][0] == 2 and sieved[-1][1] == 3 * 2**20
+        assert all(b[0] == a[1] + 1 for a, b in zip(sieved, sieved[1:]))
+        assert np.array_equal(primes._prime_bitmap(3 * 2**20), eratosthenes(3 * 2**20))
+
+
+class TestRankPi:
+    """pi read from the rank directory over the packed bitmap."""
+
+    def test_equals_the_count_table_everywhere_up_to_2e5(self):
+        ns = np.arange(2 * 10**5 + 1, dtype=np.int64)
+        assert np.array_equal(primes.pi_lookup(ns[-1])(ns), cumulative_pi(ns[-1]))
+
+    def test_equals_the_count_table_at_word_and_segment_edges(self):
+        top = 5 * 10**6
+        rng = np.random.default_rng(20260)
+        edges = [k * m + d for m in (64, primes.SEGMENT_LENGTH)
+                 for k in rng.integers(1, top // m, 20).tolist() for d in (-1, 0, 1, 63)]
+        ns = np.array(sorted({n for n in edges + rng.integers(0, top, 2000).tolist() + [top]
+                              if n <= top}), dtype=np.int64)
+        counts = cumulative_pi(top)
+        assert np.array_equal(primes.pi_lookup(top)(ns), counts[ns])
+        assert [pi_at(n) for n in ns.tolist()] == counts[ns].tolist()
+
+
+class TestStore:
+    """table_stats: builds, growths, hits and bytes held, per table name."""
+
+    def test_counts_each_kind_of_request(self):
+        primes.clear_caches()
+        pi_at(100)
+        pi_at(50)
+        pi_at(1000)
+        stats = primes.table_stats()
+        assert stats["rank"] == {"builds": 1, "growths": 1, "hits": 1, "bytes": 128 * 2}
+        assert stats["bitmap"] == {"builds": 1, "growths": 1, "hits": 0, "bytes": 1001}
+        primes.clear_caches()
+        assert primes.table_stats() == {}
+
+
 class TestPiTable:
     """cumulative_pi, the shared table of pi(n) from n = 0."""
 
     def test_first_ten(self):
         assert cumulative_pi(10)[1:11].tolist() == [0, 1, 2, 2, 3, 3, 4, 4, 4, 4]
+
+    def test_the_count_table_is_sized_to_its_limit(self):
+        primes.clear_caches()
+        primes._prime_bitmap(10**5)
+        assert cumulative_pi(100).size == 101
+        assert cumulative_pi(50) is cumulative_pi(100)  # the cached entry covers 50
 
     def test_documented_counterexample_points(self):
         assert cumulative_pi(96097)[96097] == 9260
@@ -350,6 +431,16 @@ class TestPsi:
         if grown_from is not None:
             primes.psi_array(grown_from)
         assert np.array_equal(primes.psi_array(limit), by_search(limit))
+
+    def test_lookup_equals_the_spread_table_everywhere_up_to_1e6(self):
+        ns = np.arange(10**6 + 1, dtype=np.int64)
+        assert np.array_equal(primes.psi_lookup(ns[-1])(ns), primes.psi_array(ns[-1]))
+
+    @pytest.mark.parametrize("limit", [0, 1, 2])
+    def test_lookup_below_the_first_prime_power(self, limit):
+        primes.clear_caches()
+        ns = np.arange(limit + 1, dtype=np.int64)
+        assert primes.psi_lookup(limit)(ns).tolist() == [0.0, 0.0, math.log(2)][: limit + 1]
 
     def test_table_growth_keeps_point_values(self):
         primes.clear_caches()

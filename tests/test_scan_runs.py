@@ -315,7 +315,7 @@ def test_a_range_failing_throughout_takes_few_kernel_points(kernel_calls):
 
 
 def test_a_range_failing_throughout_stays_small_in_memory(traced_peak):
-    primes.cumulative_pi(FAILING[3])  # the tables are built before tracing
+    primes.pi_lookup(FAILING[3])  # the rank directory is built before tracing
     count, peak = traced_peak(lambda: count_violations(*FAILING))
     assert count == 4_999_984
     assert peak < 8 * 10**6
