@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import numpy as np
@@ -207,6 +209,25 @@ class TestStore:
         assert stats["bitmap"] == {"builds": 1, "growths": 1, "hits": 0, "bytes": 1001}
         primes.clear_caches()
         assert primes.table_stats() == {}
+
+    def test_concurrent_growth_loses_no_count_and_no_value(self):
+        # more threads than cores, switching often: every pi_at reads the rank
+        # directory once, so its counts must add up to the calls made
+        ns = [int(n) for n in np.random.default_rng(7).integers(2, 3 * 10**5, 400)]
+        expect = cumulative_pi(3 * 10**5)[ns].tolist()
+        primes.clear_caches()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda chunk: [pi_at(n) for n in chunk], ns[k::8])
+                           for k in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert [v for k in range(8) for v in got[k]] == [e for k in range(8) for e in expect[k::8]]
+        rank = primes.table_stats()["rank"]
+        assert rank["builds"] == 1 and rank["builds"] + rank["growths"] + rank["hits"] == len(ns)
 
 
 class TestPiTable:
