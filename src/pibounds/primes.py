@@ -237,7 +237,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     if n <= cap:
         words, before = _rank(n)
         i = n >> 6
-        return before.item(i) + (words.item(i) & ((2 << (n & 63)) - 1)).bit_count()
+        return before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
     return pi_point_legendre(n, cap=cap)
 
 
