@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -275,9 +275,16 @@ def chebyshev_constants() -> tuple[float, float]:
 
 
 def builtin_bounds() -> dict[str, BoundExpr]:
-    """The named bound registry used by scans, claims and the CLI."""
+    """The named bound registry used by scans, claims and the CLI: a new dict
+    on each call, over instances built once per process."""
+    return {b.name: b for b in _builtin_entries()}
+
+
+@cache
+def _builtin_entries() -> tuple[BoundExpr, ...]:
+    # built once, so each instance bisects its turning point once
     c1, c2 = chebyshev_constants()
-    entries = [
+    return (
         ScaledLog("cheb_lower", 30.0, c1),
         ScaledLog("cheb_upper", 96098.0, c2),
         ScaledLog("cheb_upper_2x", 30.0, 2.0 * c2),
@@ -291,8 +298,7 @@ def builtin_bounds() -> dict[str, BoundExpr]:
         ShiftedLog("legendre_a", 1_000_000.0, 1.08366),
         PsiAffine("psi_upper", 30.0, c2, 5.0 / (4.0 * math.log(6.0)), 5.0 / 4.0, 1.0),
         PsiAffine("psi_lower", 30.0, c1, 0.0, -5.0 / 2.0, -1.0),
-    ]
-    return {b.name: b for b in entries}
+    )
 
 
 def evaluate(b: BoundExpr, x: float) -> EvalResult:

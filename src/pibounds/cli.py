@@ -36,8 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="scan cap (default %(default)s)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans, at most one per segment; "
-                             "0 = one per core (default %(default)s)")
+                        help="worker threads for scans, at most one per segment of "
+                             "2^20 integers; each splits one frontier over its run "
+                             "of segments; 0 = one per core (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pi = sub.add_parser("pi", help="prime count pi(floor(x))")

@@ -11,13 +11,13 @@ against the slab supremum.  Comparisons are guarded: a difference within the
 combined evaluation error bound (bound rounding + psi summation error; pi is
 exact) is reported AMBIGUOUS rather than silently decided either way.
 
-Brackets.  Each segment starts as pieces of STRETCH integer steps that share
-their ends, and a piece [a, b] is decided from the comparisons at its ends:
-every integer of it then classifies as its ends do, PASS or FAIL.  An
-undecided piece splits in halves; one of at most BASE_CASE steps, or all left
-once they hold at most STRETCH integers, are compared integer by integer.  A
-decided piece holds no ambiguous point or sign change, and its ends are
-compared.
+Brackets.  A worker's run of segments starts as pieces of STRETCH integer
+steps that share their ends, and a piece [a, b] is decided from the
+comparisons at its ends: every integer of it then classifies as its ends do,
+PASS or FAIL.  An undecided piece splits in halves; one of at most BASE_CASE
+steps, or all left once they hold at most STRETCH integers, are compared
+integer by integer.  A decided piece holds no ambiguous point or sign change,
+and its ends are compared.
 
 * An inequality or sandwich margin is hi - lo with hi and lo nondecreasing:
   the slab bound and f for an upper check, f and the slab bound for a lower
@@ -32,7 +32,7 @@ compared.
   the same, stays below minus the guard.  This holds where the bound
   increases and its guard formula no longer falls, so a piece below
   floor(turn) + 2 or guard_increase_start is split.  A piece FAIL throughout
-  has failing ends, so FAIL is tried only once a segment has compared a
+  has failing ends, so FAIL is tried only once the worker has compared a
   negative margin.
 * A crossover bounds d = g - f by its chord: d >= min(d(a), d(b)) -
   M (b-a)^2 / 8 on [a, b], M = f.curvature(a) + g.curvature(a) bounding |d''|.
@@ -40,19 +40,27 @@ compared.
   bounding the guard inside where both guard formulas rise, a piece whose
   lowest true d clears twice that guard is PASS throughout; mirrored, FAIL.
 
-Closest margin.  A segment keeps the smallest margin it has compared, and a
-piece decided PASS is split anyway until its lower bound on the margins
-inside exceeds it (branch and bound over enclosures).  So a PASS scan's
+Closest margin.  A worker keeps the smallest margin it has compared over its
+whole run, and a piece decided PASS is split anyway until its lower bound on
+the margins inside exceeds it (branch and bound over enclosures).  A piece
+so dropped holds no integer at or below the true minimum, so a PASS scan's
 closest integer was compared, ties going to the earlier one.  A piece decided
 FAIL, and a crossover, keep none: a FAIL verdict reports its last failure.
 
-Segments.  A range is cut into segments of SCAN_SEGMENT integers, the unit of
-threading.  Each returns the integers it compared, in order, with their
-diffs and guards, and the range is classified once from them all.  Between
-two neighbouring compared integers lies the inside of one decided piece, so
-the integers there fail when both neighbours fail and pass otherwise: counts
-add the gaps between failing neighbours, and the last failure, sign changes
-and ambiguous points are those of the compared integers.
+Segments.  A range is cut into segments of SCAN_SEGMENT integers, and each
+worker thread takes a contiguous run of whole segments (one run by default)
+and splits one frontier of pieces over all of it: each level makes one
+margins call and one bracket call for the whole frontier.  SCAN_SEGMENT also
+caps the integers one level compares whole, its first whole piece always
+included; the whole pieces past the cap wait for the next level, so a call
+holds at most that many integers plus one middle per piece.  Each worker
+returns the integers it compared, in order, with their diffs and guards, and
+the range is classified once from them all.  Between two neighbouring
+compared integers lies the inside of one decided piece, so the integers
+there fail when both neighbours fail and pass otherwise: counts add the gaps
+between failing neighbours, and the last failure, sign changes and ambiguous
+points are those of the compared integers.  So no verdict depends on how the
+range is split or threaded.
 """
 
 from __future__ import annotations
@@ -70,8 +78,8 @@ from .bounds import BoundExpr, evaluate
 from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
-SCAN_SEGMENT = 1 << 20  # integers per thread task, each split in one loop
-STRETCH = 1 << 10  # integer steps per starting piece of a segment
+SCAN_SEGMENT = 1 << 20  # integers per unit of threading, and compared whole per level
+STRETCH = 1 << 10  # integer steps per starting piece of a worker's run
 BASE_CASE = 1 << 5  # integer steps of the widest piece compared integer by integer
 
 _EPS = np.finfo(np.float64).eps
@@ -190,12 +198,14 @@ def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _Summary:
     at_b, best) gives, for the pieces [a[i], b[i]] and their ends' columns,
     whether every integer of each classifies as its ends do, and a lower bound
     on their diffs, inf where none is needed; best is the smallest diff the
-    segment has compared (see Brackets and Closest margin).
+    worker has compared (see Brackets and Closest margin).  Each worker splits
+    one frontier of pieces over its run of segments, and compares at most
+    SCAN_SEGMENT integers whole a level (see Segments).
     """
-    def segment(s: int) -> tuple[np.ndarray, np.ndarray]:
-        """The integers of the segment compared, ascending, and their diff and
-        guard rows."""
-        e = min(s + SCAN_SEGMENT - 1, hi)
+    def run(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The integers of span = (s, e) compared over [s, e], ascending, and
+        their diff and guard rows."""
+        s, e = span
         new = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
         rows = margins(new)
         a, b, at_a, at_b = new[:-1], new[1:], rows[:, :-1], rows[:, 1:]
@@ -207,14 +217,20 @@ def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _Summary:
             width = b - a
             # narrow pieces, or all of them once they hold few integers, are compared whole
             whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
-            inner = a[:0]
+            inner = wait = a[:0]
             if whole.any():
-                counts = width[whole] - 1  # the integers inside each whole piece
-                inner = np.repeat(a[whole] + 1 - np.cumsum(counts) + counts, counts)
+                take = np.flatnonzero(whole)
+                counts = width[take] - 1  # the integers inside each whole piece
+                ends = np.cumsum(counts)
+                if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
+                    fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
+                    wait, take, counts, ends = take[fits:], take[:fits], counts[:fits], ends[:fits]
+                inner = np.repeat(a[take] + 1 - ends + counts, counts)
                 inner += np.arange(inner.size)
-                keep = np.flatnonzero(~whole)
+                keep = np.concatenate((wait, np.flatnonzero(~whole)))  # then those to split
                 a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
-            mid = (a + b) // 2
+            w = wait.size
+            mid = (a[w:] + b[w:]) // 2
             new = np.concatenate((inner, mid))
             if not new.size:
                 break
@@ -223,19 +239,23 @@ def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _Summary:
             cols.append(rows[:2])
             best = min(best, rows[0].min())
             at_mid = rows[:, inner.size :]
-            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-            at_a, at_b = np.concatenate((at_a, at_mid), 1), np.concatenate((at_mid, at_b), 1)
+            a, b = np.concatenate((a, mid)), np.concatenate((b[:w], mid, b[w:]))
+            at_a = np.concatenate((at_a, at_mid), 1)
+            at_b = np.concatenate((at_b[:, :w], at_mid, at_b[:, w:]), 1)
         ns = np.concatenate(ns)
         order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
         return ns[order], np.concatenate(cols, axis=1)[:, order]
 
-    starts = range(lo, hi + 1, SCAN_SEGMENT)
-    workers = min(len(starts), threads if threads > 0 else os.cpu_count() or 1)
+    segments = -(-(hi - lo + 1) // SCAN_SEGMENT)
+    workers = min(segments, threads if threads > 0 else os.cpu_count() or 1)
+    # worker i takes [cuts[i], cuts[i + 1] - 1], a run of whole segments
+    cuts = [lo + segments * i // workers * SCAN_SEGMENT for i in range(workers + 1)]
+    runs = [(s, min(e - 1, hi)) for s, e in zip(cuts, cuts[1:])]
     if workers <= 1:
-        parts = [segment(s) for s in starts]
+        parts = [run(runs[0])]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(segment, starts))
+            parts = list(pool.map(run, runs))
     ns, cols = zip(*parts)
     diff, guard = np.concatenate(cols, axis=1)
     return _classify(diff, guard, np.concatenate(ns))

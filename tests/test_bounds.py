@@ -10,6 +10,7 @@ from pibounds.bounds import (
     PsiAffine,
     ScaledLog,
     ShiftedLog,
+    builtin_bounds,
     chebyshev_constants,
     evaluate,
 )
@@ -95,6 +96,18 @@ class TestRegistry:
         for b in registry.values():
             if isinstance(b, ShiftedLog):
                 assert b.valid_from > math.exp(b.shift)
+
+    def test_instances_are_built_once_and_each_call_gets_its_own_dict(self):
+        # so each instance bisects its turning point once per process, and a
+        # caller may still change the dict it gets without touching the next
+        first, second = builtin_bounds(), builtin_bounds()
+        assert first is not second
+        assert all(first[name] is second[name] for name in second)
+        del first["cheb_upper"]
+        first["dusart_upper"] = first["pan_upper"]
+        again = builtin_bounds()
+        assert list(again) == list(second)
+        assert all(again[name] is second[name] for name in second)
 
 
 class TestEvaluate:

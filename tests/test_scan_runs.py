@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pibounds import primes, scan
+from pibounds import claims, primes, scan
 from pibounds.bounds import BoundExpr, PsiAffine, builtin_bounds, evaluate
 from pibounds.errors import CrossoverNotFoundError
 from pibounds.primes import PSI_ERR_FACTOR
@@ -329,6 +329,40 @@ def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
     res = analytic_crossover(b, REGISTRY["legendre_a"], 10**6 + 1, 5 * 10**6)
     assert res == CrossoverResult(2846396, 2846395, 1, [])
     assert sum(xs.size for xs in calls) <= 2 * 10**4
+
+
+def test_c6b_splits_one_frontier_over_its_segments(kernel_calls):
+    # C6b's 4.6M integers span five segments; one frontier makes one kernel
+    # call a level for all of them, where one per segment made 34
+    b = REGISTRY["dusart_upper"]
+    calls = kernel_calls(b)
+    assert verify_pi(b, Direction.UPPER_STRICT, 355991, 5 * 10**6).status is Status.PASS
+    assert len(calls) <= 8
+
+
+def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
+    claims.run_all()  # tables built, turning points bisected
+    shapes = {type(b): b for b in REGISTRY.values()}
+    for b in shapes.values():
+        calls = kernel_calls(b)
+    claims.run_all()
+    assert len(calls) <= 120  # one frontier per segment made 166
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch, threads):
+    # with the starting pieces compared whole, pan_upper's check over
+    # [4, 50003] (C8b's) would compare almost every integer at its first
+    # level; SCAN_SEGMENT caps the integers one level compares whole
+    b, lo, hi = REGISTRY["pan_upper"], 4, 50_003
+    expected = verify_pi(b, Direction.UPPER_STRICT, lo, hi)
+    monkeypatch.setattr(scan, "BASE_CASE", scan.STRETCH)
+    monkeypatch.setattr(scan, "SCAN_SEGMENT", 1000)
+    calls = kernel_calls(b)
+    assert verify_pi(b, Direction.UPPER_STRICT, lo, hi, threads=threads) == expected
+    pieces = -(-(hi - lo) // scan.STRETCH)  # the starting pieces
+    assert sum(xs.size for xs in calls) > 2 * 40_000  # most integers compared whole
+    assert max(xs.size for xs in calls) <= 2 * (1000 + pieces)
 
 
 def touching_line(use_psi, direction, lo, hi, shift):
