@@ -7,14 +7,14 @@ pi(n) is that count plus the set bits of n's word up to n.  Point queries past
 the sieve cap run Legendre's sieve bottom-up over the O(sqrt x) distinct
 values of x // k (Lucy_Hedgehog's method), with the primes up to sqrt(x) taken
 from the sieve.  psi is one table: log(p) at every prime power p^k (vector
-powers of the primes up to sqrt(limit)), summed in ascending order with
-compensated (Kahan) accumulation.  Point values of psi are lookups into it,
-and every psi value carries a conservative bound on its accumulated rounding
-error.  All of these tables live in one store, by name, which counts their
-builds, growths and hits.  When a larger limit is asked for, the bitmap
-continues its segment chain from its old end and the psi table its sum from
-its saved total and carry, so every prefix equals a fresh build bit for bit;
-the rank directory is packed again from the grown bitmap.
+powers of the primes up to sqrt(limit)) in ascending order, each prefix their
+sum correctly rounded from an exact integer sum, read through a rank directory
+of the prime powers; every psi value carries a conservative bound on its
+rounding error.  All of these tables live in one store, by name, which counts
+their builds, growths and hits.  When a larger limit is asked for, the bitmap
+continues its segment chain from its old end and the psi table its exact sum,
+so every prefix equals a fresh build bit for bit; the rank directories are
+built again from the grown bitmap.
 """
 
 from __future__ import annotations
@@ -30,19 +30,21 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
-# The largest cap accepted.  Tables sized from the cap hold about 1.25 bytes per
-# integer up to it (1 in the uint8 bitmap, 0.25 in its packed words and rank
-# directory) and 16 bytes per prime power in psi_steps (an int64 position and a
-# float64 prefix; 0.8 GB for the 50.8 million up to 10**9), so at 10**9 they
-# take about 2 GB; a Legendre query holds three int64 arrays of isqrt(x) <= cap
-# entries, 24 GB at most.
+# The largest cap accepted.  Tables sized from the cap hold about 1.5 bytes per
+# integer up to it (1 in the uint8 bitmap, 0.25 in each rank directory) and 12
+# bytes per prime power in psi_steps (an int32 position, as MAX_CAP < 2**31, and
+# a float64 prefix; 0.6 GB for the 50.8 million up to 10**9), so at 10**9 they
+# take about 2.1 GB.
+# A Legendre query holds three int64 arrays of isqrt(x) entries, 2.4 GB at
+# LEGENDRE_MAX_ROOT, whatever the cap.
 MAX_CAP = 10**9
+LEGENDRE_MAX_ROOT = 10**8
 SEGMENT_LENGTH = 1 << 20
 
 _EPS = sys.float_info.epsilon
 
-# Kahan accumulation of positive terms leaves a relative error of a couple of
-# ulps; the factor also absorbs the <=1 ulp error of each log() term.
+# A psi prefix rounds the sum of its positive float terms once, each term within
+# numpy's log error (about an ulp) of log p: 1.5 eps of psi in all, kept at 4 eps.
 PSI_ERR_FACTOR = 4.0 * _EPS
 
 _lock = threading.RLock()
@@ -57,7 +59,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take about 2 GB"
+            f"tables take about 2.1 GB"
         )
     if n > cap:
         raise ResourceLimitError(
@@ -137,7 +139,8 @@ def _cached(name: str, limit: int, build):
 
 def table_stats() -> dict[str, dict[str, int]]:
     """Per table name: how often it was built from nothing, grown and found
-    covering the limit asked for, and the bytes its arrays hold now."""
+    covering the limit asked for, and the bytes its arrays hold now (the psi
+    prefix sums, which the psi rank directory shares, count under both)."""
     with _lock:
         return {name: dict(stats) for name, stats in _stats.items()}
 
@@ -174,27 +177,40 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return _cached("rank", limit, build)
 
 
-def pi_lookup(limit: int):
-    """pi over int64 arrays of n <= limit, read from the rank directory."""
-    words, before = _rank(limit)
-
-    def pi(ns: np.ndarray) -> np.ndarray:
+def _counter(words: np.ndarray, before: np.ndarray):
+    """count(ns): a rank directory's set bits up to each n of an int64 array."""
+    def count(ns: np.ndarray) -> np.ndarray:
         i = ns >> 6
         return before[i] + np.bitwise_count(words[i] & _LOW_MASKS[ns & 63])
 
-    return pi
+    return count
+
+
+def pi_lookup(limit: int):
+    """pi over int64 arrays of n <= limit, read from the rank directory."""
+    return _counter(*_rank(limit))
+
+
+def _psi_rank(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, before, sums) for 0..limit: the prime words with the bits of the
+    higher prime powers set too, the count of prime powers below each word,
+    and the psi table's prefix sums, which sums[count] reads."""
+    def build(limit: int, old) -> tuple[int, tuple]:
+        pos, _ = psi_steps(limit)
+        words = _rank(limit)[0][: (limit >> 6) + 1].copy()
+        higher = pos[_prime_bitmap(limit)[pos] == 0]  # p^k for k >= 2
+        np.bitwise_or.at(words, higher >> 6, np.uint64(1) << (higher & 63).astype(np.uint64))
+        counts = np.bitwise_count(words)
+        return limit, (words, np.cumsum(counts, dtype=np.int64) - counts, _psi_table(limit)[1])
+
+    return _cached("psi_rank", limit, build)
 
 
 def psi_lookup(limit: int):
-    """psi over int64 arrays of n <= limit: the psi_steps prefix at the last
-    prime power <= n, 0 before the first, as psi_array spreads it."""
-    pos, val = psi_steps(max(limit, 2))  # from 2 on, val holds a prefix to read
-
-    def psi(ns: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(pos, ns, side="right") - 1
-        return np.where(i >= 0, val[i], 0.0)
-
-    return psi
+    """psi over int64 arrays of n <= limit, read from the psi rank directory."""
+    words, before, sums = _psi_rank(limit)
+    count = _counter(words, before)
+    return lambda ns: sums[count(ns)]
 
 
 def cumulative_pi(limit: int) -> np.ndarray:
@@ -225,8 +241,8 @@ def clear_caches() -> None:
 def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     """pi(floor(x)); sieve lookup below the cap, Legendre query above it.
 
-    Raises ResourceLimitError when isqrt(x) exceeds the cap (see
-    pi_point_legendre).
+    Raises ResourceLimitError when isqrt(x) exceeds the cap or
+    LEGENDRE_MAX_ROOT (see pi_point_legendre).
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"pi_at requires a finite x >= 0, got {x}")
@@ -234,7 +250,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     n = math.floor(x)
     if n < 2:
         return 0
-    if n <= cap:
+    if n <= cap:  # _counter at one n, in Python ints
         words, before = _rank(n)
         i = n >> 6
         return before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
@@ -255,13 +271,17 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     x^(3/4) and memory as sqrt(x): about 0.13 s at 1e10 and 5 s at 1e12.
 
     The primes up to isqrt(x) come from the sieve, so the sieve's cap bounds
-    the query: isqrt(x) above the cap raises ResourceLimitError.
+    the query: isqrt(x) above the cap, or above LEGENDRE_MAX_ROOT whatever
+    the cap, raises ResourceLimitError.
     """
     if not 2 <= x < math.inf:
         raise ValueError(f"pi_point_legendre requires a finite x >= 2, got {x}")
     n = int(x)
     root = isqrt(n)
     check_cap(cap, root, f"Legendre root isqrt({n}) =")
+    if root > LEGENDRE_MAX_ROOT:
+        raise ResourceLimitError(f"Legendre root isqrt({n}) = {root} is above the ceiling "
+                                 f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (2.4 GB of arrays)")
     quotients = n // np.arange(1, root + 1, dtype=np.int64)  # x // k for k <= root
     small = np.arange(-1, root, dtype=np.int64)  # small[v] = S(v) for v <= root
     large = quotients - 1  # large[k - 1] = S(x // k)
@@ -293,7 +313,7 @@ class PsiValue:
 
 
 def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
-    """psi(x), read from the psi_steps table: its last prefix at or below x."""
+    """psi(x): the psi_steps prefix at the rank of x among the prime powers."""
     if not 0 <= x < math.inf:
         raise ValueError(f"psi_at requires a finite x >= 0, got {x}")
     n = int(x)
@@ -301,18 +321,44 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
     check_cap(cap, n, "psi_at argument")
-    pos, val = psi_steps(n)
-    total = float(val[-1])
-    return PsiValue(n, total, int(pos.size), PSI_ERR_FACTOR * total)
+    words, before, sums = _psi_rank(n)
+    i = n >> 6  # _counter at one n, in Python ints
+    count = before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
+    total = sums.item(count)
+    return PsiValue(n, total, count, PSI_ERR_FACTOR * total)
 
 
-def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, values): compensated psi prefix at every prime power <= limit."""
+def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:
+    """Correctly rounded prefix sums of float64 terms in [0.5, 32) after an exact
+    total, and the new total; totals are ints in units of 2**-53.
+
+    In those units a term is an integer below 2**58.  Its high and low 32 bits
+    are summed apart in int64 (exact for fewer than 2**31 terms) and the low
+    carries moved up, so hi * 2**-21 (while psi * 2**21 < 2**53) and lo * 2**-53
+    are exact floats, and their one addition rounds each prefix once.
+    """
+    units = (terms * 2.0**53).astype(np.int64)
+    hi, lo = units >> 32, units & 0xFFFFFFFF
+    hi[:1] += total >> 32  # the total before joins the first term
+    lo[:1] += total & 0xFFFFFFFF
+    np.cumsum(hi, out=hi)
+    np.cumsum(lo, out=lo)
+    hi += lo >> 32
+    lo &= 0xFFFFFFFF
+    total = int(hi[-1]) << 32 | int(lo[-1]) if units.size else total
+    return hi * 2.0**-21 + lo * 2.0**-53, total
+
+
+def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(pos, sums, total): the prime powers up to limit or beyond, ascending;
+    sums[r] the correctly rounded sum of the float terms log p of the first r
+    of them (sums[0] = 0); and their exact total, in units of 2**-53."""
     def build(limit: int, old) -> tuple[int, tuple]:
         # a grown table appends the prime powers past the old end and carries
-        # on the sum from its saved (total, carry)
-        done, (pos, val, total, carry) = old or (1, (np.zeros(0, np.int64), np.zeros(0), 0.0, 0.0))
-        added = np.flatnonzero(_prime_bitmap(limit)[done + 1 : limit + 1]) + (done + 1)
+        # on from the exact total of the terms before them
+        done, (pos, sums, total) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0))
+        # nonzero reads a bool view of the 0/1 bitmap about twice as fast
+        added = np.flatnonzero(_prime_bitmap(limit)[done + 1 : limit + 1].view(bool)) + (done + 1)
         positions = [added]
         values = [np.log(added.astype(np.float64))]
         # p^k for k >= 2: powers of the primes up to the root, while any is <= limit
@@ -326,22 +372,20 @@ def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
             past = power > done
             positions.append(power[past])
             values.append(lp[past])
-        added = np.concatenate(positions)
+        added = np.concatenate(positions).astype(np.int32)
         order = np.argsort(added, kind="stable")
-        prefix = np.concatenate(values)[order].tolist()  # the terms, overwritten by their sums
-        for i, t in enumerate(prefix):
-            y = t - carry
-            s = total + y
-            carry = (s - total) - y
-            total = s
-            prefix[i] = total
-        pos = np.concatenate((pos, added[order]))
-        val = np.concatenate((val, np.array(prefix, dtype=np.float64)))
-        return limit, (pos, val, total, carry)
+        prefix, total = _prefix_sums(np.concatenate(values)[order], total)
+        return limit, (np.concatenate((pos, added[order])), np.concatenate((sums, prefix)), total)
 
-    pos, val, _, _ = _cached("psi_steps", limit, build)
+    return _cached("psi_steps", limit, build)
+
+
+def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, values): psi at every prime power <= limit, each value the
+    correctly rounded sum of the float terms log p up to its position."""
+    pos, sums, _ = _psi_table(limit)
     keep = int(np.searchsorted(pos, limit, side="right"))
-    return pos[:keep], val[:keep]
+    return pos[:keep], sums[1 : keep + 1]
 
 
 def psi_array(limit: int) -> np.ndarray:

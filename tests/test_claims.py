@@ -281,7 +281,8 @@ class TestGuardAtWitness:
 
 
 class TestColdRun:
-    """A cold run_all() grows the bitmap and psi_steps and builds no dense table."""
+    """A cold run_all() grows the bitmap, psi_steps and both rank directories
+    and builds no dense table."""
 
     def test_tables_grow_and_none_is_rebuilt_from_zero(self):
         primes.clear_caches()
@@ -289,6 +290,7 @@ class TestColdRun:
         stats = primes.table_stats()
         assert stats["bitmap"]["builds"] == 1 and stats["bitmap"]["growths"] >= 1
         assert stats["psi_steps"]["builds"] == 1
+        assert stats["psi_rank"]["builds"] == 1 and stats["psi_rank"]["hits"] >= 1
         assert not {"counts", "psi_array"} & stats.keys()
 
     def test_peak_memory_stays_small(self, traced_peak):

@@ -9,8 +9,10 @@ are checked here the same way, and the pieces they decide are re-checked
 here at 120 bits, as are the pinned crossover flips and C8b's violators.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,6 +29,7 @@ from pibounds.bounds import (
     builtin_bounds,
     evaluate,
 )
+from pibounds.claims import ClaimKind
 
 PREC = 120
 TOP = 1e12
@@ -236,3 +239,53 @@ def test_c8b_violators_hold_at_120_bits():
         violators = [n for n in range(24_000, 24_401) if int(pi[n]) > exact(b, n)]
     assert len(violators) == 19
     assert (violators[0], violators[-1]) == (24121, 24254)
+
+
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_full.json"
+
+
+def exact_margins(claim, w):
+    """The margins at w, at PREC bits, that claim's verdict rests on: for a
+    range check, the least margin over its bounds (the report's witness is
+    its tightest part's); for a crossover, g - f at the threshold w and at
+    the last failure w - 1."""
+    p = claim.payload
+    registry = builtin_bounds()
+    if claim.kind is ClaimKind.CROSSOVER:
+        f, g = registry[p["left"]], registry[p["right"]]
+        return [exact(g, w) - exact(f, w), exact(g, w - 1) - exact(f, w - 1)]
+    use_psi = claim.kind is ClaimKind.PSI_CHECK
+    f = exact_psi([w])[w] if use_psi else mpmath.mpf(primes.pi_at(w))
+    if p.get("method") == "sandwich":
+        pi_log = primes.pi_at(w) * mpmath.log(w)
+        return [min(pi_log - f, 2 * f - pi_log)]
+    margins = []
+    for name, direction in p.get("parts") or [(p["bound"], p["direction"])]:
+        b = registry[name]
+        assert w >= b.increase_start(), name  # so the slab's ends give its inf and sup
+        ends = (exact(b, w), exact(b, w + 1))
+        margins.append(min(ends) - f if direction == "upper" else f - max(ends))
+    return [min(margins)]
+
+
+def test_pinned_witnesses_hold_at_120_bits(full_report):
+    # each witness of the pinned report re-decided at 120 bits: its margin
+    # has the verdict's sign, clears 1e3 times the guard the run used, and
+    # lies within that guard of the float margin reported
+    pinned = {c["id"]: c for c in json.loads(PINNED.read_text())["claims"]}
+    checked = 0
+    for o in full_report.outcomes:
+        want = pinned[o.claim.id]
+        if want["witness"] is None:
+            continue
+        assert (o.witness, o.min_margin) == (want["witness"], want["min_margin"])
+        with mpmath.workprec(PREC):
+            margins = exact_margins(o.claim, o.witness)
+            signs = [1, -1] if o.claim.kind is ClaimKind.CROSSOVER else [
+                1 if want["verdict"] == "PASS" else -1]
+            assert [mpmath.sign(m) for m in margins] == signs, o.claim.id
+            least = min(abs(m) for m in margins)
+            assert least > 1e3 * o.guard_at_witness, o.claim.id
+            assert abs(least - abs(o.min_margin)) <= o.guard_at_witness, o.claim.id
+        checked += 1
+    assert checked == 16

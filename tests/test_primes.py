@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibounds import cli, primes, scan
-from pibounds.bounds import builtin_bounds
+from pibounds.bounds import builtin_bounds, evaluate
 from pibounds.errors import ConfigurationError, ResourceLimitError
 from pibounds.primes import (
     cumulative_pi,
@@ -88,26 +89,24 @@ def eratosthenes(limit):
 
 
 def psi_steps_per_power(limit):
-    """psi_steps built with one loop step per prime power, in the same sum order."""
-    ps = np.flatnonzero(eratosthenes(limit)).astype(np.int64)
+    """psi_steps built with one loop step per prime power: int32 positions, and
+    each prefix the exact sum of the same float terms, rounded once."""
+    ps = np.flatnonzero(eratosthenes(limit)).astype(np.int32)
     logs = np.log(ps.astype(np.float64))
     positions, values = [ps], [logs]
     for p, lp in zip(ps.tolist(), logs.tolist()):
         power = p * p
         while power <= limit:
-            positions.append(np.array([power], dtype=np.int64))
+            positions.append(np.array([power], dtype=np.int32))
             values.append(np.array([lp], dtype=np.float64))
             power *= p
     pos = np.concatenate(positions)
     order = np.argsort(pos, kind="stable")
     out = np.empty(pos.size, dtype=np.float64)
-    total = carry = 0.0
+    total = 0
     for i, t in enumerate(np.concatenate(values)[order].tolist()):
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-        out[i] = total
+        total += Fraction(t)
+        out[i] = float(total)
     return pos[order], out
 
 
@@ -134,6 +133,40 @@ class TestTableEdges:
         assert pos.dtype == expect_pos.dtype and val.dtype == expect_val.dtype
         assert np.array_equal(pos, expect_pos)
         assert val.tobytes() == expect_val.tobytes()
+
+
+class TestExactPrefixSums:
+    """_prefix_sums: each prefix the correctly rounded sum of its float terms."""
+
+    def test_prefixes_past_2_to_the_26_equal_the_exact_sums_rounded_once(self):
+        # psi passes 2**26 here, where the units' high part no longer fits a
+        # float's 53 bits at a 26-bit split; two calls carry the total between
+        rng = np.random.default_rng(16)
+        terms = rng.uniform(31.8, 32.0, 2_200_000)
+        terms[::97] = rng.uniform(0.5, 1.0, terms[::97].size)
+        cut = 1_234_567
+        first, total = primes._prefix_sums(terms[:cut], 0)
+        second, total = primes._prefix_sums(terms[cut:], total)
+        prefixes = np.concatenate((first, second))
+        wanted = set(rng.integers(0, terms.size, 2000).tolist()) | {0, cut - 1, cut, terms.size - 1}
+        exact, expect = 0, {}
+        for i, t in enumerate(terms.tolist()):
+            num, den = t.as_integer_ratio()
+            exact += num * (2**53 // den)
+            if i in wanted:
+                expect[i] = float(Fraction(exact, 2**53))
+        assert prefixes[-1] > 2**26 and total == exact
+        assert {i: prefixes[i] for i in expect} == expect
+
+    def test_the_int64_sums_and_the_float_halves_hold_up_to_max_cap(self):
+        # numpy's int64 cumsum wraps without a warning, so nothing else would
+        # catch an overflow.  Chebyshev's psi_upper bounds psi(MAX_CAP); every
+        # prime power adds at least log 2 to psi, and every term is below 32
+        psi = evaluate(builtin_bounds()["psi_upper"], float(primes.MAX_CAP)).value
+        assert math.log(primes.MAX_CAP) < 32  # units below 2**58
+        assert primes.MAX_CAP < 2**31  # psi_steps' int32 positions
+        assert psi / math.log(2) < 2**31  # the low sums stay below 2**63
+        assert psi * 2**21 < 2**53  # the high sums are exact floats
 
 
 class TestGrownTables:
@@ -357,6 +390,28 @@ class TestEntryChecks:
     ], ids=["psi_at", "pi_point_legendre", "scan", "pi --method sieve"])
     def test_every_cap_site_gives_the_shared_text(self, no_tables, capsys, refusal):
         assert "exceeds the scan cap 1000; raise the cap to allow it" in refusal(capsys)
+
+
+class TestLegendreCeiling:
+    """A root above LEGENDRE_MAX_ROOT is refused before any array is sized."""
+
+    @pytest.fixture(autouse=True)
+    def no_arange(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.arange was called")
+
+        monkeypatch.setattr(primes.np, "arange", refuse)
+
+    @pytest.mark.parametrize("method", ["auto", "legendre"])
+    def test_the_largest_cap_does_not_lift_it(self, capsys, method):
+        err = cli_refused(capsys, "--cap", str(primes.MAX_CAP), "pi", "1e18", "--method", method)
+        assert "isqrt(1000000000000000000) = 1000000000" in err
+        assert f"LEGENDRE_MAX_ROOT = {primes.LEGENDRE_MAX_ROOT}" in err
+
+    def test_one_past_the_ceiling(self):
+        x = (primes.LEGENDRE_MAX_ROOT + 1) ** 2
+        assert "LEGENDRE_MAX_ROOT" in refused(lambda: pi_point_legendre(x, cap=primes.MAX_CAP))
+        assert "LEGENDRE_MAX_ROOT" in refused(lambda: pi_at(x, cap=primes.MAX_CAP))
 
 
 def log_lcm(n):
