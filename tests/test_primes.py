@@ -243,23 +243,40 @@ class TestStore:
         primes.clear_caches()
         assert primes.table_stats() == {}
 
-    def test_concurrent_growth_loses_no_count_and_no_value(self):
-        # more threads than cores, switching often: every pi_at reads the rank
-        # directory once, so its counts must add up to the calls made
-        ns = [int(n) for n in np.random.default_rng(7).integers(2, 3 * 10**5, 400)]
-        expect = cumulative_pi(3 * 10**5)[ns].tolist()
-        primes.clear_caches()
+    @staticmethod
+    def from_threads(query, ns):
+        """[query(n) for n in ns] from more threads than cores, switching often."""
+        out = [None] * len(ns)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda chunk: [pi_at(n) for n in chunk], ns[k::8])
+                futures = [pool.submit(lambda chunk: [query(n) for n in chunk], ns[k::8])
                            for k in range(8)]
-                got = [f.result(timeout=60) for f in futures]
+                for k, f in enumerate(futures):
+                    out[k::8] = f.result(timeout=60)
         finally:
             sys.setswitchinterval(switch)
-        assert [v for k in range(8) for v in got[k]] == [e for k in range(8) for e in expect[k::8]]
+        return out
+
+    def test_concurrent_growth_loses_no_count_and_no_value(self):
+        # every pi_at reads the rank directory once, so its counts must add up
+        # to the calls made
+        ns = [int(n) for n in np.random.default_rng(7).integers(2, 3 * 10**5, 400)]
+        expect = cumulative_pi(3 * 10**5)[ns].tolist()
+        primes.clear_caches()
+        assert self.from_threads(pi_at, ns) == expect
         rank = primes.table_stats()["rank"]
+        assert rank["builds"] == 1 and rank["builds"] + rank["growths"] + rank["hits"] == len(ns)
+
+    def test_concurrent_psi_growth_loses_no_count_and_no_value(self):
+        # the same for psi_at and the psi rank directory, which nests the
+        # builds of the psi table and of the prime rank directory
+        ns = [int(n) for n in np.random.default_rng(8).integers(2, 3 * 10**5, 400)]
+        expect = primes.psi_array(3 * 10**5)[ns].tolist()
+        primes.clear_caches()
+        assert [v.value for v in self.from_threads(psi_at, ns)] == expect
+        rank = primes.table_stats()["psi_rank"]
         assert rank["builds"] == 1 and rank["builds"] + rank["growths"] + rank["hits"] == len(ns)
 
 
