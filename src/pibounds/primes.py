@@ -1,20 +1,20 @@
 """Exact prime counting and Chebyshev's second function.
 
 pi values come from a segmented Eratosthenes sieve, whose uint8 segments are
-appended into a primality bitmap.  The bitmap is packed into uint64 words
-with a count of the primes below each word beside them (a rank directory), so
-pi(n) is that count plus the set bits of n's word up to n.  Point queries past
-the sieve cap run Legendre's sieve bottom-up over the O(sqrt x) distinct
-values of x // k (Lucy_Hedgehog's method), with the primes up to sqrt(x) taken
-from the sieve.  psi is one table: log(p) at every prime power p^k (vector
-powers of the primes up to sqrt(limit)) in ascending order, each prefix their
-sum correctly rounded from an exact integer sum, read through a rank directory
-of the prime powers; every psi value carries a conservative bound on its
-rounding error.  All of these tables live in one store, by name, which counts
-their builds, growths and hits.  When a larger limit is asked for, the bitmap
-continues its segment chain from its old end and the psi table its exact sum,
-so every prefix equals a fresh build bit for bit; the rank directories are
-built again from the grown bitmap.
+packed straight into uint64 words, the one table of primality, with a count of
+the primes below each word beside them (a rank directory), so pi(n) is that
+count plus the set bits of n's word up to n.  Point queries past the sieve cap
+run Legendre's sieve bottom-up over the O(sqrt x) distinct values of x // k
+(Lucy_Hedgehog's method), with the primes up to sqrt(x) taken from the sieve.
+psi is one table: log(p) at every prime power p^k (vector powers of the primes
+up to sqrt(limit)) in ascending order, each prefix their sum correctly rounded
+from an exact integer sum, read through a rank directory of the prime powers;
+every psi value carries a conservative bound on its rounding error.  All of
+these tables live in one store, by name, which counts their builds, growths
+and hits.  When a larger limit is asked for, the words continue their segment
+chain from their old end, a word boundary, and the psi table its exact sum, so
+every prefix equals a fresh build bit for bit; the psi rank directory is built
+again from the grown tables.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
-# The largest cap accepted.  Tables sized from the cap hold about 1.5 bytes per
-# integer up to it (1 in the uint8 bitmap, 0.25 in each rank directory) and 12
-# bytes per prime power in psi_steps (an int32 position, as MAX_CAP < 2**31, and
-# a float64 prefix; 0.6 GB for the 50.8 million up to 10**9), so at 10**9 they
-# take about 2.1 GB.
+# The largest cap accepted.  Tables sized from the cap hold about 0.5 bytes per
+# integer up to it (0.25 in the prime words and their counts, 0.25 in the psi
+# rank directory) and 12 bytes per prime power in psi_steps (an int32 position,
+# as MAX_CAP < 2**31, and a float64 prefix; 0.6 GB for the 50.8 million up to
+# 10**9), so at 10**9 they take about 1.1 GB.
 # A Legendre query holds three int64 arrays of isqrt(x) entries, 2.4 GB at
 # LEGENDRE_MAX_ROOT, whatever the cap.
 MAX_CAP = 10**9
@@ -59,7 +59,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take about 2.1 GB"
+            f"tables take about 1.1 GB"
         )
     if n > cap:
         raise ResourceLimitError(
@@ -82,7 +82,7 @@ def _prime_flags(n: int) -> np.ndarray:
 
 
 def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
-    """Primality bitmap for [lo, hi] as a uint8 array: entry i is 1 iff lo+i is prime.
+    """Primality flags for [lo, hi] as a uint8 array: entry i is 1 iff lo+i is prime.
 
     base_primes must contain every prime <= isqrt(hi); extra, composite or
     unsorted entries are harmless.
@@ -145,36 +145,35 @@ def table_stats() -> dict[str, dict[str, int]]:
         return {name: dict(stats) for name, stats in _stats.items()}
 
 
-def _prime_bitmap(limit: int) -> np.ndarray:
-    """uint8 primality indicator for 0..limit, chained from sieve segments."""
-    def build(limit: int, old) -> tuple[int, np.ndarray]:
-        # a grown bitmap continues the segment chain from the old end
-        start, parts = (old[0] + 1, [old[1]]) if old else (2, [np.zeros(2, dtype=np.uint8)])
-        base = np.flatnonzero(_prime_flags(isqrt(limit)))
-        for lo in range(start, limit + 1, SEGMENT_LENGTH):
-            parts.append(sieve_segment(lo, min(lo + SEGMENT_LENGTH - 1, limit), base))
-        bitmap = np.concatenate(parts)
-        return bitmap.size - 1, bitmap
-
-    return _cached("bitmap", limit, build)
-
-
 # _LOW_MASKS[b] keeps bits 0..b of a word
 _LOW_MASKS = np.array([(2 << b) - 1 for b in range(64)], dtype=np.uint64)
 
 
 def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, before): the bitmap packed into uint64 words, bit n & 63 of word
-    n >> 6 set at the prime n, and the count of primes below each word."""
+    """(words, before) for 0..limit | 63: bit n & 63 of uint64 word n >> 6 set
+    at the prime n, and the count of primes below each word."""
     def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-        # packing the whole grown bitmap again is cheap next to growing it
-        bitmap = _prime_bitmap(limit)
-        packed = np.packbits(bitmap, bitorder="little")
-        words = np.concatenate((packed, np.zeros(-packed.size % 8, dtype=np.uint8))).view("<u8")
+        # a fresh chain starts at 0 and a grown one at the old end + 1, a word
+        # boundary; each segment is whole words long and packed as it comes
+        top = limit | 63
+        start, parts = (old[0] + 1, [old[1][0]]) if old else (0, [])
+        base = np.flatnonzero(_prime_flags(isqrt(top)))
+        for lo in range(start, top + 1, SEGMENT_LENGTH):
+            flags = sieve_segment(max(lo, 2), min(lo + SEGMENT_LENGTH - 1, top), base)
+            if lo == 0:  # the clear bits of 0 and 1
+                flags = np.concatenate((np.zeros(2, dtype=np.uint8), flags))
+            parts.append(np.packbits(flags, bitorder="little").view("<u8"))
+        words = np.concatenate(parts)
         counts = np.bitwise_count(words)
-        return bitmap.size - 1, (words, np.cumsum(counts, dtype=np.int64) - counts)
+        return top, (words, np.cumsum(counts, dtype=np.int64) - counts)
 
     return _cached("rank", limit, build)
+
+
+def _flags(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bool flags for lo..hi, True at the primes, unpacked from the words."""
+    bits = np.unpackbits(words[lo >> 6 : (hi >> 6) + 1].view(np.uint8), bitorder="little")
+    return bits[lo & 63 : (lo & 63) + hi - lo + 1].view(bool)
 
 
 def _counter(words: np.ndarray, before: np.ndarray):
@@ -197,8 +196,10 @@ def _psi_rank(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the psi table's prefix sums, which sums[count] reads."""
     def build(limit: int, old) -> tuple[int, tuple]:
         pos, _ = psi_steps(limit)
-        words = _rank(limit)[0][: (limit >> 6) + 1].copy()
-        higher = pos[_prime_bitmap(limit)[pos] == 0]  # p^k for k >= 2
+        prime_words = _rank(limit)[0]
+        # p^k for k >= 2: the prime powers whose bit is clear in the prime words
+        higher = pos[(prime_words[pos >> 6] >> (pos & 63).astype(np.uint64)) & 1 == 0]
+        words = prime_words[: (limit >> 6) + 1].copy()
         np.bitwise_or.at(words, higher >> 6, np.uint64(1) << (higher & 63).astype(np.uint64))
         counts = np.bitwise_count(words)
         return limit, (words, np.cumsum(counts, dtype=np.int64) - counts, _psi_table(limit)[1])
@@ -216,15 +217,14 @@ def psi_lookup(limit: int):
 def cumulative_pi(limit: int) -> np.ndarray:
     """Array c with c[n] = pi(n) for 0 <= n <= limit (cached, shared)."""
     def build(limit: int, old) -> tuple[int, np.ndarray]:
-        return limit, np.cumsum(_prime_bitmap(limit)[: limit + 1], dtype=np.int64)
+        return limit, np.cumsum(_flags(_rank(limit)[0], 0, limit), dtype=np.int64)
 
     return _cached("counts", limit, build)
 
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array."""
-    bm = _prime_bitmap(limit)
-    return np.nonzero(bm[: limit + 1])[0].astype(np.int64)
+    return np.flatnonzero(_flags(_rank(limit)[0], 0, limit))
 
 
 def clear_caches() -> None:
@@ -357,8 +357,7 @@ def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
         # a grown table appends the prime powers past the old end and carries
         # on from the exact total of the terms before them
         done, (pos, sums, total) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0))
-        # nonzero reads a bool view of the 0/1 bitmap about twice as fast
-        added = np.flatnonzero(_prime_bitmap(limit)[done + 1 : limit + 1].view(bool)) + (done + 1)
+        added = np.flatnonzero(_flags(_rank(limit)[0], done + 1, limit)) + (done + 1)
         positions = [added]
         values = [np.log(added.astype(np.float64))]
         # p^k for k >= 2: powers of the primes up to the root, while any is <= limit

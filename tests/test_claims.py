@@ -281,14 +281,14 @@ class TestGuardAtWitness:
 
 
 class TestColdRun:
-    """A cold run_all() grows the bitmap, psi_steps and both rank directories
-    and builds no dense table."""
+    """A cold run_all() grows the prime words, psi_steps and the psi rank
+    directory and builds no dense table."""
 
     def test_tables_grow_and_none_is_rebuilt_from_zero(self):
         primes.clear_caches()
         assert run_all().outcomes[-1].claim.id == "C15"
         stats = primes.table_stats()
-        assert stats["bitmap"]["builds"] == 1 and stats["bitmap"]["growths"] >= 1
+        assert stats["rank"]["builds"] == 1 and stats["rank"]["growths"] >= 1
         assert stats["psi_steps"]["builds"] == 1
         assert stats["psi_rank"]["builds"] == 1 and stats["psi_rank"]["hits"] >= 1
         assert not {"counts", "psi_array"} & stats.keys()
@@ -297,4 +297,4 @@ class TestColdRun:
         primes.clear_caches()
         report, peak = traced_peak(run_all)
         assert len(report.outcomes) == 18
-        assert peak < 20 * 10**6
+        assert peak < 10 * 10**6

@@ -206,20 +206,13 @@ class TestTable:
                            "--step", "1", "--bounds", "zzz")
         assert code == 2
 
-    def test_rows_up_to_the_cap_build_the_count_table_once(self, capsys, monkeypatch):
-        builds = []
-        bitmap = primes._prime_bitmap  # the rank directory calls it only to grow
-
-        def counting_bitmap(limit):
-            builds.append(limit)
-            return bitmap(limit)
-
+    def test_rows_up_to_the_cap_build_the_count_table_once(self, capsys):
         primes.clear_caches()
-        monkeypatch.setattr(primes, "_prime_bitmap", counting_bitmap)
         code, out, _ = run(capsys, "--cap", "2000", "table",
                            "--from", "1910", "--to", "2000", "--step", "10")
         assert code == 0
-        assert builds == [2000]
+        rank = primes.table_stats()["rank"]
+        assert (rank["builds"], rank["growths"]) == (1, 0)
         rows = out.splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == [str(x) for x in range(1910, 2001, 10)]
         for r in rows:

@@ -289,3 +289,15 @@ def test_pinned_witnesses_hold_at_120_bits(full_report):
             assert abs(least - abs(o.min_margin)) <= o.guard_at_witness, o.claim.id
         checked += 1
     assert checked == 16
+
+
+def test_an_ambiguous_point_is_marked_and_its_margin_lies_inside_its_guard():
+    # scale * n / log n meets pi(n) at the 10000th prime n to within rounding,
+    # so the scan can decide neither way there, and nowhere else around it
+    n = 104_729
+    b = ScaledLog("touch", 2.0, primes.pi_at(n) * math.log(n) / n)
+    v = scan.verify_pi(b, scan.Direction.UPPER_STRICT, n - 10, n + 10)
+    assert v.status is scan.Status.AMBIGUOUS
+    assert v.ambiguous_points == [n] and v.witness == n
+    with mpmath.workprec(PREC):  # b increases, so its slab over [n, n + 1) starts at b(n)
+        assert abs(exact(b, n) - primes.pi_at(n)) <= v.guard_at_witness

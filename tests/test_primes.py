@@ -117,11 +117,12 @@ class TestTableEdges:
 
     @pytest.mark.parametrize("limit", [SEG - 1, SEG, SEG + 1, 2 * SEG + 5])
     def test_bitmap_matches_one_unsegmented_pass(self, limit):
+        # the flags unpacked from the words, which end on a word boundary
         primes.clear_caches()
-        bitmap = primes._prime_bitmap(limit)
-        expect = eratosthenes(limit)
-        assert bitmap.dtype == expect.dtype
-        assert np.array_equal(bitmap, expect)
+        words, _ = primes._rank(limit)
+        assert words.size == (limit >> 6) + 1
+        for hi in (limit, limit | 63):
+            assert np.array_equal(primes._flags(words, 0, hi), eratosthenes(hi).view(bool))
 
     @pytest.mark.parametrize("limit", [
         2**20 - 1, 2**20, 2**20 + 1, 3**12 - 1, 3**12, 3**12 + 1,
@@ -178,19 +179,21 @@ class TestGrownTables:
         (3**12 - 1, 3**12, 3**12 + 1),
         (64 * 1000, 64 * 1000 + 63, 64 * 3000 + 63, 64 * 3001),
         (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64),
-    ], ids=["verify", "segment", "prime-power", "word", "small"])
+        (100, 130, 191, 192, 2**20 + 3, 2**20 + 64),
+    ], ids=["verify", "segment", "prime-power", "word", "small", "off-word"])
     def test_grown_bitmap_and_psi_steps_equal_fresh_builds(self, chain):
         fresh = []
         for limit in chain:
             primes.clear_caches()
-            fresh.append((primes._prime_bitmap(limit), *primes.psi_steps(limit)))
+            fresh.append((*primes._rank(limit), *primes.psi_steps(limit)))
         primes.clear_caches()
-        for limit, (bitmap, pos, val) in zip(chain, fresh):
+        for limit, (words, before, pos, val) in zip(chain, fresh):
             grown_pos, grown_val = primes.psi_steps(limit)
-            assert np.array_equal(primes._prime_bitmap(limit), bitmap)
+            grown_words, grown_before = primes._rank(limit)
+            assert np.array_equal(grown_words, words) and np.array_equal(grown_before, before)
             assert np.array_equal(grown_pos, pos) and grown_val.tobytes() == val.tobytes()
         stats = primes.table_stats()
-        assert stats["bitmap"]["builds"] == stats["psi_steps"]["builds"] == 1
+        assert stats["rank"]["builds"] == stats["psi_steps"]["builds"] == 1
         assert stats["psi_steps"]["growths"] == len(chain) - 1
 
     def test_a_grown_bitmap_sieves_each_integer_once(self, monkeypatch):
@@ -204,14 +207,15 @@ class TestGrownTables:
         primes.clear_caches()
         monkeypatch.setattr(primes, "sieve_segment", recording)
         for limit in (100, 112_006, 10**6, 3 * 2**20):
-            primes._prime_bitmap(limit)
-        assert sieved[0][0] == 2 and sieved[-1][1] == 3 * 2**20
+            primes._rank(limit)
+        assert sieved[0][0] == 2 and sieved[-1][1] == 3 * 2**20 | 63
         assert all(b[0] == a[1] + 1 for a, b in zip(sieved, sieved[1:]))
-        assert np.array_equal(primes._prime_bitmap(3 * 2**20), eratosthenes(3 * 2**20))
+        words, _ = primes._rank(3 * 2**20)
+        assert np.array_equal(primes._flags(words, 0, 3 * 2**20), eratosthenes(3 * 2**20).view(bool))
 
 
 class TestRankPi:
-    """pi read from the rank directory over the packed bitmap."""
+    """pi read from the rank directory over the prime words."""
 
     def test_equals_the_count_table_everywhere_up_to_2e5(self):
         ns = np.arange(2 * 10**5 + 1, dtype=np.int64)
@@ -239,7 +243,7 @@ class TestStore:
         pi_at(1000)
         stats = primes.table_stats()
         assert stats["rank"] == {"builds": 1, "growths": 1, "hits": 1, "bytes": 128 * 2}
-        assert stats["bitmap"] == {"builds": 1, "growths": 1, "hits": 0, "bytes": 1001}
+        assert "bitmap" not in stats
         primes.clear_caches()
         assert primes.table_stats() == {}
 
@@ -288,7 +292,7 @@ class TestPiTable:
 
     def test_the_count_table_is_sized_to_its_limit(self):
         primes.clear_caches()
-        primes._prime_bitmap(10**5)
+        pi_at(10**5)
         assert cumulative_pi(100).size == 101
         assert cumulative_pi(50) is cumulative_pi(100)  # the cached entry covers 50
 
