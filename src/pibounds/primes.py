@@ -1,20 +1,25 @@
 """Exact prime counting and Chebyshev's second function.
 
-pi values come from a segmented Eratosthenes sieve, whose uint8 segments are
-packed straight into uint64 words, the one table of primality, with a count of
-the primes below each word beside them (a rank directory), so pi(n) is that
-count plus the set bits of n's word up to n.  Point queries past the sieve cap
-run Legendre's sieve bottom-up over the O(sqrt x) distinct values of x // k
-(Lucy_Hedgehog's method), with the primes up to sqrt(x) taken from the sieve.
-psi is one table: log(p) at every prime power p^k (vector powers of the primes
-up to sqrt(limit)) in ascending order, each prefix their sum correctly rounded
-from an exact integer sum, read through a rank directory of the prime powers;
-every psi value carries a conservative bound on its rounding error.  All of
-these tables live in one store, by name, which counts their builds, growths
-and hits.  When a larger limit is asked for, the words continue their segment
-chain from their old end, a word boundary, and the psi table its exact sum, so
-every prefix equals a fresh build bit for bit; the psi rank directory is built
-again from the grown tables.
+pi values come from a segmented sieve of Eratosthenes over the odd integers,
+each segment started from a wheel with the multiples of 3, 5, 7, 11 and 13
+cleared.  Its uint8 segments are packed straight into uint64 words, the one
+table of primality, with a count of the primes below each word beside them (a
+rank directory), so pi(n) is that count plus the set bits of n's word up to n.
+Point queries past the sieve cap run Legendre's sieve bottom-up over the
+O(sqrt x) distinct values of x // k (Lucy_Hedgehog's method), with the primes
+up to sqrt(x) taken from the sieve.  psi is one table: log(p) at every prime
+power p^k in ascending order, each prefix their sum correctly rounded from an
+exact integer sum, read through a rank directory of the prime powers; every
+psi value carries a conservative bound on its rounding error.  The table is
+filled a segment at a time, into arrays of its final size: the segment's
+primes from the odd bits of the words, with its few higher powers p^k (vector
+powers of the primes up to sqrt(limit)) inserted in order, and the exact sum
+carried from segment to segment, so its build peaks a few MB above the table.
+All of these tables live in one store, by name, which counts their builds,
+growths and hits.  When a larger limit is asked for, the words continue their
+segment chain from their old end, a word boundary, and the psi table its exact
+sum, so every prefix equals a fresh build bit for bit; the psi rank directory
+is built again from the grown tables.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ DEFAULT_CAP = 5_000_000
 # integer up to it (0.25 in the prime words and their counts, 0.25 in the psi
 # rank directory) and 12 bytes per prime power in psi_steps (an int32 position,
 # as MAX_CAP < 2**31, and a float64 prefix; 0.6 GB for the 50.8 million up to
-# 10**9), so at 10**9 they take about 1.1 GB.
+# 10**9), so at 10**9 they take about 1.1 GB.  Their builds fill them a
+# segment at a time and sum the directories' counts in place, so a build peaks
+# a few MB (one segment's arrays) above what it keeps; a growth also holds the
+# old table until the new one replaces it.
 # A Legendre query holds three int64 arrays of isqrt(x) entries, 2.4 GB at
 # LEGENDRE_MAX_ROOT, whatever the cap.
 MAX_CAP = 10**9
@@ -81,11 +89,21 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
+# The wheel every segment starts from: entry j holds the flags of 2j and 2j + 1
+# as the low and high byte of a little-endian uint16, for j mod 15015 =
+# 3*5*7*11*13; the even byte is 0, the odd one 1 where 3, 5, 7, 11 and 13 do
+# not divide 2j + 1.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = ((np.gcd(2 * np.arange(15015) + 1, 15015) == 1) << 8).astype("<u2")
+
+
 def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
     """Primality flags for [lo, hi] as a uint8 array: entry i is 1 iff lo+i is prime.
 
     base_primes must contain every prime <= isqrt(hi); extra, composite or
-    unsorted entries are harmless.
+    unsorted entries are harmless.  Only the odd integers are sieved: they
+    start from the wheel, with the multiples of 3, 5, 7, 11 and 13 cleared,
+    and the odd base entries from 17 up to the root strike out the rest.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -98,10 +116,23 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
             f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
             f"missing {np.flatnonzero(missing)[:5].tolist()}"
         )
-    flags = np.ones(hi - lo + 1, dtype=np.uint8)
-    for p in base_primes:
-        if 2 <= p and p * p <= hi:
-            flags[max(p * p, (lo + p - 1) // p * p) - lo :: p] = 0
+    even = lo & ~1  # pairs[i] holds the flags of even + 2i and even + 2i + 1
+    count = (hi - even) // 2 + 1
+    start = (even >> 1) % _WHEEL.size
+    pairs = np.tile(_WHEEL, (start + count) // _WHEEL.size + 1)[start : start + count]
+    if lo <= _WHEEL_PRIMES[-1]:  # the wheel cleared its own primes too
+        for p in _WHEEL_PRIMES:
+            if lo <= p <= hi:
+                pairs[(p - even) >> 1] = 1 << 8
+    strikers = given[(given >= 17) & (given <= root) & (given & 1 == 1)]
+    for p in strikers.tolist():
+        m = max(p * p, (lo + p - 1) // p * p)
+        if not m & 1:  # odd multiples only, 2p apart
+            m += p
+        pairs[(m - even) >> 1 :: p] = 0
+    flags = pairs.view(np.uint8)[lo - even : hi - even + 1]
+    if lo == 2:
+        flags[0] = 1
     return flags
 
 
@@ -145,6 +176,14 @@ def table_stats() -> dict[str, dict[str, int]]:
         return {name: dict(stats) for name, stats in _stats.items()}
 
 
+def _before(words: np.ndarray) -> np.ndarray:
+    """The count of set bits below each word, as int64, summed in place."""
+    before = np.empty(words.size, dtype=np.int64)
+    before[:1] = 0
+    before[1:] = np.bitwise_count(words[:-1])
+    return np.cumsum(before, out=before)
+
+
 # _LOW_MASKS[b] keeps bits 0..b of a word
 _LOW_MASKS = np.array([(2 << b) - 1 for b in range(64)], dtype=np.uint64)
 
@@ -154,18 +193,20 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
     at the prime n, and the count of primes below each word."""
     def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         # a fresh chain starts at 0 and a grown one at the old end + 1, a word
-        # boundary; each segment is whole words long and packed as it comes
+        # boundary; each segment is whole words long and packed into place
         top = limit | 63
-        start, parts = (old[0] + 1, [old[1][0]]) if old else (0, [])
+        start = old[0] + 1 if old else 0
+        words = np.empty((top >> 6) + 1, dtype="<u8")
+        if old:
+            words[: start >> 6] = old[1][0]
         base = np.flatnonzero(_prime_flags(isqrt(top)))
         for lo in range(start, top + 1, SEGMENT_LENGTH):
-            flags = sieve_segment(max(lo, 2), min(lo + SEGMENT_LENGTH - 1, top), base)
+            hi = min(lo + SEGMENT_LENGTH - 1, top)
+            flags = sieve_segment(max(lo, 2), hi, base)
             if lo == 0:  # the clear bits of 0 and 1
                 flags = np.concatenate((np.zeros(2, dtype=np.uint8), flags))
-            parts.append(np.packbits(flags, bitorder="little").view("<u8"))
-        words = np.concatenate(parts)
-        counts = np.bitwise_count(words)
-        return top, (words, np.cumsum(counts, dtype=np.int64) - counts)
+            words[lo >> 6 : (hi >> 6) + 1] = np.packbits(flags, bitorder="little").view("<u8")
+        return top, (words, _before(words))
 
     return _cached("rank", limit, build)
 
@@ -174,6 +215,36 @@ def _flags(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Bool flags for lo..hi, True at the primes, unpacked from the words."""
     bits = np.unpackbits(words[lo >> 6 : (hi >> 6) + 1].view(np.uint8), bitorder="little")
     return bits[lo & 63 : (lo & 63) + hi - lo + 1].view(bool)
+
+
+def _primes_in(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi] as an ascending int64 array: 2 where it lies in
+    range, and the set odd bits of the words."""
+    start = lo & ~63  # the first unpacked bit
+    bits = np.unpackbits(words[lo >> 6 : (hi >> 6) + 1].view(np.uint8), bitorder="little")
+    first = lo | 1
+    found = np.flatnonzero(bits.view(bool)[first - start : hi - start + 1 : 2])
+    found *= 2
+    found += first
+    return np.concatenate(([2], found)) if lo <= 2 <= hi else found
+
+
+def _higher_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, logs): the prime powers p^k (k >= 2) in [lo, hi], ascending
+    as int64, and log p for each; vector powers of the primes up to isqrt(hi)."""
+    bases = prime_array(isqrt(hi))
+    lp = np.log(bases.astype(np.float64))
+    power, positions, logs = bases, [bases[:0]], [lp[:0]]
+    while power.size:
+        power = power * bases
+        keep = power <= hi
+        bases, lp, power = bases[keep], lp[keep], power[keep]
+        past = power >= lo
+        positions.append(power[past])
+        logs.append(lp[past])
+    positions = np.concatenate(positions)
+    order = np.argsort(positions)
+    return positions[order], np.concatenate(logs)[order]
 
 
 def _counter(words: np.ndarray, before: np.ndarray):
@@ -195,14 +266,11 @@ def _psi_rank(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     higher prime powers set too, the count of prime powers below each word,
     and the psi table's prefix sums, which sums[count] reads."""
     def build(limit: int, old) -> tuple[int, tuple]:
-        pos, _ = psi_steps(limit)
-        prime_words = _rank(limit)[0]
-        # p^k for k >= 2: the prime powers whose bit is clear in the prime words
-        higher = pos[(prime_words[pos >> 6] >> (pos & 63).astype(np.uint64)) & 1 == 0]
-        words = prime_words[: (limit >> 6) + 1].copy()
+        psi_steps(limit)  # the psi table, built through its public name
+        higher, _ = _higher_powers(2, limit)
+        words = _rank(limit)[0][: (limit >> 6) + 1].copy()
         np.bitwise_or.at(words, higher >> 6, np.uint64(1) << (higher & 63).astype(np.uint64))
-        counts = np.bitwise_count(words)
-        return limit, (words, np.cumsum(counts, dtype=np.int64) - counts, _psi_table(limit)[1])
+        return limit, (words, _before(words), _psi_table(limit)[1])
 
     return _cached("psi_rank", limit, build)
 
@@ -224,7 +292,7 @@ def cumulative_pi(limit: int) -> np.ndarray:
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array."""
-    return np.flatnonzero(_flags(_rank(limit)[0], 0, limit))
+    return _primes_in(_rank(limit)[0], 0, limit)
 
 
 def clear_caches() -> None:
@@ -337,16 +405,19 @@ def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:
     carries moved up, so hi * 2**-21 (while psi * 2**21 < 2**53) and lo * 2**-53
     are exact floats, and their one addition rounds each prefix once.
     """
-    units = (terms * 2.0**53).astype(np.int64)
-    hi, lo = units >> 32, units & 0xFFFFFFFF
+    hi = (terms * 2.0**53).astype(np.int64)
+    lo = hi & 0xFFFFFFFF
+    hi >>= 32
     hi[:1] += total >> 32  # the total before joins the first term
     lo[:1] += total & 0xFFFFFFFF
     np.cumsum(hi, out=hi)
     np.cumsum(lo, out=lo)
     hi += lo >> 32
     lo &= 0xFFFFFFFF
-    total = int(hi[-1]) << 32 | int(lo[-1]) if units.size else total
-    return hi * 2.0**-21 + lo * 2.0**-53, total
+    total = int(hi[-1]) << 32 | int(lo[-1]) if hi.size else total
+    sums = hi * 2.0**-21
+    sums += lo * 2.0**-53
+    return sums, total
 
 
 def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -355,26 +426,31 @@ def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
     of them (sums[0] = 0); and their exact total, in units of 2**-53."""
     def build(limit: int, old) -> tuple[int, tuple]:
         # a grown table appends the prime powers past the old end and carries
-        # on from the exact total of the terms before them
+        # on from the exact total of the terms before them.  The new range is
+        # walked a segment at a time, into arrays of the exact final size: the
+        # segment's primes, with its few higher powers inserted in order
         done, (pos, sums, total) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0))
-        added = np.flatnonzero(_flags(_rank(limit)[0], done + 1, limit)) + (done + 1)
-        positions = [added]
-        values = [np.log(added.astype(np.float64))]
-        # p^k for k >= 2: powers of the primes up to the root, while any is <= limit
-        bases = prime_array(isqrt(limit))
-        lp = np.log(bases.astype(np.float64))
-        power = bases
-        while power.size:
-            power = power * bases
-            keep = power <= limit
-            bases, lp, power = bases[keep], lp[keep], power[keep]
-            past = power > done
-            positions.append(power[past])
-            values.append(lp[past])
-        added = np.concatenate(positions).astype(np.int32)
-        order = np.argsort(added, kind="stable")
-        prefix, total = _prefix_sums(np.concatenate(values)[order], total)
-        return limit, (np.concatenate((pos, added[order])), np.concatenate((sums, prefix)), total)
+        words, before = _rank(limit)
+        higher, higher_logs = _higher_powers(done + 1, limit)
+        primes_to_done, primes_to_limit = _counter(words, before)(np.array([done, limit])).tolist()
+        at = pos.size
+        size = at + primes_to_limit - primes_to_done + higher.size
+        old_pos, old_sums = pos, sums
+        pos, sums = np.empty(size, np.int32), np.empty(size + 1)
+        pos[:at], sums[: at + 1] = old_pos, old_sums
+        taken = 0  # higher powers placed so far
+        for lo in range(done + 1, limit + 1, SEGMENT_LENGTH):
+            hi = min(lo + SEGMENT_LENGTH - 1, limit)
+            found = _primes_in(words, lo, hi)
+            upto = int(np.searchsorted(higher, hi, side="right"))
+            where = np.searchsorted(found, higher[taken:upto])
+            logs = found.astype(np.float64)
+            terms = np.insert(np.log(logs, out=logs), where, higher_logs[taken:upto])
+            end = at + terms.size
+            pos[at:end] = np.insert(found, where, higher[taken:upto])
+            sums[at + 1 : end + 1], total = _prefix_sums(terms, total)
+            at, taken = end, upto
+        return limit, (pos, sums, total)
 
     return _cached("psi_steps", limit, build)
 
@@ -383,7 +459,8 @@ def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): psi at every prime power <= limit, each value the
     correctly rounded sum of the float terms log p up to its position."""
     pos, sums, _ = _psi_table(limit)
-    keep = int(np.searchsorted(pos, limit, side="right"))
+    # an int32 key: a Python int would have numpy cast all of pos to int64
+    keep = int(np.searchsorted(pos, np.int32(limit), side="right"))
     return pos[:keep], sums[1 : keep + 1]
 
 

@@ -88,6 +88,57 @@ def eratosthenes(limit):
     return flags
 
 
+class TestOddWheelSieve:
+    """sieve_segment sieves the odd integers from a wheel of 3, 5, 7, 11 and 13
+    and strides only the odd base entries from 17 on; every range it returns
+    equals one unsegmented pass over all the integers."""
+
+    SEG = primes.SEGMENT_LENGTH
+    TOP = 2 * SEG + 4096
+    REFERENCE = eratosthenes(TOP)
+
+    def check(self, lo, hi):
+        root = isqrt(hi)
+        for base in (np.flatnonzero(self.REFERENCE[: root + 1]), range(2, root + 1)):
+            flags = sieve_segment(lo, hi, base)
+            assert flags.dtype == np.uint8 and flags.size == hi - lo + 1
+            assert np.array_equal(flags, self.REFERENCE[lo : hi + 1]), (lo, hi)
+
+    def test_every_range_from_2_to_17(self):
+        for lo in range(2, 18):
+            for hi in range(lo, 40):
+                self.check(lo, hi)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["lo-even", "lo-odd"])
+    def test_random_ranges(self, parity):
+        rng = random.Random(18 + parity)
+        for _ in range(150):
+            lo = rng.randrange(2, self.TOP - 70_000) | parity
+            self.check(lo, lo + rng.randrange(0, 70_000))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+    def test_singletons_at_the_wheel_primes(self, p):
+        self.check(p, p)
+        assert flagged(p, p, [2, 3]) == [p]
+        assert flagged(p * p, p * p, range(2, p + 1)) == []
+
+    @pytest.mark.parametrize("hi", [
+        64 * 1000 - 1, 64 * 1000, 64 * 1001 - 1, SEG - 1, SEG, 2 * SEG - 1, 2 * SEG,
+    ])
+    def test_ranges_ending_on_a_word_or_segment_edge(self, hi):
+        for lo in (2, 3, hi - 64, hi - 63, hi - self.SEG // 2, hi):
+            self.check(max(lo, 2), hi)
+
+    def test_even_composite_base_entries_are_not_strided(self):
+        # an odd stride from an even multiple would clear odd integers that
+        # sit next to the multiples of 18 and 20
+        base = [2, 3, 5, 7, 11, 13, 17, 18, 19, 20, 21, 22]
+        assert flagged(2, 528, base) == np.flatnonzero(self.REFERENCE[:529]).tolist()
+        lo = 10**6 + 1
+        expect = (np.flatnonzero(self.REFERENCE[lo : lo + 5001]) + lo).tolist()
+        assert flagged(lo, lo + 5000, range(2, isqrt(lo + 5000) + 1)) == expect
+
+
 def psi_steps_per_power(limit):
     """psi_steps built with one loop step per prime power: int32 positions, and
     each prefix the exact sum of the same float terms, rounded once."""
@@ -180,7 +231,8 @@ class TestGrownTables:
         (64 * 1000, 64 * 1000 + 63, 64 * 3000 + 63, 64 * 3001),
         (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64),
         (100, 130, 191, 192, 2**20 + 3, 2**20 + 64),
-    ], ids=["verify", "segment", "prime-power", "word", "small", "off-word"])
+        (100, 3 * 2**20 + 5),
+    ], ids=["verify", "segment", "prime-power", "word", "small", "off-word", "three-segments"])
     def test_grown_bitmap_and_psi_steps_equal_fresh_builds(self, chain):
         fresh = []
         for limit in chain:
@@ -212,6 +264,25 @@ class TestGrownTables:
         assert all(b[0] == a[1] + 1 for a, b in zip(sieved, sieved[1:]))
         words, _ = primes._rank(3 * 2**20)
         assert np.array_equal(primes._flags(words, 0, 3 * 2**20), eratosthenes(3 * 2**20).view(bool))
+
+
+class TestBuildPeak:
+    """The psi table is filled a segment at a time, into arrays of its final
+    size, so a cold build peaks near the tables it keeps."""
+
+    def test_a_cold_psi_at_peaks_within_16_mb_of_the_tables_it_keeps(self, traced_peak):
+        n = 2 * 10**7
+        primes.clear_caches()
+        res, peak = traced_peak(lambda: psi_at(n, cap=n))
+        kept = {id(a): a.nbytes for _, table in primes._tables.values()
+                for a in table if isinstance(a, np.ndarray)}
+        higher = 0
+        for p in primes.prime_array(isqrt(n)).tolist():
+            power = p * p
+            while power <= n:
+                higher, power = higher + 1, power * p
+        assert res.term_count == pi_at(n, cap=n) + higher
+        assert peak < sum(kept.values()) + 16 * 10**6
 
 
 class TestRankPi:
