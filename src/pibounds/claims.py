@@ -256,7 +256,7 @@ def _claim_range(claim: Claim) -> tuple[int, int]:
     return 0, 0
 
 
-def _run_range_check(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, list[str]]:
+def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
     p = claim.payload
     registry = builtin_bounds()
     lo, hi = int(p["lo"]), int(p["hi"])
@@ -265,14 +265,14 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, li
     problems: list[str] = []
 
     if p.get("method") == "sandwich":
-        verdicts = [(None, scan.verify_sandwich(lo, hi, cap=cap, threads=threads))]
+        verdicts = [(None, scan.verify_sandwich(lo, hi, cap=cap))]
     else:
         parts = p.get("parts") or [(p["bound"], p["direction"])]
         verdicts = []
         for bname, dirname in parts:
             b = registry[bname]
             direction = Direction(dirname)
-            verdicts.append((bname, verify(b, direction, lo, hi, cap=cap, threads=threads)))
+            verdicts.append((bname, verify(b, direction, lo, hi, cap=cap)))
 
     # primary verdict: a FAIL or AMBIGUOUS part if any, else the tightest margin
     def rank(item):
@@ -303,7 +303,7 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, li
         sf = p["sub_fail"]
         b = registry[p["bound"]]
         direction = Direction(p["direction"])
-        v2 = verify(b, direction, int(sf["lo"]), int(sf["hi"]), cap=cap, threads=threads)
+        v2 = verify(b, direction, int(sf["lo"]), int(sf["hi"]), cap=cap)
         if v2.status is not Status.FAIL or v2.witness != sf["expect_witness"]:
             problems.append(
                 f"expected FAIL at {sf['expect_witness']} on [{sf['lo']}, {sf['hi']}], "
@@ -321,15 +321,13 @@ def _run_range_check(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, li
             problems.append(f"{bname}({x}) = {got!r}, expected {expected} +/- {tol}")
 
     if "tail_shift" in p:
-        problems.extend(
-            _check_tail(registry, float(p["tail_shift"]), hi, cap=cap, threads=threads)
-        )
+        problems.extend(_check_tail(registry, float(p["tail_shift"]), hi, cap=cap))
 
     return (primary.status.value, primary.witness, primary.min_margin,
             primary.guard_at_witness), problems
 
 
-def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int) -> list[str]:
+def _check_tail(registry, shift: float, scan_hi: int, *, cap: int) -> list[str]:
     """The analytic tail of C2.
 
     Above t = exp(shift*c2/(c2-1)) -- the exact real solution of
@@ -348,15 +346,13 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     shifted = registry["pan_upper"]
     hi_pt = math.ceil(t)
     try:
-        flip = scan.analytic_crossover(shifted, registry["cheb_upper"], hi_pt - 1, hi_pt,
-                                       cap=cap, threads=threads)
+        flip = scan.analytic_crossover(shifted, registry["cheb_upper"], hi_pt - 1, hi_pt, cap=cap)
     except CrossoverNotFoundError:
         flip = None
     if flip is None or flip.threshold != hi_pt or flip.ambiguous_points:
         problems.append(f"shifted bound does not flip below the scaled bound exactly at {hi_pt}")
     tail_hi = max(scan_hi, min(cap, MILLION))
-    tail = scan.verify_pi(shifted, Direction.UPPER_STRICT, hi_pt, tail_hi,
-                          cap=cap, threads=threads)
+    tail = scan.verify_pi(shifted, Direction.UPPER_STRICT, hi_pt, tail_hi, cap=cap)
     if tail.status is not Status.PASS:
         problems.append(
             f"shifted bound not verified on the tail window [{hi_pt}, {tail_hi}]: "
@@ -365,13 +361,13 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int, threads: int)
     return problems
 
 
-def _run_crossover(claim: Claim, *, cap: int, threads: int) -> tuple[tuple, list[str]]:
+def _run_crossover(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
     p = claim.payload
     registry = builtin_bounds()
     f = registry[p["left"]]
     g = registry[p["right"]]
     try:
-        res = scan.analytic_crossover(f, g, int(p["lo"]), int(p["hi"]), cap=cap, threads=threads)
+        res = scan.analytic_crossover(f, g, int(p["lo"]), int(p["hi"]), cap=cap)
     except CrossoverNotFoundError as exc:
         return ("FAIL", None, None, None), [str(exc)]
     problems = []
@@ -415,18 +411,18 @@ def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
     return (verdict, None, min(slacks) if slacks else None, None), problems
 
 
-def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP, threads: int = 1) -> ClaimOutcome:
+def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP) -> ClaimOutcome:
     """Run one claim; SKIPPED (never a false MATCH) when the cap is too low."""
     start = time.perf_counter()
     # a runner returns the four fields it decided, verdict through
     # guard_at_witness, and its problems; the outcome is built here alone
     try:
         if claim.kind is ClaimKind.CROSSOVER:
-            decided, problems = _run_crossover(claim, cap=cap, threads=threads)
+            decided, problems = _run_crossover(claim, cap=cap)
         elif claim.kind is ClaimKind.CONSTANT_VALUE:
             decided, problems = _run_constant(claim)
         else:
-            decided, problems = _run_range_check(claim, cap=cap, threads=threads)
+            decided, problems = _run_range_check(claim, cap=cap)
         status = "MISMATCH" if problems else "MATCH"
     except ResourceLimitError as exc:
         decided, problems, status = (None, None, None, None), [str(exc)], "SKIPPED"
@@ -438,7 +434,14 @@ def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP, threads: int = 1) -> Clai
 def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,
             threads: int = 1) -> Report:
     """Run selected claims (all by default) in registry order; an empty
-    selection is an error, not a vacuous match."""
+    selection is an error, not a vacuous match.
+
+    Every scan runs on the calling thread.  threads is kept only for callers
+    that still pass threads=1, and any other value is refused; the next change
+    to the benchmark removes it (ROADMAP item 2).
+    """
+    if threads != 1:
+        raise ValueError(f"scans run on one thread; threads must be 1, got {threads}")
     start = time.perf_counter()
     registry = builtin_claims()
     valid = [c.id for c in registry]
@@ -451,7 +454,7 @@ def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,
         selected = [c for c in registry if c.id in wanted]
     else:
         selected = registry
-    outcomes = [run_claim(c, cap=cap, threads=threads) for c in selected]
+    outcomes = [run_claim(c, cap=cap) for c in selected]
     total = time.perf_counter() - start
     return Report(
         config={"cap": cap, "guard_policy": GUARD_POLICY},

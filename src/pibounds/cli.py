@@ -35,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="scan cap (default %(default)s)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans, at most one per segment of "
-                             "2^20 integers; each splits one frontier over its run "
-                             "of segments; 0 = one per core (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pi = sub.add_parser("pi", help="prime count pi(floor(x))")
@@ -140,8 +136,7 @@ def _cmd_bound(args) -> int:
 def _cmd_scan(args) -> int:
     b = _lookup_bound(args.bound)
     direction = Direction(args.dir)
-    verdict = scan.verify_pi(b, direction, args.start, args.end,
-                             cap=args.cap, threads=args.threads)
+    verdict = scan.verify_pi(b, direction, args.start, args.end, cap=args.cap)
     print(
         f"{verdict.status.value} witness={verdict.witness} "
         f"min_margin={verdict.min_margin!r} points={verdict.points_checked} "
@@ -153,8 +148,7 @@ def _cmd_scan(args) -> int:
 def _cmd_crossover(args) -> int:
     f = _lookup_bound(args.left)
     g = _lookup_bound(args.right)
-    res = scan.analytic_crossover(f, g, args.start, args.end,
-                                  cap=args.cap, threads=args.threads)
+    res = scan.analytic_crossover(f, g, args.start, args.end, cap=args.cap)
     print(
         f"threshold={res.threshold} last_failure={res.last_failure} "
         f"sign_changes={res.sign_changes} ambiguous={len(res.ambiguous_points)}"
@@ -166,7 +160,7 @@ def _cmd_verify(args) -> int:
     ids = None
     if args.claim_ids is not None:
         ids = [t.strip() for t in args.claim_ids.split(",") if t.strip()]
-    report = claims.run_all(ids, cap=args.cap, threads=args.threads)
+    report = claims.run_all(ids, cap=args.cap)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -217,8 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 0:
             raise DomainError(f"--cap must be >= 0, got {args.cap}")
         primes.check_cap(args.cap)
-        if args.threads < 0:
-            raise DomainError(f"--threads must be >= 0, got {args.threads}")
         return handlers[args.command](args)
     except (DomainError, UnknownNameError, ConfigurationError,
             ResourceLimitError, MonotonicityError, ValueError) as exc:

@@ -220,10 +220,8 @@ def _flags(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _primes_in(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The primes in [lo, hi] as an ascending int64 array: 2 where it lies in
     range, and the set odd bits of the words."""
-    start = lo & ~63  # the first unpacked bit
-    bits = np.unpackbits(words[lo >> 6 : (hi >> 6) + 1].view(np.uint8), bitorder="little")
     first = lo | 1
-    found = np.flatnonzero(bits.view(bool)[first - start : hi - start + 1 : 2])
+    found = np.flatnonzero(_flags(words, first, hi)[::2])
     found *= 2
     found += first
     return np.concatenate(([2], found)) if lo <= 2 <= hi else found

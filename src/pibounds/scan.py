@@ -11,13 +11,13 @@ against the slab supremum.  Comparisons are guarded: a difference within the
 combined evaluation error bound (bound rounding + psi summation error; pi is
 exact) is reported AMBIGUOUS rather than silently decided either way.
 
-Brackets.  A worker's run of segments starts as pieces of STRETCH integer
-steps that share their ends, and a piece [a, b] is decided from the
-comparisons at its ends: every integer of it then classifies as its ends do,
-PASS or FAIL.  An undecided piece splits in halves; one of at most BASE_CASE
-steps, or all left once they hold at most STRETCH integers, are compared
-integer by integer.  A decided piece holds no ambiguous point or sign change,
-and its ends are compared.
+Brackets.  The range starts as pieces of STRETCH integer steps that share
+their ends, and a piece [a, b] is decided from the comparisons at its ends:
+every integer of it then classifies as its ends do, PASS or FAIL.  An
+undecided piece splits in halves; one of at most BASE_CASE steps, or all left
+once they hold at most STRETCH integers, are compared integer by integer.  A
+decided piece holds no ambiguous point or sign change, and its ends are
+compared.
 
 * An inequality or sandwich margin is hi - lo with hi and lo nondecreasing:
   the slab bound and f for an upper check, f and the slab bound for a lower
@@ -32,7 +32,7 @@ and its ends are compared.
   the same, stays below minus the guard.  This holds where the bound
   increases and its guard formula no longer falls, so a piece below
   floor(turn) + 2 or guard_increase_start is split.  A piece FAIL throughout
-  has failing ends, so FAIL is tried only once the worker has compared a
+  has failing ends, so FAIL is tried only once the scan has compared a
   negative margin.
 * A crossover bounds d = g - f by its chord: d >= min(d(a), d(b)) -
   M (b-a)^2 / 8 on [a, b], M = f.curvature(a) + g.curvature(a) bounding |d''|.
@@ -40,34 +40,29 @@ and its ends are compared.
   bounding the guard inside where both guard formulas rise, a piece whose
   lowest true d clears twice that guard is PASS throughout; mirrored, FAIL.
 
-Closest margin.  A worker keeps the smallest margin it has compared over its
-whole run, and a piece decided PASS is split anyway until its lower bound on
+Closest margin.  The scan keeps the smallest margin it has compared over the
+whole range, and a piece decided PASS is split anyway until its lower bound on
 the margins inside exceeds it (branch and bound over enclosures).  A piece
 so dropped holds no integer at or below the true minimum, so a PASS scan's
 closest integer was compared, ties going to the earlier one.  A piece decided
 FAIL, and a crossover, keep none: a FAIL verdict reports its last failure.
 
-Segments.  A range is cut into segments of SCAN_SEGMENT integers, and each
-worker thread takes a contiguous run of whole segments (one run by default)
-and splits one frontier of pieces over all of it: each level makes one
-margins call and one bracket call for the whole frontier.  SCAN_SEGMENT also
-caps the integers one level compares whole, its first whole piece always
-included; the whole pieces past the cap wait for the next level, so a call
-holds at most that many integers plus one middle per piece.  Each worker
-returns the integers it compared, in order, with their diffs and guards, and
-the range is classified once from them all.  Between two neighbouring
-compared integers lies the inside of one decided piece, so the integers
-there fail when both neighbours fail and pass otherwise: counts add the gaps
-between failing neighbours, and the last failure, sign changes and ambiguous
-points are those of the compared integers.  So no verdict depends on how the
-range is split or threaded.
+Segments.  One frontier of pieces is split over the whole range: each level
+makes one margins call and one bracket call for the whole frontier.
+SCAN_SEGMENT caps the integers one level compares whole, its first whole
+piece always included; the whole pieces past the cap wait for the next level,
+so a call holds at most that many integers plus one middle per piece.  The
+range is classified once from the integers compared, in order, with their
+diffs and guards.  Between two neighbouring compared integers lies the inside
+of one decided piece, so the integers there fail when both neighbours fail
+and pass otherwise: counts add the gaps between failing neighbours, and the
+last failure, sign changes and ambiguous points are those of the compared
+integers.  So no verdict depends on how the range is split.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,8 +73,8 @@ from .bounds import BoundExpr, evaluate
 from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
-SCAN_SEGMENT = 1 << 20  # integers per unit of threading, and compared whole per level
-STRETCH = 1 << 10  # integer steps per starting piece of a worker's run
+SCAN_SEGMENT = 1 << 20  # integers compared whole per level, at most
+STRETCH = 1 << 10  # integer steps per starting piece of the range
 BASE_CASE = 1 << 5  # integer steps of the widest piece compared integer by integer
 
 _EPS = np.finfo(np.float64).eps
@@ -190,75 +185,58 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
     )
 
 
-def _scan(margins, bracket, lo: int, hi: int, threads: int) -> _Summary:
-    """Summary of [lo, hi]; threads <= 0 means one worker per core.
+def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
+    """Summary of [lo, hi].
 
     margins(ns) gives one column per integer of ns: the diff and the guard of
     its comparison, then the rows that bracket reads.  bracket(a, b, at_a,
     at_b, best) gives, for the pieces [a[i], b[i]] and their ends' columns,
     whether every integer of each classifies as its ends do, and a lower bound
     on their diffs, inf where none is needed; best is the smallest diff the
-    worker has compared (see Brackets and Closest margin).  Each worker splits
-    one frontier of pieces over its run of segments, and compares at most
-    SCAN_SEGMENT integers whole a level (see Segments).
+    scan has compared (see Brackets and Closest margin).  One frontier of
+    pieces is split over the whole range, and at most SCAN_SEGMENT integers
+    are compared whole a level (see Segments).
     """
-    def run(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The integers of span = (s, e) compared over [s, e], ascending, and
-        their diff and guard rows."""
-        s, e = span
-        new = np.append(np.arange(s, e, STRETCH, dtype=np.int64), e)
-        rows = margins(new)
-        a, b, at_a, at_b = new[:-1], new[1:], rows[:, :-1], rows[:, 1:]
-        ns, cols, best = [new], [rows[:2]], rows[0].min()  # best: smallest margin compared
-        while a.size:
-            decided, low = bracket(a, b, at_a, at_b, best)
-            keep = np.flatnonzero(~(decided & (low > best)))
+    new = np.append(np.arange(lo, hi, STRETCH, dtype=np.int64), hi)
+    rows = margins(new)
+    a, b, at_a, at_b = new[:-1], new[1:], rows[:, :-1], rows[:, 1:]
+    ns, cols, best = [new], [rows[:2]], rows[0].min()  # best: smallest margin compared
+    while a.size:
+        decided, low = bracket(a, b, at_a, at_b, best)
+        keep = np.flatnonzero(~(decided & (low > best)))
+        a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
+        width = b - a
+        # narrow pieces, or all of them once they hold few integers, are compared whole
+        whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
+        inner = wait = a[:0]
+        if whole.any():
+            take = np.flatnonzero(whole)
+            counts = width[take] - 1  # the integers inside each whole piece
+            ends = np.cumsum(counts)
+            if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
+                fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
+                wait, take, counts, ends = take[fits:], take[:fits], counts[:fits], ends[:fits]
+            inner = np.repeat(a[take] + 1 - ends + counts, counts)
+            inner += np.arange(inner.size)
+            keep = np.concatenate((wait, np.flatnonzero(~whole)))  # then those to split
             a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
-            width = b - a
-            # narrow pieces, or all of them once they hold few integers, are compared whole
-            whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
-            inner = wait = a[:0]
-            if whole.any():
-                take = np.flatnonzero(whole)
-                counts = width[take] - 1  # the integers inside each whole piece
-                ends = np.cumsum(counts)
-                if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
-                    fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
-                    wait, take, counts, ends = take[fits:], take[:fits], counts[:fits], ends[:fits]
-                inner = np.repeat(a[take] + 1 - ends + counts, counts)
-                inner += np.arange(inner.size)
-                keep = np.concatenate((wait, np.flatnonzero(~whole)))  # then those to split
-                a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
-            w = wait.size
-            mid = (a[w:] + b[w:]) // 2
-            new = np.concatenate((inner, mid))
-            if not new.size:
-                break
-            rows = margins(new)
-            ns.append(new)
-            cols.append(rows[:2])
-            best = min(best, rows[0].min())
-            at_mid = rows[:, inner.size :]
-            a, b = np.concatenate((a, mid)), np.concatenate((b[:w], mid, b[w:]))
-            at_a = np.concatenate((at_a, at_mid), 1)
-            at_b = np.concatenate((at_b[:, :w], at_mid, at_b[:, w:]), 1)
-        ns = np.concatenate(ns)
-        order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
-        return ns[order], np.concatenate(cols, axis=1)[:, order]
-
-    segments = -(-(hi - lo + 1) // SCAN_SEGMENT)
-    workers = min(segments, threads if threads > 0 else os.cpu_count() or 1)
-    # worker i takes [cuts[i], cuts[i + 1] - 1], a run of whole segments
-    cuts = [lo + segments * i // workers * SCAN_SEGMENT for i in range(workers + 1)]
-    runs = [(s, min(e - 1, hi)) for s, e in zip(cuts, cuts[1:])]
-    if workers <= 1:
-        parts = [run(runs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, runs))
-    ns, cols = zip(*parts)
-    diff, guard = np.concatenate(cols, axis=1)
-    return _classify(diff, guard, np.concatenate(ns))
+        w = wait.size
+        mid = (a[w:] + b[w:]) // 2
+        new = np.concatenate((inner, mid))
+        if not new.size:
+            break
+        rows = margins(new)
+        ns.append(new)
+        cols.append(rows[:2])
+        best = min(best, rows[0].min())
+        at_mid = rows[:, inner.size :]
+        a, b = np.concatenate((a, mid)), np.concatenate((b[:w], mid, b[w:]))
+        at_a = np.concatenate((at_a, at_mid), 1)
+        at_b = np.concatenate((at_b[:, :w], at_mid, at_b[:, w:]), 1)
+    ns = np.concatenate(ns)
+    order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
+    diff, guard = np.concatenate(cols, axis=1)[:, order]
+    return _classify(diff, guard, ns[order])
 
 
 def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
@@ -319,7 +297,7 @@ def _check_range(lo: int, hi: int, cap: int) -> None:
 
 
 def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
-                     *, use_psi: bool, cap: int, threads: int) -> _Summary:
+                     *, use_psi: bool, cap: int) -> _Summary:
     _check_range(lo, hi, cap)
     b.check_domain(lo)
     try:
@@ -360,7 +338,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         guard[:] = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
         return rows
 
-    return _scan(margins, _monotone(start), lo, hi, threads)
+    return _scan(margins, _monotone(start), lo, hi)
 
 
 def _to_verdict(out: _Summary) -> Verdict:
@@ -374,37 +352,37 @@ def _to_verdict(out: _Summary) -> Verdict:
 
 
 def verify_pi(b: BoundExpr, direction: Direction, lo: int, hi: int,
-              *, cap: int = DEFAULT_CAP, threads: int = 1) -> Verdict:
+              *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the pi inequality over real x in [lo, hi+1) by integer reduction."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap, threads=threads)
+    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
     return _to_verdict(out)
 
 
 def verify_psi(b: BoundExpr, direction: Direction, lo: int, hi: int,
-               *, cap: int = DEFAULT_CAP, threads: int = 1) -> Verdict:
+               *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the psi inequality over real x in [lo, hi+1); guards include psi's
     accumulated summation error."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=True, cap=cap, threads=threads)
+    out = _scan_inequality(b, direction, lo, hi, use_psi=True, cap=cap)
     return _to_verdict(out)
 
 
 def last_violation(b: BoundExpr, direction: Direction, lo: int, hi: int,
-                   *, cap: int = DEFAULT_CAP, threads: int = 1) -> CrossoverResult:
+                   *, cap: int = DEFAULT_CAP) -> CrossoverResult:
     """Largest violating integer in range and the threshold right after it."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap, threads=threads)
+    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
     threshold = out.last_fail + 1 if out.last_fail is not None else lo
     return CrossoverResult(threshold, out.last_fail, out.state_changes, out.ambiguous)
 
 
 def count_violations(b: BoundExpr, direction: Direction, lo: int, hi: int,
-                     *, cap: int = DEFAULT_CAP, threads: int = 1) -> int:
+                     *, cap: int = DEFAULT_CAP) -> int:
     """Number of definitely violating integers in range."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap, threads=threads)
+    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
     return out.fail_count
 
 
 def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
-                       *, cap: int = DEFAULT_CAP, threads: int = 1) -> CrossoverResult:
+                       *, cap: int = DEFAULT_CAP) -> CrossoverResult:
     """Smallest n in [lo, hi] with f(n) <= g(n) for every scanned point onward.
 
     Pure expression comparison; no prime data involved.  Every integer is
@@ -426,7 +404,7 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
         diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
         return np.stack((diff, fe + ge))
 
-    out = _scan(margins, _chord(f, g), lo, hi, threads)
+    out = _scan(margins, _chord(f, g), lo, hi)
     if out.last_fail is None:
         return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
     if out.last_fail >= hi:
@@ -436,7 +414,7 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
     return CrossoverResult(out.last_fail + 1, out.last_fail, out.state_changes, out.ambiguous)
 
 
-def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 1) -> Verdict:
+def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check psi(n) <= pi(n)*log(n) <= 2*psi(n) at every integer in [lo, hi].
 
     Comparisons are non-strict.  At n=2 both sides of the lower comparison are
@@ -457,7 +435,7 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP, threads: int = 
         diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2
         return np.stack((diff, guard, guard, pi_log, 2.0 * psi_vals, psi_vals, pi_log))
 
-    return _to_verdict(_scan(margins, _monotone(2), lo, hi, threads))
+    return _to_verdict(_scan(margins, _monotone(2), lo, hi))
 
 
 def exp_threshold(m: float, C: float) -> float:

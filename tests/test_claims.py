@@ -100,16 +100,14 @@ class TestRunClaim:
         assert out.status == "MISMATCH"
 
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
-        assert _check_tail(builtin_bounds(), 1.11, 112006, cap=primes.DEFAULT_CAP,
-                           threads=1) == []
+        assert _check_tail(builtin_bounds(), 1.11, 112006, cap=primes.DEFAULT_CAP) == []
 
     @pytest.mark.parametrize("shift", [1.10, 1.12])
     def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift):
         # t moves by about 1e4 either way; the scan end covers it and the shifted
         # bound holds past it, so only the flip check can fail
         hi_pt = math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1]))
-        problems = _check_tail(builtin_bounds(), shift, 200_000, cap=primes.DEFAULT_CAP,
-                               threads=1)
+        problems = _check_tail(builtin_bounds(), shift, 200_000, cap=primes.DEFAULT_CAP)
         assert problems == [
             f"shifted bound does not flip below the scaled bound exactly at {hi_pt}"
         ]
@@ -182,6 +180,13 @@ class TestRunAll:
         assert "no claim ids" in str(err.value)
         assert "C13" in str(err.value)
 
+    def test_only_one_thread_is_accepted(self):
+        # scans run on the calling thread, so no other count may seem to buy parallelism
+        for threads in (0, 2):
+            with pytest.raises(ValueError, match="threads must be 1"):
+                run_all(["C3"], threads=threads)
+        assert run_all(["C3"], threads=1).all_match
+
 
 class TestReportSerialization:
     def test_json_schema_keys_and_order(self):
@@ -214,10 +219,8 @@ class TestReportSerialization:
         ids = ["C1", "C3", "C4", "C13", "C15"]
         assert scrub(run_all(ids)) == scrub(run_all(ids))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_full_report_matches_the_pinned_reference(self, full_report, threads):
-        report = full_report if threads == 1 else run_all(threads=threads)
-        obj = report.to_json_obj()
+    def test_full_report_matches_the_pinned_reference(self, full_report):
+        obj = full_report.to_json_obj()
         for entry in obj["claims"]:
             entry["elapsed_ms"] = 0
         assert json.dumps(obj, indent=2) + "\n" == PINNED.read_text()

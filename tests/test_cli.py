@@ -167,7 +167,7 @@ class TestVerify:
         assert code == 0
         assert "C1" in out and "C15" in out and "all_match: true" in out
 
-    def test_threads_do_not_change_output(self, capsys):
+    def test_reruns_give_identical_output(self, capsys):
         def scrubbed(*argv):
             code, out, _ = run(capsys, *argv)
             obj = json.loads(out)
@@ -175,8 +175,8 @@ class TestVerify:
                 e["elapsed_ms"] = 0
             return code, json.dumps(obj)
 
-        a = scrubbed("--threads", "1", "verify", "--claims", "C5,C13", "--format", "json")
-        b = scrubbed("--threads", "8", "verify", "--claims", "C5,C13", "--format", "json")
+        a = scrubbed("verify", "--claims", "C5,C13", "--format", "json")
+        b = scrubbed("verify", "--claims", "C5,C13", "--format", "json")
         assert a == b
 
 
@@ -254,11 +254,6 @@ class TestEdgeInputs:
         err = self.rejected(capsys, "--cap", cap, "pi", x)
         assert f"MAX_CAP = {primes.MAX_CAP}" in err
 
-    def test_negative_threads(self, capsys):
-        assert "--threads" in self.rejected(capsys, "--threads", "-1", "scan", "--bound",
-                                            "cheb_upper", "--dir", "upper",
-                                            "--from", "96098", "--to", "96200")
-
     @pytest.mark.parametrize("method", ["auto", "legendre", "sieve"])
     def test_pi_far_above_the_cap(self, capsys, method):
         assert "cap" in self.rejected(capsys, "pi", "1e30", "--method", method)
@@ -284,7 +279,7 @@ class TestEdgeInputs:
 
     def test_crossover_beyond_the_cap(self, capsys):
         # without the cap check this scans 1e12 integers
-        assert "cap" in self.rejected(capsys, "--threads", "1", "crossover",
+        assert "cap" in self.rejected(capsys, "crossover",
                                       "--left", "dusart_upper", "--right", "pan_upper",
                                       "--from", "30", "--to", "1000000000000")
 
@@ -313,8 +308,12 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
-    def test_scans_take_one_thread_by_default(self):
-        assert build_parser().parse_args(["verify"]).threads == 1
+    def test_the_threads_option_is_gone(self, capsys):
+        # scans run on the calling thread; no option chooses otherwise
+        assert not hasattr(build_parser().parse_args(["verify"]), "threads")
+        assert run(capsys, "--threads", "1", "verify")[0] == 2
+        assert run(capsys, "--threads", "-1", "scan", "--bound", "cheb_upper", "--dir",
+                   "upper", "--from", "96098", "--to", "96200")[0] == 2
 
     def test_failed_parse_leaves_the_parser_usable(self, capsys):
         assert run(capsys, "psi")[0] == 2

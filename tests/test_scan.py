@@ -286,80 +286,67 @@ class TestDeterminism:
         b = verify_pi(registry["cheb_upper"], U, 96000, 112006)
         assert a == b
 
-    def test_threads_do_not_change_verdicts(self, registry):
-        a = verify_pi(registry["unit_lower"], L, 17, 3 * 10**6, threads=1)
-        b = verify_pi(registry["unit_lower"], L, 17, 3 * 10**6, threads=8)
-        assert a == b
-
     def test_segmentation_independence(self, registry, monkeypatch):
         a = verify_pi(registry["cheb_upper"], U, 90000, 112006)
         monkeypatch.setattr(scan, "SCAN_SEGMENT", 1111)
         b = verify_pi(registry["cheb_upper"], U, 90000, 112006)
         assert a == b
 
-    def test_crossover_threads(self, registry):
-        f, g = registry["dusart_upper"], registry["pan_upper"]
-        assert analytic_crossover(f, g, 30, 50000, threads=1) == analytic_crossover(
-            f, g, 30, 50000, threads=6
-        )
 
-
-def with_small_blocks(monkeypatch, scan_call, threads=(1, 2)):
-    """scan_call(threads) with the default segments and pieces, and the results
-    with small segments, starting pieces and base case (pieces cut every
-    segment, and their halves cut runs)."""
-    default = scan_call(1)
+def with_small_blocks(monkeypatch, scan_call):
+    """scan_call() with the default segment cap and pieces, and its result with
+    a small cap, starting pieces and base case."""
+    default = scan_call()
     monkeypatch.setattr(scan, "SCAN_SEGMENT", 1111)
     monkeypatch.setattr(scan, "STRETCH", 97)
     monkeypatch.setattr(scan, "BASE_CASE", 5)
-    return default, [scan_call(t) for t in threads]
+    return default, scan_call()
 
 
 class TestBlockIndependence:
-    """Neither the thread segment nor the piece widths change a result."""
+    """Neither the segment cap nor the piece widths change a result."""
 
     def test_crossover_c13(self, registry, monkeypatch):
         f, g = registry["dusart_upper"], registry["pan_upper"]
         default, small = with_small_blocks(
-            monkeypatch, lambda t: analytic_crossover(f, g, 30, 50000, threads=t))
+            monkeypatch, lambda: analytic_crossover(f, g, 30, 50000))
         assert default.threshold == 28516 and default.sign_changes == 1
-        assert small == [default, default]
+        assert small == default
 
     def test_sandwich(self, monkeypatch):
         default, small = with_small_blocks(
-            monkeypatch, lambda t: verify_sandwich(2, 200_000, threads=t))
+            monkeypatch, lambda: verify_sandwich(2, 200_000))
         assert default.status is Status.PASS
-        assert small == [default, default]
+        assert small == default
 
     @pytest.mark.parametrize("name, direction", [("psi_upper", U), ("psi_lower", L)])
     def test_psi(self, registry, monkeypatch, name, direction):
         b = registry[name]
         default, small = with_small_blocks(
-            monkeypatch, lambda t: verify_psi(b, direction, 30, 200_000, threads=t))
+            monkeypatch, lambda: verify_psi(b, direction, 30, 200_000))
         assert default.status is Status.PASS
-        assert small == [default, default]
+        assert small == default
 
     def test_c8b_violations(self, registry, monkeypatch):
         b = registry["pan_upper"]
 
-        def both(t):
-            return (last_violation(b, U, 4, 100_000, threads=t),
-                    count_violations(b, U, 4, 100_000, threads=t))
+        def both():
+            return last_violation(b, U, 4, 100_000), count_violations(b, U, 4, 100_000)
 
         default, small = with_small_blocks(monkeypatch, both)
         assert default[0].last_failure == 24254 and default[1] == 19
-        assert small == [default, default]
+        assert small == default
 
     def test_segment_edges_through_failures_change_no_result(self, registry, monkeypatch):
-        # cheb_upper fails on most runs below 96098, so segment edges cut
-        # through failures and sign changes
+        # cheb_upper fails on most runs below 96098, so a cap of 97 integers
+        # compared whole a level leaves failures and sign changes for later levels
         b = registry["cheb_upper"]
 
         def results():
             return (verify_pi(b, U, 30, 120_000), last_violation(b, U, 30, 120_000),
                     count_violations(b, U, 30, 120_000))
 
-        whole = results()  # one segment
+        whole = results()  # the default cap
         assert whole[1].sign_changes > 100
         monkeypatch.setattr(scan, "SCAN_SEGMENT", 97)
         assert results() == whole
@@ -382,45 +369,6 @@ class TestBlockIndependence:
         diff = np.array([-2.0, -2.0, 2.0, 2.0, -2.0])
         out = scan._classify(diff, np.ones(ns.size), ns)
         assert (out.points, out.fail_count, out.state_changes) == (20, 6, 2)
-
-
-class TestWorkers:
-    """Workers are capped by the segment count; no threads start here."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(scan, "SCAN_SEGMENT", 1000)
-        return sizes
-
-    def test_many_threads_start_one_worker_per_segment(self, registry, pools):
-        v = verify_pi(registry["unit_lower"], L, 17, 3016, threads=10**6)
-        assert pools == [3]
-        assert v == verify_pi(registry["unit_lower"], L, 17, 3016, threads=1)
-
-    def test_auto_starts_at_most_one_worker_per_core(self, registry, pools, monkeypatch):
-        monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
-        verify_pi(registry["unit_lower"], L, 17, 10_016, threads=0)
-        assert pools == [2]
-
-    def test_one_segment_runs_inline(self, registry, pools):
-        verify_pi(registry["unit_lower"], L, 17, 1016, threads=0)
-        assert pools == []
 
 
 class TestConcurrency:

@@ -95,13 +95,12 @@ def scans(draw):
 
 @st.composite
 def cuts(draw, size):
-    """Segment, starting piece and base case widths, and a thread count."""
-    # at most ~500 segments per scan keep the run time bounded
+    """Segment cap, starting piece and base case widths."""
+    # a cap of at least 1/500 of the range keeps the levels, and the run time, bounded
     segment = max(-(-size // 500), draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
     stretch = draw(st.sampled_from([1, 2, 5, 97, 1 << 10]))
     base = draw(st.sampled_from([1, 2, 5, 32, 97]))
-    threads = draw(st.sampled_from([1, 2]))
-    return segment, stretch, base, threads
+    return segment, stretch, base
 
 
 def cut(mp, segment, stretch, base):
@@ -113,23 +112,23 @@ def cut(mp, segment, stretch, base):
 @settings(max_examples=60, deadline=None)
 @given(scans())
 def test_pi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, stretch, base, threads = case
+    b, direction, lo, hi, segment, stretch, base = case
     verdict, count, last = per_integer(b, direction, lo, hi, use_psi=False)
     with pytest.MonkeyPatch.context() as mp:
         cut(mp, segment, stretch, base)
-        assert verify_pi(b, direction, lo, hi, threads=threads) == verdict
-        assert count_violations(b, direction, lo, hi, threads=threads) == count
-        assert last_violation(b, direction, lo, hi, threads=threads) == last
+        assert verify_pi(b, direction, lo, hi) == verdict
+        assert count_violations(b, direction, lo, hi) == count
+        assert last_violation(b, direction, lo, hi) == last
 
 
 @settings(max_examples=40, deadline=None)
 @given(scans())
 def test_psi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, stretch, base, threads = case
+    b, direction, lo, hi, segment, stretch, base = case
     verdict, _, _ = per_integer(b, direction, lo, hi, use_psi=True)
     with pytest.MonkeyPatch.context() as mp:
         cut(mp, segment, stretch, base)
-        assert verify_psi(b, direction, lo, hi, threads=threads) == verdict
+        assert verify_psi(b, direction, lo, hi) == verdict
 
 
 def sandwich_per_integer(lo, hi):
@@ -168,11 +167,11 @@ def sandwiches(draw):
 @settings(max_examples=40, deadline=None)
 @given(sandwiches())
 def test_sandwich_matches_per_integer_reference(case):
-    lo, hi, segment, stretch, base, threads = case
+    lo, hi, segment, stretch, base = case
     expected = sandwich_per_integer(lo, hi)
     with pytest.MonkeyPatch.context() as mp:
         cut(mp, segment, stretch, base)
-        assert verify_sandwich(lo, hi, threads=threads) == expected
+        assert verify_sandwich(lo, hi) == expected
 
 
 @pytest.mark.parametrize("name, direction, lo, hi", [
@@ -214,9 +213,9 @@ def crossover_per_integer(f, g, lo, hi):
     return CrossoverResult(fails[-1] + 1, fails[-1], changes, ambiguous)
 
 
-def crossover_or_none(f, g, lo, hi, threads=1):
+def crossover_or_none(f, g, lo, hi):
     try:
-        return analytic_crossover(f, g, lo, hi, threads=threads)
+        return analytic_crossover(f, g, lo, hi)
     except CrossoverNotFoundError:
         return None
 
@@ -235,11 +234,11 @@ def crossovers(draw):
 @settings(max_examples=60, deadline=None)
 @given(crossovers())
 def test_crossovers_match_per_integer_reference(case):
-    f, g, lo, hi, segment, stretch, base, threads = case
+    f, g, lo, hi, segment, stretch, base = case
     expected = crossover_per_integer(f, g, lo, hi)
     with pytest.MonkeyPatch.context() as mp:
         cut(mp, segment, stretch, base)
-        assert crossover_or_none(f, g, lo, hi, threads) == expected
+        assert crossover_or_none(f, g, lo, hi) == expected
 
 
 # d = g - f = 0.001 x - log x + c is convex with its minimum -1e-6 at x = 1000,
@@ -349,8 +348,7 @@ def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
     assert len(calls) <= 120  # one frontier per segment made 166
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch, threads):
+def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch):
     # with the starting pieces compared whole, pan_upper's check over
     # [4, 50003] (C8b's) would compare almost every integer at its first
     # level; SCAN_SEGMENT caps the integers one level compares whole
@@ -359,7 +357,7 @@ def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch, thr
     monkeypatch.setattr(scan, "BASE_CASE", scan.STRETCH)
     monkeypatch.setattr(scan, "SCAN_SEGMENT", 1000)
     calls = kernel_calls(b)
-    assert verify_pi(b, Direction.UPPER_STRICT, lo, hi, threads=threads) == expected
+    assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == expected
     pieces = -(-(hi - lo) // scan.STRETCH)  # the starting pieces
     assert sum(xs.size for xs in calls) > 2 * 40_000  # most integers compared whole
     assert max(xs.size for xs in calls) <= 2 * (1000 + pieces)
