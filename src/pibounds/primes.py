@@ -9,17 +9,19 @@ Point queries past the sieve cap run Legendre's sieve bottom-up over the
 O(sqrt x) distinct values of x // k (Lucy_Hedgehog's method), with the primes
 up to sqrt(x) taken from the sieve.  psi is one table: log(p) at every prime
 power p^k in ascending order, each prefix their sum correctly rounded from an
-exact integer sum, read through a rank directory of the prime powers; every
-psi value carries a conservative bound on its rounding error.  The table is
-filled a segment at a time, into arrays of its final size: the segment's
-primes from the odd bits of the words, with its few higher powers p^k (vector
-powers of the primes up to sqrt(limit)) inserted in order, and the exact sum
-carried from segment to segment, so its build peaks a few MB above the table.
+exact integer sum; every psi value carries a conservative bound on its
+rounding error.  psi(n) is the prefix at the rank of n among the prime powers:
+pi(n) from the rank directory plus the count of the few higher powers p^k
+(k >= 2) up to n, which the table keeps in order.  The table is filled a
+segment at a time, into arrays of its final size: the segment's primes from
+the odd bits of the words, with its higher powers (vector powers of the primes
+up to sqrt(limit)) inserted in order, and the exact sum carried from segment
+to segment, so its build peaks a few MB above the table.
 All of these tables live in one store, by name, which counts their builds,
 growths and hits.  When a larger limit is asked for, the words continue their
 segment chain from their old end, a word boundary, and the psi table its exact
-sum, so every prefix equals a fresh build bit for bit; the psi rank directory
-is built again from the grown tables.
+sum and its list of higher powers, so every prefix equals a fresh build bit
+for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
@@ -35,14 +38,14 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
-# The largest cap accepted.  Tables sized from the cap hold about 0.5 bytes per
-# integer up to it (0.25 in the prime words and their counts, 0.25 in the psi
-# rank directory) and 12 bytes per prime power in psi_steps (an int32 position,
-# as MAX_CAP < 2**31, and a float64 prefix; 0.6 GB for the 50.8 million up to
-# 10**9), so at 10**9 they take about 1.1 GB.  Their builds fill them a
-# segment at a time and sum the directories' counts in place, so a build peaks
-# a few MB (one segment's arrays) above what it keeps; a growth also holds the
-# old table until the new one replaces it.
+# The largest cap accepted.  Tables sized from the cap hold about 0.25 bytes
+# per integer up to it (the prime words and their counts) and 12 bytes per
+# prime power in psi_steps (an int32 position, as MAX_CAP < 2**31, and a
+# float64 prefix; 0.6 GB for the 50.8 million up to 10**9), so at 10**9 they
+# take about 0.86 GB.  Their builds fill them a segment at a time and sum the
+# directory's counts in place, so a build peaks a few MB (one segment's
+# arrays) above what it keeps; a growth also holds the old table until the new
+# one replaces it.
 # A Legendre query holds three int64 arrays of isqrt(x) entries, 2.4 GB at
 # LEGENDRE_MAX_ROOT, whatever the cap.
 MAX_CAP = 10**9
@@ -67,7 +70,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take about 1.1 GB"
+            f"tables take about 0.86 GB"
         )
     if n > cap:
         raise ResourceLimitError(
@@ -170,18 +173,9 @@ def _cached(name: str, limit: int, build):
 
 def table_stats() -> dict[str, dict[str, int]]:
     """Per table name: how often it was built from nothing, grown and found
-    covering the limit asked for, and the bytes its arrays hold now (the psi
-    prefix sums, which the psi rank directory shares, count under both)."""
+    covering the limit asked for, and the bytes its arrays hold now."""
     with _lock:
         return {name: dict(stats) for name, stats in _stats.items()}
-
-
-def _before(words: np.ndarray) -> np.ndarray:
-    """The count of set bits below each word, as int64, summed in place."""
-    before = np.empty(words.size, dtype=np.int64)
-    before[:1] = 0
-    before[1:] = np.bitwise_count(words[:-1])
-    return np.cumsum(before, out=before)
 
 
 # _LOW_MASKS[b] keeps bits 0..b of a word
@@ -206,7 +200,10 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
             if lo == 0:  # the clear bits of 0 and 1
                 flags = np.concatenate((np.zeros(2, dtype=np.uint8), flags))
             words[lo >> 6 : (hi >> 6) + 1] = np.packbits(flags, bitorder="little").view("<u8")
-        return top, (words, _before(words))
+        before = np.empty(words.size, dtype=np.int64)  # summed in place
+        before[:1] = 0
+        before[1:] = np.bitwise_count(words[:-1])
+        return top, (words, np.cumsum(before, out=before))
 
     return _cached("rank", limit, build)
 
@@ -259,25 +256,14 @@ def pi_lookup(limit: int):
     return _counter(*_rank(limit))
 
 
-def _psi_rank(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(words, before, sums) for 0..limit: the prime words with the bits of the
-    higher prime powers set too, the count of prime powers below each word,
-    and the psi table's prefix sums, which sums[count] reads."""
-    def build(limit: int, old) -> tuple[int, tuple]:
-        psi_steps(limit)  # the psi table, built through its public name
-        higher, _ = _higher_powers(2, limit)
-        words = _rank(limit)[0][: (limit >> 6) + 1].copy()
-        np.bitwise_or.at(words, higher >> 6, np.uint64(1) << (higher & 63).astype(np.uint64))
-        return limit, (words, _before(words), _psi_table(limit)[1])
-
-    return _cached("psi_rank", limit, build)
-
-
 def psi_lookup(limit: int):
-    """psi over int64 arrays of n <= limit, read from the psi rank directory."""
-    words, before, sums = _psi_rank(limit)
-    count = _counter(words, before)
-    return lambda ns: sums[count(ns)]
+    """psi over int64 arrays of n <= limit: the psi table's prefix sum at the
+    rank of n among the prime powers, pi(n) from the rank directory plus the
+    higher powers up to n."""
+    _, sums, _, higher = _psi_table(limit)
+    pi_of = pi_lookup(limit)
+    higher = np.array(higher, dtype=np.int64)  # once per lookup, not per call
+    return lambda ns: sums[pi_of(ns) + np.searchsorted(higher, ns, side="right")]
 
 
 def cumulative_pi(limit: int) -> np.ndarray:
@@ -379,7 +365,8 @@ class PsiValue:
 
 
 def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
-    """psi(x): the psi_steps prefix at the rank of x among the prime powers."""
+    """psi(x): the psi_steps prefix at the rank of x among the prime powers,
+    pi(x) from the rank directory plus the higher powers up to x."""
     if not 0 <= x < math.inf:
         raise ValueError(f"psi_at requires a finite x >= 0, got {x}")
     n = int(x)
@@ -387,9 +374,11 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
     check_cap(cap, n, "psi_at argument")
-    words, before, sums = _psi_rank(n)
-    i = n >> 6  # _counter at one n, in Python ints
-    count = before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
+    _, sums, _, higher = _psi_table(n)
+    words, before = _rank(n)
+    i = n >> 6  # _counter at one n, in Python ints, and the higher powers up to n
+    count = (before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
+             + bisect_right(higher, n))
     total = sums.item(count)
     return PsiValue(n, total, count, PSI_ERR_FACTOR * total)
 
@@ -418,16 +407,19 @@ def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:
     return sums, total
 
 
-def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(pos, sums, total): the prime powers up to limit or beyond, ascending;
-    sums[r] the correctly rounded sum of the float terms log p of the first r
-    of them (sums[0] = 0); and their exact total, in units of 2**-53."""
+def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
+    """(pos, sums, total, higher): the prime powers up to limit or beyond,
+    ascending; sums[r] the correctly rounded sum of the float terms log p of
+    the first r of them (sums[0] = 0); their exact total, in units of 2**-53;
+    and the higher powers p^k (k >= 2) among them, an ascending list of ints
+    (bisect reads a list faster than an array), so that the rank of n among
+    the prime powers is pi(n) plus the count of higher powers up to n."""
     def build(limit: int, old) -> tuple[int, tuple]:
         # a grown table appends the prime powers past the old end and carries
         # on from the exact total of the terms before them.  The new range is
         # walked a segment at a time, into arrays of the exact final size: the
         # segment's primes, with its few higher powers inserted in order
-        done, (pos, sums, total) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0))
+        done, (pos, sums, total, earlier) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0, []))
         words, before = _rank(limit)
         higher, higher_logs = _higher_powers(done + 1, limit)
         primes_to_done, primes_to_limit = _counter(words, before)(np.array([done, limit])).tolist()
@@ -448,7 +440,7 @@ def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
             pos[at:end] = np.insert(found, where, higher[taken:upto])
             sums[at + 1 : end + 1], total = _prefix_sums(terms, total)
             at, taken = end, upto
-        return limit, (pos, sums, total)
+        return limit, (pos, sums, total, earlier + higher.tolist())
 
     return _cached("psi_steps", limit, build)
 
@@ -456,7 +448,7 @@ def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int]:
 def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): psi at every prime power <= limit, each value the
     correctly rounded sum of the float terms log p up to its position."""
-    pos, sums, _ = _psi_table(limit)
+    pos, sums, _, _ = _psi_table(limit)
     # an int32 key: a Python int would have numpy cast all of pos to int64
     keep = int(np.searchsorted(pos, np.int32(limit), side="right"))
     return pos[:keep], sums[1 : keep + 1]

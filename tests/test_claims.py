@@ -284,17 +284,16 @@ class TestGuardAtWitness:
 
 
 class TestColdRun:
-    """A cold run_all() grows the prime words, psi_steps and the psi rank
-    directory and builds no dense table."""
+    """A cold run_all() grows the prime words, builds psi_steps once and reads
+    it again, and builds no other table."""
 
     def test_tables_grow_and_none_is_rebuilt_from_zero(self):
         primes.clear_caches()
         assert run_all().outcomes[-1].claim.id == "C15"
         stats = primes.table_stats()
         assert stats["rank"]["builds"] == 1 and stats["rank"]["growths"] >= 1
-        assert stats["psi_steps"]["builds"] == 1
-        assert stats["psi_rank"]["builds"] == 1 and stats["psi_rank"]["hits"] >= 1
-        assert not {"counts", "psi_array"} & stats.keys()
+        assert stats.keys() == {"rank", "psi_steps"}
+        assert stats["psi_steps"]["builds"] == 1 and stats["psi_steps"]["hits"] >= 1
 
     def test_peak_memory_stays_small(self, traced_peak):
         primes.clear_caches()

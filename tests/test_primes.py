@@ -234,16 +234,22 @@ class TestGrownTables:
         (100, 3 * 2**20 + 5),
     ], ids=["verify", "segment", "prime-power", "word", "small", "off-word", "three-segments"])
     def test_grown_bitmap_and_psi_steps_equal_fresh_builds(self, chain):
+        def read(limit):
+            # the higher powers, and psi read through them at the top of the range
+            ns = np.arange(max(0, limit - 130), limit + 1, dtype=np.int64)
+            return primes._psi_table(limit)[3], primes.psi_lookup(limit)(ns).tobytes(), psi_at(limit)
+
         fresh = []
         for limit in chain:
             primes.clear_caches()
-            fresh.append((*primes._rank(limit), *primes.psi_steps(limit)))
+            fresh.append((*primes._rank(limit), *primes.psi_steps(limit), read(limit)))
         primes.clear_caches()
-        for limit, (words, before, pos, val) in zip(chain, fresh):
+        for limit, (words, before, pos, val, reads) in zip(chain, fresh):
             grown_pos, grown_val = primes.psi_steps(limit)
             grown_words, grown_before = primes._rank(limit)
             assert np.array_equal(grown_words, words) and np.array_equal(grown_before, before)
             assert np.array_equal(grown_pos, pos) and grown_val.tobytes() == val.tobytes()
+            assert read(limit) == reads
         stats = primes.table_stats()
         assert stats["rank"]["builds"] == stats["psi_steps"]["builds"] == 1
         assert stats["psi_steps"]["growths"] == len(chain) - 1
@@ -268,7 +274,9 @@ class TestGrownTables:
 
 class TestBuildPeak:
     """The psi table is filled a segment at a time, into arrays of its final
-    size, so a cold build peaks near the tables it keeps."""
+    size, so a cold build peaks near the tables it keeps: 0.25 B per integer
+    in the prime words and their counts, and 12 B per prime power in psi_steps'
+    int32 positions and float64 prefixes."""
 
     def test_a_cold_psi_at_peaks_within_16_mb_of_the_tables_it_keeps(self, traced_peak):
         n = 2 * 10**7
@@ -276,13 +284,18 @@ class TestBuildPeak:
         res, peak = traced_peak(lambda: psi_at(n, cap=n))
         kept = {id(a): a.nbytes for _, table in primes._tables.values()
                 for a in table if isinstance(a, np.ndarray)}
-        higher = 0
+        higher = primes._psi_table(n)[3]
+        kept[id(higher)] = sys.getsizeof(higher) + sum(map(sys.getsizeof, higher))
+        powers = []
         for p in primes.prime_array(isqrt(n)).tolist():
             power = p * p
             while power <= n:
-                higher, power = higher + 1, power * p
-        assert res.term_count == pi_at(n, cap=n) + higher
+                powers.append(power)
+                power *= p
+        assert higher == sorted(powers)
+        assert res.term_count == pi_at(n, cap=n) + len(higher)
         assert peak < sum(kept.values()) + 16 * 10**6
+        assert sum(kept.values()) < 0.26 * n + 12.1 * res.term_count
 
 
 class TestRankPi:
@@ -345,14 +358,14 @@ class TestStore:
         assert rank["builds"] == 1 and rank["builds"] + rank["growths"] + rank["hits"] == len(ns)
 
     def test_concurrent_psi_growth_loses_no_count_and_no_value(self):
-        # the same for psi_at and the psi rank directory, which nests the
-        # builds of the psi table and of the prime rank directory
+        # the same for psi_at and the psi table, whose build nests the prime
+        # rank directory's
         ns = [int(n) for n in np.random.default_rng(8).integers(2, 3 * 10**5, 400)]
         expect = primes.psi_array(3 * 10**5)[ns].tolist()
         primes.clear_caches()
         assert [v.value for v in self.from_threads(psi_at, ns)] == expect
-        rank = primes.table_stats()["psi_rank"]
-        assert rank["builds"] == 1 and rank["builds"] + rank["growths"] + rank["hits"] == len(ns)
+        psi = primes.table_stats()["psi_steps"]
+        assert psi["builds"] == 1 and psi["builds"] + psi["growths"] + psi["hits"] == len(ns)
 
 
 class TestPiTable:
