@@ -377,13 +377,8 @@ def _run_crossover(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
         problems.append(f"sign_changes {res.sign_changes}, expected {p['expected_sign_changes']}")
     if res.ambiguous_points:
         problems.append(f"{len(res.ambiguous_points)} ambiguous comparison points")
-
-    pairs = [(evaluate(f, float(n)), evaluate(g, float(n)))
-             for n in (res.threshold, res.last_failure) if n is not None]
-    min_margin = min(abs(gr.value - fr.value) for fr, gr in pairs)
-    guard = max(fr.abs_error_bound + gr.abs_error_bound for fr, gr in pairs)
     verdict = "PASS" if not res.ambiguous_points else "AMBIGUOUS"
-    return (verdict, res.threshold, min_margin, guard), problems
+    return (verdict, res.threshold, res.min_margin, res.guard_at_witness), problems
 
 
 def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
@@ -438,7 +433,7 @@ def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,
 
     Every scan runs on the calling thread.  threads is kept only for callers
     that still pass threads=1, and any other value is refused; the next change
-    to the benchmark removes it (ROADMAP item 2).
+    to the benchmark removes it (ROADMAP item 1).
     """
     if threads != 1:
         raise ValueError(f"scans run on one thread; threads must be 1, got {threads}")

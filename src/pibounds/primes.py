@@ -12,15 +12,15 @@ power p^k in ascending order, each prefix their sum correctly rounded from an
 exact integer sum; every psi value carries a conservative bound on its
 rounding error.  psi(n) is the prefix at the rank of n among the prime powers:
 pi(n) from the rank directory plus the count of the few higher powers p^k
-(k >= 2) up to n, which the table keeps in order.  The table is filled a
-segment at a time, into arrays of its final size: the segment's primes from
-the odd bits of the words, with its higher powers (vector powers of the primes
-up to sqrt(limit)) inserted in order, and the exact sum carried from segment
-to segment, so its build peaks a few MB above the table.
+(k >= 2) up to n, which the table keeps as one ascending array.  The table is
+filled a segment at a time, into arrays of its final size: the segment's
+primes from the odd bits of the words, with its higher powers (vector powers
+of the primes up to sqrt(limit)) inserted in order, and the exact sum carried
+from segment to segment, so its build peaks a few MB above the table.
 All of these tables live in one store, by name, which counts their builds,
 growths and hits.  When a larger limit is asked for, the words continue their
 segment chain from their old end, a word boundary, and the psi table its exact
-sum and its list of higher powers, so every prefix equals a fresh build bit
+sum and its array of higher powers, so every prefix equals a fresh build bit
 for bit.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
@@ -46,10 +45,10 @@ DEFAULT_CAP = 5_000_000
 # directory's counts in place, so a build peaks a few MB (one segment's
 # arrays) above what it keeps; a growth also holds the old table until the new
 # one replaces it.
-# A Legendre query holds three int64 arrays of isqrt(x) entries, 2.4 GB at
-# LEGENDRE_MAX_ROOT, whatever the cap.
+# A Legendre query holds three int64 arrays of isqrt(x) entries and peaks near
+# 0.22 GB at LEGENDRE_MAX_ROOT, whatever the cap; one there took 28-34 s on a 2-core Xeon.
 MAX_CAP = 10**9
-LEGENDRE_MAX_ROOT = 10**8
+LEGENDRE_MAX_ROOT = 5 * 10**6
 SEGMENT_LENGTH = 1 << 20
 
 _EPS = sys.float_info.epsilon
@@ -251,6 +250,12 @@ def _counter(words: np.ndarray, before: np.ndarray):
     return count
 
 
+def _pi_le(words: np.ndarray, before: np.ndarray, n: int) -> int:
+    """_counter at one n, in Python ints."""
+    i = n >> 6
+    return before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
+
+
 def pi_lookup(limit: int):
     """pi over int64 arrays of n <= limit, read from the rank directory."""
     return _counter(*_rank(limit))
@@ -262,7 +267,6 @@ def psi_lookup(limit: int):
     higher powers up to n."""
     _, sums, _, higher = _psi_table(limit)
     pi_of = pi_lookup(limit)
-    higher = np.array(higher, dtype=np.int64)  # once per lookup, not per call
     return lambda ns: sums[pi_of(ns) + np.searchsorted(higher, ns, side="right")]
 
 
@@ -302,11 +306,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
     n = math.floor(x)
     if n < 2:
         return 0
-    if n <= cap:  # _counter at one n, in Python ints
-        words, before = _rank(n)
-        i = n >> 6
-        return before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
-    return pi_point_legendre(n, cap=cap)
+    return _pi_le(*_rank(n), n) if n <= cap else pi_point_legendre(n, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,8 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     v = x // k.  Sieving out each prime p <= isqrt(x) in turn, every v >= p*p
     loses the survivors with least prime factor p:
     S(v) -= S(v // p) - S(p - 1).  At the end S(x) = pi(x).  Time grows as
-    x^(3/4) and memory as sqrt(x): about 0.13 s at 1e10 and 5 s at 1e12.
+    x^(3/4) and memory as sqrt(x): about 0.2 s at 1e10, 3.3 s at 1e12 and 30 s
+    at 2.5e13, on a 2-core Xeon.
 
     The primes up to isqrt(x) come from the sieve, so the sieve's cap bounds
     the query: isqrt(x) above the cap, or above LEGENDRE_MAX_ROOT whatever
@@ -333,7 +334,7 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     check_cap(cap, root, f"Legendre root isqrt({n}) =")
     if root > LEGENDRE_MAX_ROOT:
         raise ResourceLimitError(f"Legendre root isqrt({n}) = {root} is above the ceiling "
-                                 f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (2.4 GB of arrays)")
+                                 f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (about 30 s a query)")
     quotients = n // np.arange(1, root + 1, dtype=np.int64)  # x // k for k <= root
     small = np.arange(-1, root, dtype=np.int64)  # small[v] = S(v) for v <= root
     large = quotients - 1  # large[k - 1] = S(x // k)
@@ -375,10 +376,7 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
         return PsiValue(n, 0.0, 0, 0.0)
     check_cap(cap, n, "psi_at argument")
     _, sums, _, higher = _psi_table(n)
-    words, before = _rank(n)
-    i = n >> 6  # _counter at one n, in Python ints, and the higher powers up to n
-    count = (before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
-             + bisect_right(higher, n))
+    count = _pi_le(*_rank(n), n) + int(higher.searchsorted(n, "right"))
     total = sums.item(count)
     return PsiValue(n, total, count, PSI_ERR_FACTOR * total)
 
@@ -407,24 +405,24 @@ def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:
     return sums, total
 
 
-def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
+def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """(pos, sums, total, higher): the prime powers up to limit or beyond,
     ascending; sums[r] the correctly rounded sum of the float terms log p of
     the first r of them (sums[0] = 0); their exact total, in units of 2**-53;
-    and the higher powers p^k (k >= 2) among them, an ascending list of ints
-    (bisect reads a list faster than an array), so that the rank of n among
-    the prime powers is pi(n) plus the count of higher powers up to n."""
+    and the higher powers p^k (k >= 2) among them, an ascending int64 array,
+    so that the rank of n among the prime powers is pi(n) plus the count of
+    higher powers up to n."""
     def build(limit: int, old) -> tuple[int, tuple]:
         # a grown table appends the prime powers past the old end and carries
         # on from the exact total of the terms before them.  The new range is
         # walked a segment at a time, into arrays of the exact final size: the
         # segment's primes, with its few higher powers inserted in order
-        done, (pos, sums, total, earlier) = old or (1, (np.zeros(0, np.int32), np.zeros(1), 0, []))
+        fresh = np.zeros(0, np.int32), np.zeros(1), 0, np.zeros(0, np.int64)
+        done, (pos, sums, total, earlier) = old or (1, fresh)
         words, before = _rank(limit)
         higher, higher_logs = _higher_powers(done + 1, limit)
-        primes_to_done, primes_to_limit = _counter(words, before)(np.array([done, limit])).tolist()
         at = pos.size
-        size = at + primes_to_limit - primes_to_done + higher.size
+        size = at + _pi_le(words, before, limit) - _pi_le(words, before, done) + higher.size
         old_pos, old_sums = pos, sums
         pos, sums = np.empty(size, np.int32), np.empty(size + 1)
         pos[:at], sums[: at + 1] = old_pos, old_sums
@@ -440,7 +438,7 @@ def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
             pos[at:end] = np.insert(found, where, higher[taken:upto])
             sums[at + 1 : end + 1], total = _prefix_sums(terms, total)
             at, taken = end, upto
-        return limit, (pos, sums, total, earlier + higher.tolist())
+        return limit, (pos, sums, total, np.concatenate((earlier, higher)))
 
     return _cached("psi_steps", limit, build)
 

@@ -45,7 +45,8 @@ whole range, and a piece decided PASS is split anyway until its lower bound on
 the margins inside exceeds it (branch and bound over enclosures).  A piece
 so dropped holds no integer at or below the true minimum, so a PASS scan's
 closest integer was compared, ties going to the earlier one.  A piece decided
-FAIL, and a crossover, keep none: a FAIL verdict reports its last failure.
+FAIL, and a crossover, keep none: a FAIL verdict reports its last failure,
+and a crossover its margin at the flip, whose two integers are compared.
 
 Segments.  One frontier of pieces is split over the whole range: each level
 makes one margins call and one bracket call for the whole frontier.
@@ -118,12 +119,16 @@ class CrossoverResult:
     """Smallest scanned n from which a relation holds onward.
 
     threshold may be hi+1 when the last scanned point still violates.
+    min_margin (0 at an exact tie) and guard_at_witness are the smaller |diff|
+    and the larger guard of the last failure and the integer after it, or of lo.
     """
 
     threshold: int
     last_failure: int | None
     sign_changes: int
-    ambiguous_points: list[int] = field(default_factory=list)
+    ambiguous_points: list[int]
+    min_margin: float
+    guard_at_witness: float
 
 
 @dataclass
@@ -136,6 +141,7 @@ class _Summary:
     min_diff: float
     min_diff_n: int
     guard_at_min: float
+    flank: tuple[float, float]  # a crossover's min_margin and guard_at_witness
     ambiguous: list[int]
     state_changes: int
 
@@ -162,7 +168,7 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
         definite = fail[~amb]
     last_fail = None
     margin_at_last_fail = guard_at_last_fail = math.inf
-    changes = 0
+    changes = i = 0
     if fail_count:
         i = int(np.flatnonzero(fail)[-1])
         last_fail = int(ns[i])
@@ -170,6 +176,7 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
         guard_at_last_fail = float(guard[i])
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
         fail_count += int((np.diff(ns) - 1)[fail[1:] & fail[:-1]].sum())
+    flank = slice(i, i + 1 + bool(fail_count))  # the last failure and the next integer, or lo
 
     return _Summary(
         points=int(ns[-1] - ns[0]) + 1,
@@ -180,6 +187,8 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
         min_diff=float(diff[min_idx]),
         min_diff_n=int(ns[min_idx]),
         guard_at_min=float(guard[min_idx]),
+        flank=(min(0.0 if d == math.inf else abs(d) for d in diff[flank].tolist()),
+               max(guard[flank].tolist())),
         ambiguous=ambiguous,
         state_changes=changes,
     )
@@ -351,34 +360,34 @@ def _to_verdict(out: _Summary) -> Verdict:
     return Verdict(Status.PASS, out.min_diff_n, out.min_diff, out.points, [], out.guard_at_min)
 
 
+def _to_crossover(out: _Summary, lo: int) -> CrossoverResult:
+    threshold = lo if out.last_fail is None else out.last_fail + 1
+    return CrossoverResult(threshold, out.last_fail, out.state_changes, out.ambiguous, *out.flank)
+
+
 def verify_pi(b: BoundExpr, direction: Direction, lo: int, hi: int,
               *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the pi inequality over real x in [lo, hi+1) by integer reduction."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
-    return _to_verdict(out)
+    return _to_verdict(_scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap))
 
 
 def verify_psi(b: BoundExpr, direction: Direction, lo: int, hi: int,
                *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the psi inequality over real x in [lo, hi+1); guards include psi's
     accumulated summation error."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=True, cap=cap)
-    return _to_verdict(out)
+    return _to_verdict(_scan_inequality(b, direction, lo, hi, use_psi=True, cap=cap))
 
 
 def last_violation(b: BoundExpr, direction: Direction, lo: int, hi: int,
                    *, cap: int = DEFAULT_CAP) -> CrossoverResult:
     """Largest violating integer in range and the threshold right after it."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
-    threshold = out.last_fail + 1 if out.last_fail is not None else lo
-    return CrossoverResult(threshold, out.last_fail, out.state_changes, out.ambiguous)
+    return _to_crossover(_scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap), lo)
 
 
 def count_violations(b: BoundExpr, direction: Direction, lo: int, hi: int,
                      *, cap: int = DEFAULT_CAP) -> int:
     """Number of definitely violating integers in range."""
-    out = _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap)
-    return out.fail_count
+    return _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap).fail_count
 
 
 def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
@@ -405,13 +414,11 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
         return np.stack((diff, fe + ge))
 
     out = _scan(margins, _chord(f, g), lo, hi)
-    if out.last_fail is None:
-        return CrossoverResult(lo, None, out.state_changes, out.ambiguous)
-    if out.last_fail >= hi:
+    if out.last_fail is not None and out.last_fail >= hi:
         raise CrossoverNotFoundError(
             f"no n in [{lo}, {hi}] from which {f.name!r} <= {g.name!r} holds onward"
         )
-    return CrossoverResult(out.last_fail + 1, out.last_fail, out.state_changes, out.ambiguous)
+    return _to_crossover(out, lo)
 
 
 def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:

@@ -78,6 +78,22 @@ class TestRunClaim:
         assert out.status == "MATCH"
         assert out.witness == 28516
 
+    @pytest.mark.parametrize("cid, threshold, margin, guard", [
+        ("C13", 28516, 3.1928379939927254e-05, 1.5394979695212124e-11),
+        ("C14", 2846396, 8.478440577164292e-06, 1.016410873739261e-09),
+    ])
+    def test_a_crossover_takes_its_margin_and_guard_from_the_scan(
+            self, monkeypatch, cid, threshold, margin, guard):
+        # the margin and guard at the flip are the scan's own comparisons;
+        # the claim evaluates neither bound again
+        def refuse(*args):
+            raise AssertionError("claims.evaluate was called")
+
+        monkeypatch.setattr(claims, "evaluate", refuse)
+        out = run_claim(by_id(cid))
+        assert (out.status, out.verdict, out.witness) == ("MATCH", "PASS", threshold)
+        assert (out.min_margin, out.guard_at_witness) == (margin, guard)
+
     def test_c8b_refutes_the_stated_threshold(self):
         # The 1.11 shifted-log upper bound is genuinely violated at 19
         # integers in [24121, 24254] (pi(24254)=2699 > 2698.986...), so the

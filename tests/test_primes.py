@@ -237,7 +237,8 @@ class TestGrownTables:
         def read(limit):
             # the higher powers, and psi read through them at the top of the range
             ns = np.arange(max(0, limit - 130), limit + 1, dtype=np.int64)
-            return primes._psi_table(limit)[3], primes.psi_lookup(limit)(ns).tobytes(), psi_at(limit)
+            return (primes._psi_table(limit)[3].tolist(), primes.psi_lookup(limit)(ns).tobytes(),
+                    psi_at(limit))
 
         fresh = []
         for limit in chain:
@@ -282,17 +283,18 @@ class TestBuildPeak:
         n = 2 * 10**7
         primes.clear_caches()
         res, peak = traced_peak(lambda: psi_at(n, cap=n))
+        # the arrays the store keeps, the psi table's higher powers among them
         kept = {id(a): a.nbytes for _, table in primes._tables.values()
                 for a in table if isinstance(a, np.ndarray)}
         higher = primes._psi_table(n)[3]
-        kept[id(higher)] = sys.getsizeof(higher) + sum(map(sys.getsizeof, higher))
+        assert id(higher) in kept
         powers = []
         for p in primes.prime_array(isqrt(n)).tolist():
             power = p * p
             while power <= n:
                 powers.append(power)
                 power *= p
-        assert higher == sorted(powers)
+        assert higher.tolist() == sorted(powers)
         assert res.term_count == pi_at(n, cap=n) + len(higher)
         assert peak < sum(kept.values()) + 16 * 10**6
         assert sum(kept.values()) < 0.26 * n + 12.1 * res.term_count
@@ -512,6 +514,15 @@ class TestLegendreCeiling:
         err = cli_refused(capsys, "--cap", str(primes.MAX_CAP), "pi", "1e18", "--method", method)
         assert "isqrt(1000000000000000000) = 1000000000" in err
         assert f"LEGENDRE_MAX_ROOT = {primes.LEGENDRE_MAX_ROOT}" in err
+
+    @pytest.mark.parametrize("query", [pi_point_legendre, pi_at])
+    def test_the_default_caps_largest_x_is_not_refused(self, query):
+        # the ceiling sits at or above the default cap: the largest x that cap
+        # allows reaches the arrays (the fixture's sentinel), one more is refused by the cap
+        top = (primes.DEFAULT_CAP + 1) ** 2 - 1
+        with pytest.raises(AssertionError, match="np.arange was called"):
+            query(top)
+        assert "exceeds the scan cap" in refused(lambda: query(top + 1))
 
     def test_one_past_the_ceiling(self):
         x = (primes.LEGENDRE_MAX_ROOT + 1) ** 2

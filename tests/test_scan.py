@@ -217,6 +217,9 @@ class TestAnalyticCrossover:
         assert res.last_failure is None
         assert res.sign_changes == 0
         assert res.ambiguous_points == []
+        # a tie passes as a diff of inf, yet its margin, taken at lo, is 0
+        assert res.min_margin == 0.0
+        assert res.guard_at_witness == 2.0 * evaluate(b, 10).abs_error_bound
 
     def test_not_found(self, registry):
         # below 28516 the series bound exceeds the shifted bound throughout

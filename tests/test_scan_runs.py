@@ -6,6 +6,7 @@ sandwich, every integer) of the range, exactly as a scan without the
 pieces does, and classify each integer on its own.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -78,8 +79,17 @@ def per_integer(b, direction, lo, hi, *, use_psi):
         verdict = Verdict(status, n, d, points, ambiguous, g)
     changes = sum(1 for before, after in zip(states, states[1:]) if before != after)
     threshold = fails[-1][0] + 1 if fails else lo
-    last = CrossoverResult(threshold, fails[-1][0] if fails else None, changes, ambiguous)
+    last = CrossoverResult(threshold, fails[-1][0] if fails else None, changes, ambiguous,
+                           *flank([n for n, _, _ in fails], lo, hi, diff, guard))
     return verdict, len(fails), last
+
+
+def flank(fails, lo, hi, diff, guard):
+    """min |diff| and max guard over the last failure and the integer after
+    it, or over lo alone when nothing fails; diff[i] and guard[i] belong to
+    the integer lo + i."""
+    at = [i - lo for i in (fails[-1], fails[-1] + 1) if i <= hi] if fails else [0]
+    return min(abs(float(diff[i])) for i in at), max(float(guard[i]) for i in at)
 
 
 @st.composite
@@ -206,11 +216,12 @@ def crossover_per_integer(f, g, lo, hi):
         else:
             ambiguous.append(n)
     changes = sum(1 for before, after in zip(states, states[1:]) if before != after)
+    margins = flank(fails, lo, hi, gv - fv, fe + ge)
     if not fails:
-        return CrossoverResult(lo, None, changes, ambiguous)
+        return CrossoverResult(lo, None, changes, ambiguous, *margins)
     if fails[-1] >= hi:
         return None
-    return CrossoverResult(fails[-1] + 1, fails[-1], changes, ambiguous)
+    return CrossoverResult(fails[-1] + 1, fails[-1], changes, ambiguous, *margins)
 
 
 def crossover_or_none(f, g, lo, hi):
@@ -252,10 +263,36 @@ DIP = PsiAffine("dip", 2.0, 1.001, 0.0, -1.0, math.log(1000.0) - 1.0 - 1e-6)
 @pytest.mark.parametrize("lo", [30, 500, 950, 990])
 def test_a_dip_between_stretch_ends_is_found(lo, stretch):
     expected = crossover_per_integer(FLAT, DIP, lo, 5000)
-    assert expected == CrossoverResult(1002, 1001, 2, [])
+    assert dataclasses.astuple(expected)[:4] == (1002, 1001, 2, [])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scan, "STRETCH", stretch)
         assert analytic_crossover(FLAT, DIP, lo, 5000) == expected
+
+
+def test_the_integer_after_the_last_failure_is_compared(monkeypatch):
+    # a crossover's margin and guard are read at the last failure and the
+    # compared integer after it, which is last_fail + 1 (or none at the range's
+    # end): a decided piece has ends of one class, so none starts at a failure
+    # and ends at a pass
+    flips = []
+    classify = scan._classify
+
+    def recording(diff, guard, ns):
+        out = classify(diff, guard, ns)
+        if out.last_fail is not None:
+            i = int(np.searchsorted(ns, out.last_fail))
+            flips.append((out.last_fail, ns[i + 1 : i + 2].tolist(), int(ns[-1])))
+        return out
+
+    monkeypatch.setattr(scan, "_classify", recording)
+    claims.run_all()
+    for name, direction, lo, hi in [("pan_upper", Direction.UPPER_STRICT, 4, 10**6),
+                                    ("cheb_upper", Direction.UPPER_STRICT, 30, 200_000),
+                                    ("d125506", Direction.LOWER_STRICT, 17, 10**6)]:
+        last_violation(REGISTRY[name], direction, lo, hi)
+    analytic_crossover(FLAT, DIP, 30, 5000)
+    assert len(flips) >= 8
+    assert all(after == ([] if n == hi else [n + 1]) for n, after, hi in flips)
 
 
 @pytest.fixture
@@ -326,7 +363,8 @@ def test_c14_decides_its_stretches_from_their_ends(kernel_calls):
     b = REGISTRY["dusart_upper"]
     calls = kernel_calls(b)
     res = analytic_crossover(b, REGISTRY["legendre_a"], 10**6 + 1, 5 * 10**6)
-    assert res == CrossoverResult(2846396, 2846395, 1, [])
+    assert res == CrossoverResult(2846396, 2846395, 1, [], 8.478440577164292e-06,
+                                  1.016410873739261e-09)
     assert sum(xs.size for xs in calls) <= 2 * 10**4
 
 
