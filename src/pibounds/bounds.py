@@ -302,9 +302,12 @@ def _builtin_entries() -> tuple[BoundExpr, ...]:
 
 
 def evaluate(b: BoundExpr, x: float) -> EvalResult:
-    """Evaluate b at a real x > its domain start."""
+    """Evaluate b at a real x > its domain start; refuse a non-finite result."""
     b.check_domain(x)
     xs = np.array([float(x)], dtype=np.float64)
     logs = np.log(xs)
     vals, errs = b.values_with_error(xs, logs)
-    return EvalResult(float(vals[0]), float(errs[0]))
+    value, error = float(vals[0]), float(errs[0])
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise DomainError(f"bound {b.name!r} has no finite value or error bound at x={x}")
+    return EvalResult(value, error)

@@ -13,6 +13,8 @@ import math
 import sys
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
+
 from . import claims, primes, scan
 from .bounds import builtin_bounds, evaluate
 from .errors import (
@@ -128,7 +130,11 @@ def _cmd_bound(args) -> int:
             print(f"{name}\tvalid_from={b.valid_from:g}\t{b.formula()}")
         return 0
     b = _lookup_bound(args.name)
-    res = evaluate(b, args.x)
+    if args.x < 1e300:  # no builtin bound overflows below, and silencing numpy slows a call
+        res = evaluate(b, args.x)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses what overflows
+            res = evaluate(b, args.x)
     print(res.value)
     return 0
 

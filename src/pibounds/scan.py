@@ -13,11 +13,11 @@ exact) is reported AMBIGUOUS rather than silently decided either way.
 
 Brackets.  The range starts as pieces of STRETCH integer steps that share
 their ends, and a piece [a, b] is decided from the comparisons at its ends:
-every integer of it then classifies as its ends do, PASS or FAIL.  An
-undecided piece splits in halves; one of at most BASE_CASE steps, or all left
+every integer of it then classifies as its ends do, PASS or FAIL.  A level
+splits each undecided piece in 2 to BASE_CASE equal parts, as many as
+SPLIT_BUDGET new points allow; one of at most BASE_CASE steps, or all left
 once they hold at most STRETCH integers, are compared integer by integer.  A
-decided piece holds no ambiguous point or sign change, and its ends are
-compared.
+decided piece holds no ambiguous point or sign change, and its ends are compared.
 
 * An inequality or sandwich margin is hi - lo with hi and lo nondecreasing:
   the slab bound and f for an upper check, f and the slab bound for a lower
@@ -52,13 +52,14 @@ Segments.  One frontier of pieces is split over the whole range: each level
 makes one margins call and one bracket call for the whole frontier.
 SCAN_SEGMENT caps the integers one level compares whole, its first whole
 piece always included; the whole pieces past the cap wait for the next level,
-so a call holds at most that many integers plus one middle per piece.  The
-range is classified once from the integers compared, in order, with their
-diffs and guards.  Between two neighbouring compared integers lies the inside
-of one decided piece, so the integers there fail when both neighbours fail
-and pass otherwise: counts add the gaps between failing neighbours, and the
-last failure, sign changes and ambiguous points are those of the compared
-integers.  So no verdict depends on how the range is split.
+so a call holds at most that many integers plus the cuts of the pieces split,
+at most SPLIT_BUDGET or one per piece.  The range is classified once from the
+integers compared, in order, with their diffs and guards.  Between two
+neighbouring compared integers lies the inside of one decided piece, so the
+integers there fail when both neighbours fail and pass otherwise: counts add
+the gaps between failing neighbours, and the last failure, sign changes and
+ambiguous points are those of the compared integers.  So no verdict depends
+on how the range is split.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 SCAN_SEGMENT = 1 << 20  # integers compared whole per level, at most
 STRETCH = 1 << 10  # integer steps per starting piece of the range
 BASE_CASE = 1 << 5  # integer steps of the widest piece compared integer by integer
+SPLIT_BUDGET = 1 << 11  # new points a level adds, at most, when it splits finer than halves
 
 _EPS = np.finfo(np.float64).eps
 # relative slack of the piece certificates: it covers the rounding of the
@@ -203,8 +205,9 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
     whether every integer of each classifies as its ends do, and a lower bound
     on their diffs, inf where none is needed; best is the smallest diff the
     scan has compared (see Brackets and Closest margin).  One frontier of
-    pieces is split over the whole range, and at most SCAN_SEGMENT integers
-    are compared whole a level (see Segments).
+    pieces is split over the whole range, each undecided piece of a level in
+    the same number of equal parts, and at most SCAN_SEGMENT integers are
+    compared whole a level (see Segments).
     """
     new = np.append(np.arange(lo, hi, STRETCH, dtype=np.int64), hi)
     rows = margins(new)
@@ -230,18 +233,21 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
             keep = np.concatenate((wait, np.flatnonzero(~whole)))  # then those to split
             a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
         w = wait.size
-        mid = (a[w:] + b[w:]) // 2
-        new = np.concatenate((inner, mid))
+        # each piece left to split gets parts - 1 cuts: all first cuts, then all second, ...
+        parts = max(2, min(BASE_CASE, SPLIT_BUDGET // max(1, a.size - w)))
+        cut = (a[w:] + (b[w:] - a[w:]) * np.arange(1, parts)[:, None] // parts).ravel()
+        new = np.concatenate((inner, cut))
         if not new.size:
             break
         rows = margins(new)
         ns.append(new)
         cols.append(rows[:2])
         best = min(best, rows[0].min())
-        at_mid = rows[:, inner.size :]
-        a, b = np.concatenate((a, mid)), np.concatenate((b[:w], mid, b[w:]))
-        at_a = np.concatenate((at_a, at_mid), 1)
-        at_b = np.concatenate((at_b[:, :w], at_mid, at_b[:, w:]), 1)
+        # a split piece now ends at its first cut; new pieces run cut to cut, then to its end
+        at_cut = rows[:, inner.size :]
+        a, b = np.concatenate((a, cut)), np.concatenate((b[:w], cut, b[w:]))
+        at_a = np.concatenate((at_a, at_cut), 1)
+        at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
     ns = np.concatenate(ns)
     order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
     diff, guard = np.concatenate(cols, axis=1)[:, order]

@@ -243,6 +243,17 @@ class TestEdgeInputs:
     def test_bound_eval_nan(self, capsys):
         assert "finite" in self.rejected(capsys, "bound", "eval", "cheb_upper", "nan")
 
+    @pytest.mark.parametrize("name", ["psi_upper", "cheb_upper_2x", "d125506"])
+    def test_bound_eval_overflow(self, capsys, name):
+        # x is finite, but the bound's value or error bound at it is not
+        assert "finite" in self.rejected(capsys, "bound", "eval", name, "1.7e308")
+
+    def test_bound_eval_near_the_float_ceiling(self, capsys):
+        # a bound that stays finite there is still evaluated
+        code, out, err = run(capsys, "bound", "eval", "unit_lower", "1.7e308")
+        assert (code, err) == (0, "")
+        assert 1e305 < float(out) < 1e306
+
     def test_negative_cap(self, capsys):
         assert "--cap" in self.rejected(capsys, "--cap", "-5", "pi", "100")
 

@@ -105,27 +105,30 @@ def scans(draw):
 
 @st.composite
 def cuts(draw, size):
-    """Segment cap, starting piece and base case widths."""
+    """Segment cap, starting piece and base case widths, and split budget."""
     # a cap of at least 1/500 of the range keeps the levels, and the run time, bounded
     segment = max(-(-size // 500), draw(st.sampled_from([1, 2, 3, 7, 64, 1000, 1 << 20])))
     stretch = draw(st.sampled_from([1, 2, 5, 97, 1 << 10]))
     base = draw(st.sampled_from([1, 2, 5, 32, 97]))
-    return segment, stretch, base
+    # from halves throughout to every piece in base parts
+    budget = draw(st.sampled_from([0, 7, 100, 1 << 11, 1 << 20]))
+    return segment, stretch, base, budget
 
 
-def cut(mp, segment, stretch, base):
+def cut(mp, segment, stretch, base, budget):
     mp.setattr(scan, "SCAN_SEGMENT", segment)
     mp.setattr(scan, "STRETCH", stretch)
     mp.setattr(scan, "BASE_CASE", base)
+    mp.setattr(scan, "SPLIT_BUDGET", budget)
 
 
 @settings(max_examples=60, deadline=None)
 @given(scans())
 def test_pi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, stretch, base = case
+    b, direction, lo, hi, *sizes = case
     verdict, count, last = per_integer(b, direction, lo, hi, use_psi=False)
     with pytest.MonkeyPatch.context() as mp:
-        cut(mp, segment, stretch, base)
+        cut(mp, *sizes)
         assert verify_pi(b, direction, lo, hi) == verdict
         assert count_violations(b, direction, lo, hi) == count
         assert last_violation(b, direction, lo, hi) == last
@@ -134,10 +137,10 @@ def test_pi_scans_match_per_integer_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(scans())
 def test_psi_scans_match_per_integer_reference(case):
-    b, direction, lo, hi, segment, stretch, base = case
+    b, direction, lo, hi, *sizes = case
     verdict, _, _ = per_integer(b, direction, lo, hi, use_psi=True)
     with pytest.MonkeyPatch.context() as mp:
-        cut(mp, segment, stretch, base)
+        cut(mp, *sizes)
         assert verify_psi(b, direction, lo, hi) == verdict
 
 
@@ -177,10 +180,10 @@ def sandwiches(draw):
 @settings(max_examples=40, deadline=None)
 @given(sandwiches())
 def test_sandwich_matches_per_integer_reference(case):
-    lo, hi, segment, stretch, base = case
+    lo, hi, *sizes = case
     expected = sandwich_per_integer(lo, hi)
     with pytest.MonkeyPatch.context() as mp:
-        cut(mp, segment, stretch, base)
+        cut(mp, *sizes)
         assert verify_sandwich(lo, hi) == expected
 
 
@@ -245,10 +248,10 @@ def crossovers(draw):
 @settings(max_examples=60, deadline=None)
 @given(crossovers())
 def test_crossovers_match_per_integer_reference(case):
-    f, g, lo, hi, segment, stretch, base = case
+    f, g, lo, hi, *sizes = case
     expected = crossover_per_integer(f, g, lo, hi)
     with pytest.MonkeyPatch.context() as mp:
-        cut(mp, segment, stretch, base)
+        cut(mp, *sizes)
         assert crossover_or_none(f, g, lo, hi) == expected
 
 
@@ -383,7 +386,17 @@ def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
     for b in shapes.values():
         calls = kernel_calls(b)
     claims.run_all()
-    assert len(calls) <= 120  # one frontier per segment made 166
+    assert len(calls) <= 70  # halving every piece made 97, one frontier per segment 166
+
+
+def test_a_short_flat_scan_takes_few_kernel_calls(kernel_calls):
+    # unit_lower's margin barely trends on [500000, 510000], so its ten
+    # starting pieces stay undecided down to the base case: split in many
+    # parts a level, they reach it in two levels, where halves took five
+    b = REGISTRY["unit_lower"]
+    calls = kernel_calls(b)
+    assert verify_pi(b, Direction.LOWER_STRICT, 500_000, 510_000).status is Status.PASS
+    assert len(calls) <= 4  # halving every piece made 6
 
 
 def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch):
