@@ -1,22 +1,21 @@
 """Exact prime counting and Chebyshev's second function.
 
-pi values come from a segmented sieve of Eratosthenes over the odd integers,
-each segment started from a wheel with the multiples of 3, 5, 7, 11 and 13
-cleared.  Its uint8 segments are packed straight into uint64 words, the one
-table of primality, with a count of the primes below each word beside them (a
-rank directory), so pi(n) is that count plus the set bits of n's word up to n.
-Point queries past the sieve cap run Legendre's sieve bottom-up over the
-O(sqrt x) distinct values of x // k (Lucy_Hedgehog's method), with the primes
-up to sqrt(x) taken from the sieve.  psi is one table: log(p) at every prime
-power p^k in ascending order, each prefix their sum correctly rounded from an
-exact integer sum; every psi value carries a conservative bound on its
-rounding error.  psi(n) is the prefix at the rank of n among the prime powers:
-pi(n) from the rank directory plus the count of the few higher powers p^k
-(k >= 2) up to n, which the table keeps as one ascending array.  The table is
-filled a segment at a time, into arrays of its final size: the segment's
-primes from the odd bits of the words, with its higher powers (vector powers
-of the primes up to sqrt(limit)) inserted in order, and the exact sum carried
-from segment to segment, so its build peaks a few MB above the table.
+pi values come from a segmented sieve of Eratosthenes over the odd integers:
+a build sieves each segment in one buffer, filled from a wheel with the
+multiples of 3, 5, 7, 11 and 13 cleared, and packs it straight into uint64
+words, the one table of primality, with a count of the primes below each word
+beside them (a rank directory), so pi(n) is that count plus the set bits of
+n's word up to n.  Point queries past the sieve cap run Legendre's sieve
+bottom-up over the O(sqrt x) distinct values of x // k (Lucy_Hedgehog's
+method), with the primes up to sqrt(x) taken from the sieve.  psi is one
+table of prefix sums of log(p) over the prime powers p^k in ascending order,
+each correctly rounded from an exact integer sum and carrying a conservative
+bound on its rounding error.  psi(n) is the prefix at the rank of n among the
+prime powers: pi(n) plus the count of the few higher powers p^k (k >= 2) up to
+n, which the table keeps as one ascending array, in place of positions.  The
+sums are filled a block at a time: the block's primes from the odd bits of the
+words, its higher powers inserted in order, the exact sum carried on.  So a
+build peaks at most one segment's buffer above its table.
 All of these tables live in one store, by name, which counts their builds,
 growths and hits.  When a larger limit is asked for, the words continue their
 segment chain from their old end, a word boundary, and the psi table its exact
@@ -30,6 +29,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from math import isqrt
 
 import numpy as np
@@ -38,13 +38,11 @@ from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
 # The largest cap accepted.  Tables sized from the cap hold about 0.25 bytes
-# per integer up to it (the prime words and their counts) and 12 bytes per
-# prime power in psi_steps (an int32 position, as MAX_CAP < 2**31, and a
-# float64 prefix; 0.6 GB for the 50.8 million up to 10**9), so at 10**9 they
-# take about 0.86 GB.  Their builds fill them a segment at a time and sum the
-# directory's counts in place, so a build peaks a few MB (one segment's
-# arrays) above what it keeps; a growth also holds the old table until the new
-# one replaces it.
+# per integer up to it (the prime words and their counts) and 8 bytes per prime
+# power in the psi table (a float64 prefix; 0.41 GB for the 50.8 million up to
+# 10**9), so at 10**9 they take about 0.66 GB; psi_steps' int32 positions, built
+# only when asked, add 4 bytes per prime power.  A build peaks at most one
+# segment's 1 MB buffer above what it keeps; a growth also holds the old table.
 # A Legendre query holds three int64 arrays of isqrt(x) entries and peaks near
 # 0.22 GB at LEGENDRE_MAX_ROOT, whatever the cap; one there took 28-34 s on a 2-core Xeon.
 MAX_CAP = 10**9
@@ -68,13 +66,18 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     """
     if cap > MAX_CAP:
         raise ResourceLimitError(
-            f"cap {cap} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take about 0.86 GB"
+            f"cap {_quote(cap)} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
+            f"tables take about 0.66 GB (0.25 B per integer and 8 B per prime power)"
         )
     if n > cap:
         raise ResourceLimitError(
-            f"{what} {n} exceeds the scan cap {cap}; raise the cap to allow it"
+            f"{what} {_quote(n)} exceeds the scan cap {cap}; raise the cap to allow it"
         )
+
+
+def _quote(n: int) -> str:
+    """n for a message: in full up to 20 digits, past that in scientific notation."""
+    return str(n) if n < 10**20 else f"{Decimal(n):.6e}"
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +94,40 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-# The wheel every segment starts from: entry j holds the flags of 2j and 2j + 1
-# as the low and high byte of a little-endian uint16, for j mod 15015 =
-# 3*5*7*11*13; the even byte is 0, the odd one 1 where 3, 5, 7, 11 and 13 do
-# not divide 2j + 1.
+# The wheel every segment starts from, two periods of 15015 = 3*5*7*11*13 long,
+# so that one period from any phase is one slice: entry j holds the flags of 2j
+# and 2j + 1 as the low and high byte of a little-endian uint16; the even byte
+# is 0, the odd one 1 where 3, 5, 7, 11 and 13 do not divide 2j + 1.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = ((np.gcd(2 * np.arange(15015) + 1, 15015) == 1) << 8).astype("<u2")
+_WHEEL = ((np.gcd(2 * np.arange(2 * 15015) + 1, 15015) == 1) << 8).astype("<u2")
+
+
+def _sieve(buffer: np.ndarray, lo: int, hi: int, odd: np.ndarray) -> np.ndarray:
+    """Sieve [lo, hi] (0 <= lo <= hi, hi >= 2) in the "<u2" buffer from the
+    wheel and return a view of its uint8 flags for [lo, hi].  odd holds odd base
+    entries from 17 on, every prime up to isqrt(hi) among them."""
+    even = lo & ~1  # pairs[i] holds the flags of even + 2i and even + 2i + 1
+    pairs = buffer[: (hi - even) // 2 + 1]
+    period = _WHEEL.size // 2
+    start, whole = (even >> 1) % period, pairs.size // period * period
+    pairs[:whole].reshape(-1, period)[:] = _WHEEL[start : start + period]
+    pairs[whole:] = _WHEEL[start : start + pairs.size - whole]
+    if lo <= _WHEEL_PRIMES[-1]:  # the wheel cleared its own primes too
+        for p in _WHEEL_PRIMES:
+            if lo <= p <= hi:
+                pairs[(p - even) >> 1] = 1 << 8
+        if lo <= 2:  # the bytes from even up to 2: 0 and 1 are not prime, 2 is
+            pairs.view(np.uint8)[: 3 - even] = (0, 0, 1)[even:]
+    for p in odd[odd <= isqrt(hi)].tolist():
+        m = max(p * p, (lo + p - 1) // p * p)
+        if not m & 1:  # odd multiples only, 2p apart
+            m += p
+        pairs[(m - even) >> 1 :: p] = 0
+    return pairs.view(np.uint8)[lo - even : hi - even + 1]
 
 
 def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
-    """Primality flags for [lo, hi] as a uint8 array: entry i is 1 iff lo+i is prime.
+    """Primality flags for [lo, hi] as a fresh uint8 array: 1 iff lo+i is prime.
 
     base_primes must contain every prime <= isqrt(hi); extra, composite or
     unsorted entries are harmless.  Only the odd integers are sieved: they
@@ -118,24 +145,8 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
             f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
             f"missing {np.flatnonzero(missing)[:5].tolist()}"
         )
-    even = lo & ~1  # pairs[i] holds the flags of even + 2i and even + 2i + 1
-    count = (hi - even) // 2 + 1
-    start = (even >> 1) % _WHEEL.size
-    pairs = np.tile(_WHEEL, (start + count) // _WHEEL.size + 1)[start : start + count]
-    if lo <= _WHEEL_PRIMES[-1]:  # the wheel cleared its own primes too
-        for p in _WHEEL_PRIMES:
-            if lo <= p <= hi:
-                pairs[(p - even) >> 1] = 1 << 8
-    strikers = given[(given >= 17) & (given <= root) & (given & 1 == 1)]
-    for p in strikers.tolist():
-        m = max(p * p, (lo + p - 1) // p * p)
-        if not m & 1:  # odd multiples only, 2p apart
-            m += p
-        pairs[(m - even) >> 1 :: p] = 0
-    flags = pairs.view(np.uint8)[lo - even : hi - even + 1]
-    if lo == 2:
-        flags[0] = 1
-    return flags
+    buffer = np.empty((hi - (lo & ~1)) // 2 + 1, dtype="<u2")
+    return _sieve(buffer, lo, hi, given[(given >= 17) & (given & 1 == 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +197,23 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
     at the prime n, and the count of primes below each word."""
     def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         # a fresh chain starts at 0 and a grown one at the old end + 1, a word
-        # boundary; each segment is whole words long and packed into place
+        # boundary; each segment is whole words long, sieved in the buffer and
+        # packed into place.  One buffer size for every limit lets malloc reuse it
         top = limit | 63
         start = old[0] + 1 if old else 0
         words = np.empty((top >> 6) + 1, dtype="<u8")
         if old:
             words[: start >> 6] = old[1][0]
-        base = np.flatnonzero(_prime_flags(isqrt(top)))
+        odd = np.flatnonzero(_prime_flags(isqrt(top))[17:]) + 17  # the base primes from 17
+        buffer = np.empty(SEGMENT_LENGTH // 2, dtype="<u2")
         for lo in range(start, top + 1, SEGMENT_LENGTH):
             hi = min(lo + SEGMENT_LENGTH - 1, top)
-            flags = sieve_segment(max(lo, 2), hi, base)
-            if lo == 0:  # the clear bits of 0 and 1
-                flags = np.concatenate((np.zeros(2, dtype=np.uint8), flags))
+            flags = _sieve(buffer, lo, hi, odd)
             words[lo >> 6 : (hi >> 6) + 1] = np.packbits(flags, bitorder="little").view("<u8")
+        del buffer, flags  # freed before the counts are allocated
         before = np.empty(words.size, dtype=np.int64)  # summed in place
         before[:1] = 0
-        before[1:] = np.bitwise_count(words[:-1])
+        np.bitwise_count(words[:-1], out=before[1:])
         return top, (words, np.cumsum(before, out=before))
 
     return _cached("rank", limit, build)
@@ -265,7 +277,7 @@ def psi_lookup(limit: int):
     """psi over int64 arrays of n <= limit: the psi table's prefix sum at the
     rank of n among the prime powers, pi(n) from the rank directory plus the
     higher powers up to n."""
-    _, sums, _, higher = _psi_table(limit)
+    sums, _, higher = _psi_table(limit)
     pi_of = pi_lookup(limit)
     return lambda ns: sums[pi_of(ns) + np.searchsorted(higher, ns, side="right")]
 
@@ -331,7 +343,7 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
         raise ValueError(f"pi_point_legendre requires a finite x >= 2, got {x}")
     n = int(x)
     root = isqrt(n)
-    check_cap(cap, root, f"Legendre root isqrt({n}) =")
+    check_cap(cap, root, f"Legendre root isqrt({_quote(n)}) =")
     if root > LEGENDRE_MAX_ROOT:
         raise ResourceLimitError(f"Legendre root isqrt({n}) = {root} is above the ceiling "
                                  f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (about 30 s a query)")
@@ -375,7 +387,7 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     if n < 2:
         return PsiValue(n, 0.0, 0, 0.0)
     check_cap(cap, n, "psi_at argument")
-    _, sums, _, higher = _psi_table(n)
+    sums, _, higher = _psi_table(n)
     count = _pi_le(*_rank(n), n) + int(higher.searchsorted(n, "right"))
     total = sums.item(count)
     return PsiValue(n, total, count, PSI_ERR_FACTOR * total)
@@ -405,48 +417,51 @@ def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:
     return sums, total
 
 
-def _psi_table(limit: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(pos, sums, total, higher): the prime powers up to limit or beyond,
-    ascending; sums[r] the correctly rounded sum of the float terms log p of
-    the first r of them (sums[0] = 0); their exact total, in units of 2**-53;
-    and the higher powers p^k (k >= 2) among them, an ascending int64 array,
-    so that the rank of n among the prime powers is pi(n) plus the count of
-    higher powers up to n."""
+def _psi_table(limit: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sums, total, higher): sums[r] the correctly rounded sum of the float
+    terms log p of the first r prime powers (sums[0] = 0), up to limit or
+    beyond; their exact total, in units of 2**-53; and the higher powers p^k
+    (k >= 2) among them, an ascending int64 array, so that the rank of n among
+    the prime powers is pi(n) plus the count of higher powers up to n."""
     def build(limit: int, old) -> tuple[int, tuple]:
-        # a grown table appends the prime powers past the old end and carries
-        # on from the exact total of the terms before them.  The new range is
-        # walked a segment at a time, into arrays of the exact final size: the
-        # segment's primes, with its few higher powers inserted in order
-        fresh = np.zeros(0, np.int32), np.zeros(1), 0, np.zeros(0, np.int64)
-        done, (pos, sums, total, earlier) = old or (1, fresh)
+        # a grown table appends the sums past the old end, carrying on from the
+        # exact total before them.  Blocks of 2**16 integers keep each block's
+        # temporaries near 50 KB, so malloc hands them back from block to block
+        done, (sums, total, earlier) = old or (1, (np.zeros(1), 0, np.zeros(0, np.int64)))
         words, before = _rank(limit)
         higher, higher_logs = _higher_powers(done + 1, limit)
-        at = pos.size
+        at = sums.size - 1
         size = at + _pi_le(words, before, limit) - _pi_le(words, before, done) + higher.size
-        old_pos, old_sums = pos, sums
-        pos, sums = np.empty(size, np.int32), np.empty(size + 1)
-        pos[:at], sums[: at + 1] = old_pos, old_sums
+        sums, old_sums = np.empty(size + 1), sums
+        sums[: at + 1] = old_sums
         taken = 0  # higher powers placed so far
-        for lo in range(done + 1, limit + 1, SEGMENT_LENGTH):
-            hi = min(lo + SEGMENT_LENGTH - 1, limit)
+        for lo in range(done + 1, limit + 1, SEGMENT_LENGTH >> 4):
+            hi = min(lo + (SEGMENT_LENGTH >> 4) - 1, limit)
             found = _primes_in(words, lo, hi)
             upto = int(np.searchsorted(higher, hi, side="right"))
             where = np.searchsorted(found, higher[taken:upto])
-            logs = found.astype(np.float64)
-            terms = np.insert(np.log(logs, out=logs), where, higher_logs[taken:upto])
+            logs = np.log(found, dtype=np.float64)
+            terms = np.insert(logs, where, higher_logs[taken:upto])
             end = at + terms.size
-            pos[at:end] = np.insert(found, where, higher[taken:upto])
             sums[at + 1 : end + 1], total = _prefix_sums(terms, total)
             at, taken = end, upto
-        return limit, (pos, sums, total, np.concatenate((earlier, higher)))
+        return limit, (sums, total, np.concatenate((earlier, higher)))
 
     return _cached("psi_steps", limit, build)
 
 
 def psi_steps(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, values): psi at every prime power <= limit, each value the
-    correctly rounded sum of the float terms log p up to its position."""
-    pos, sums, _, _ = _psi_table(limit)
+    correctly rounded sum of the float terms log p up to its position.  The
+    int32 positions, which the psi table does not keep, are cached apart."""
+    sums, _, higher = _psi_table(limit)
+
+    def build(limit: int, old) -> tuple[int, np.ndarray]:
+        found = prime_array(limit)
+        powers = higher[: np.searchsorted(higher, limit, side="right")]
+        return limit, np.insert(found, np.searchsorted(found, powers), powers).astype(np.int32)
+
+    pos = _cached("psi_positions", limit, build)
     # an int32 key: a Python int would have numpy cast all of pos to int64
     keep = int(np.searchsorted(pos, np.int32(limit), side="right"))
     return pos[:keep], sums[1 : keep + 1]

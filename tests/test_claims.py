@@ -315,4 +315,4 @@ class TestColdRun:
         primes.clear_caches()
         report, peak = traced_peak(run_all)
         assert len(report.outcomes) == 18
-        assert peak < 10 * 10**6
+        assert peak < 4 * 10**6

@@ -269,6 +269,17 @@ class TestEdgeInputs:
     def test_pi_far_above_the_cap(self, capsys, method):
         assert "cap" in self.rejected(capsys, "pi", "1e30", "--method", method)
 
+    @pytest.mark.parametrize("argv, quoted", [
+        (("pi", "1e4000"), "isqrt(1.000000e+4000) = 1.000000e+2000"),
+        (("pi", "1e4000", "--method", "sieve"), "query 1.000000e+4000 exceeds"),
+        (("psi", "1e400"), "argument 1.000000e+400 exceeds"),
+        (("--cap", "9" * 400, "pi", "10"), "cap 1.000000e+400 is above"),
+    ])
+    def test_a_huge_number_is_quoted_short(self, capsys, argv, quoted):
+        # quoted in full, 1e4000 and its root once made a 6,090-character line
+        err = self.rejected(capsys, *argv)
+        assert len(err) < 200 and quoted in err
+
     def test_pi_huge_exponent(self, capsys):
         assert "10**" in self.rejected(capsys, "pi", "1e999999999")
 

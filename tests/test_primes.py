@@ -78,6 +78,39 @@ class TestSieveSegment:
         assert flagged(2, r, range(2, isqrt(r) + 1)) == expect
 
 
+class TestSieveSegmentContract:
+    """sieve_segment, public, returns a fresh array (and checks its base
+    primes: TestSieveSegment), while the table build sieves every segment in
+    one buffer of its own."""
+
+    def test_returns_fresh_arrays_and_a_build_reuses_one_buffer(self, monkeypatch):
+        buffers = []
+        core = primes._sieve
+
+        def recording(buffer, lo, hi, odd):
+            buffers.append(buffer)
+            return core(buffer, lo, hi, odd)
+
+        primes.clear_caches()
+        monkeypatch.setattr(primes, "_sieve", recording)
+        primes._rank(3 * primes.SEGMENT_LENGTH - 1)
+        assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
+        a = sieve_segment(2, 5000, range(2, 71))
+        b = sieve_segment(2, 5000, range(2, 71))
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        assert not any(np.shares_memory(flags, buffers[0]) for flags in (a, b))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 2), (2, 100_000), (3, 3), (3, 4097),
+        (primes.SEGMENT_LENGTH - 100, primes.SEGMENT_LENGTH + 100),
+        (primes.SEGMENT_LENGTH, 2 * primes.SEGMENT_LENGTH - 1),
+    ])
+    def test_flags_equal_the_rank_words(self, lo, hi):
+        words, _ = primes._rank(hi)
+        flags = sieve_segment(lo, hi, primes.prime_array(isqrt(hi)))
+        assert np.array_equal(flags.view(bool), primes._flags(words, lo, hi))
+
+
 def eratosthenes(limit):
     """Unsegmented uint8 primality indicator for 0..limit."""
     flags = np.ones(limit + 1, dtype=np.uint8)
@@ -237,7 +270,7 @@ class TestGrownTables:
         def read(limit):
             # the higher powers, and psi read through them at the top of the range
             ns = np.arange(max(0, limit - 130), limit + 1, dtype=np.int64)
-            return (primes._psi_table(limit)[3].tolist(), primes.psi_lookup(limit)(ns).tobytes(),
+            return (primes._psi_table(limit)[2].tolist(), primes.psi_lookup(limit)(ns).tobytes(),
                     psi_at(limit))
 
         fresh = []
@@ -257,27 +290,28 @@ class TestGrownTables:
 
     def test_a_grown_bitmap_sieves_each_integer_once(self, monkeypatch):
         sieved = []
-        segment = primes.sieve_segment
+        core = primes._sieve
 
-        def recording(lo, hi, base):
+        def recording(buffer, lo, hi, odd):
             sieved.append((lo, hi))
-            return segment(lo, hi, base)
+            return core(buffer, lo, hi, odd)
 
         primes.clear_caches()
-        monkeypatch.setattr(primes, "sieve_segment", recording)
+        monkeypatch.setattr(primes, "_sieve", recording)
         for limit in (100, 112_006, 10**6, 3 * 2**20):
             primes._rank(limit)
-        assert sieved[0][0] == 2 and sieved[-1][1] == 3 * 2**20 | 63
+        assert sieved[0][0] == 0 and sieved[-1][1] == 3 * 2**20 | 63
         assert all(b[0] == a[1] + 1 for a, b in zip(sieved, sieved[1:]))
         words, _ = primes._rank(3 * 2**20)
         assert np.array_equal(primes._flags(words, 0, 3 * 2**20), eratosthenes(3 * 2**20).view(bool))
 
 
 class TestBuildPeak:
-    """The psi table is filled a segment at a time, into arrays of its final
-    size, so a cold build peaks near the tables it keeps: 0.25 B per integer
-    in the prime words and their counts, and 12 B per prime power in psi_steps'
-    int32 positions and float64 prefixes."""
+    """The prime words are sieved in one reused buffer and the psi sums are
+    filled a block at a time, into an array of their final size, so a cold
+    build peaks near the tables it keeps: 0.25 B per integer in the prime words
+    and their counts, and 8 B per prime power in the psi table's float64
+    prefixes, which keeps no positions."""
 
     def test_a_cold_psi_at_peaks_within_16_mb_of_the_tables_it_keeps(self, traced_peak):
         n = 2 * 10**7
@@ -286,7 +320,7 @@ class TestBuildPeak:
         # the arrays the store keeps, the psi table's higher powers among them
         kept = {id(a): a.nbytes for _, table in primes._tables.values()
                 for a in table if isinstance(a, np.ndarray)}
-        higher = primes._psi_table(n)[3]
+        higher = primes._psi_table(n)[2]
         assert id(higher) in kept
         powers = []
         for p in primes.prime_array(isqrt(n)).tolist():
@@ -297,7 +331,14 @@ class TestBuildPeak:
         assert higher.tolist() == sorted(powers)
         assert res.term_count == pi_at(n, cap=n) + len(higher)
         assert peak < sum(kept.values()) + 16 * 10**6
-        assert sum(kept.values()) < 0.26 * n + 12.1 * res.term_count
+        assert sum(kept.values()) < 0.26 * n + 8.1 * res.term_count
+
+    def test_a_cold_rank_directory_peaks_within_one_segment_of_what_it_keeps(self, traced_peak):
+        primes.clear_caches()
+        (words, before), peak = traced_peak(lambda: primes._rank(5 * 10**6))
+        # one uint16 buffer of SEGMENT_LENGTH // 2 pairs and one packed segment
+        segment = primes.SEGMENT_LENGTH
+        assert peak <= words.nbytes + before.nbytes + segment + segment // 8
 
 
 class TestRankPi:
