@@ -17,14 +17,7 @@ import numpy as np
 
 from . import claims, primes, scan
 from .bounds import builtin_bounds, evaluate
-from .errors import (
-    ConfigurationError,
-    CrossoverNotFoundError,
-    DomainError,
-    MonotonicityError,
-    ResourceLimitError,
-    UnknownNameError,
-)
+from .errors import CrossoverNotFoundError, DomainError, PiBoundsError, UnknownNameError
 from .primes import DEFAULT_CAP
 from .scan import Direction, Status
 
@@ -182,9 +175,11 @@ def _cmd_table(args) -> int:
     if not 0 <= args.start <= args.end:
         raise DomainError(f"table needs 0 <= --from <= --to, got [{args.start}, {args.end}]")
     rows = range(args.start, args.end + 1, args.step)
-    if rows[0] <= args.cap:
-        # one rank directory for every row the sieve serves, not one per row
-        primes.pi_at(rows[min(len(rows) - 1, (args.cap - rows[0]) // args.step)], cap=args.cap)
+    if args.start <= args.cap:
+        # one rank directory for every row the sieve serves, not one per row:
+        # sized at the last row up to the cap (len(rows) overflows on a huge range)
+        top = min(args.end, args.cap)
+        primes.pi_at(top - (top - args.start) % args.step, cap=args.cap)
     # raise every error before the header: the last row is the farthest from
     # the cap, and each bound's domain is a half-line, so the first row decides it
     last = primes.pi_at(rows[-1], cap=args.cap)
@@ -218,13 +213,12 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--cap must be >= 0, got {args.cap}")
         primes.check_cap(args.cap)
         return handlers[args.command](args)
-    except (DomainError, UnknownNameError, ConfigurationError,
-            ResourceLimitError, MonotonicityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CrossoverNotFoundError as exc:
         print(f"no crossover: {exc}", file=sys.stderr)
         return 1
+    except (PiBoundsError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

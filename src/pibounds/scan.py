@@ -6,10 +6,12 @@ bound for *all real x* in a range reduces to integer comparisons against the
 bound's extreme over each unit slab.  Every supported bound shape is either
 increasing or falls-then-rises through a single turning point, so the slab
 extreme sits at a slab endpoint or at that one turning point: upper checks
-(f < B) compare f(n) against the slab infimum of B, lower checks (B < f)
-against the slab supremum.  Comparisons are guarded: a difference within the
-combined evaluation error bound (bound rounding + psi summation error; pi is
-exact) is reported AMBIGUOUS rather than silently decided either way.
+(f < B) compare f(n) against the slab infimum of B, the lesser of B(n) and
+B(n+1), or of B(n) and B(turn) on the slab that holds the turn; lower checks
+(B < f) against the slab supremum, the greater of B(n) and B(n+1).  Each
+comparison has one guard, which bounds the combined evaluation error of its
+two sides (bound rounding + psi summation error; pi is exact): a difference
+within it is reported AMBIGUOUS rather than silently decided either way.
 
 Brackets.  The range starts as pieces of STRETCH integer steps that share
 their ends, and a piece [a, b] is decided from the comparisons at its ends:
@@ -24,12 +26,12 @@ decided piece holds no ambiguous point or sign change, and its ends are compared
   one, pi(n) log n over psi(n) and 2 psi(n) over pi(n) log n for the
   sandwich.  So hi(a) - lo(b) bounds every margin of [a, b] from below, and
   hi(b) - lo(a) from above (Rosser and Schoenfeld's check at the primes,
-  applied to whole ranges of primes).  The float hi and lo at the ends and
-  hi - lo inside may each be off by the error bound at the far end, and the
-  guard inside is at most the far end's, which for psi holds PSI_ERR_FACTOR *
-  f(b).  A piece is PASS when hi(a) - lo(b), less three such errors and a
-  small rounding slack, clears that guard, and FAIL when hi(b) - lo(a), plus
-  the same, stays below minus the guard.  This holds where the bound
+  applied to whole ranges of primes).  The guard at the far end bounds
+  every guard inside, which for psi holds PSI_ERR_FACTOR * f(b), so the
+  float hi and lo at the ends and hi - lo inside may each be off by it.  A
+  piece is PASS when hi(a) - lo(b), less a small rounding slack, clears four
+  such guards, and FAIL when hi(b) - lo(a), plus the slack, stays below
+  minus four guards.  This holds where the bound
   increases and its guard formula no longer falls, so a piece below
   floor(turn) + 2 or guard_increase_start is split.  A piece FAIL throughout
   has failing ends, so FAIL is tried only once the scan has compared a
@@ -71,7 +73,8 @@ from enum import Enum
 import numpy as np
 
 from . import primes
-from .bounds import BoundExpr, evaluate
+# scan calls no evaluate; it keeps the name for bench/tracer.py, which patches scan.evaluate
+from .bounds import BoundExpr, evaluate  # noqa: F401
 from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
@@ -137,15 +140,16 @@ class CrossoverResult:
 class _Summary:
     points: int
     fail_count: int
-    last_fail: int | None
-    margin_at_last_fail: float
-    guard_at_last_fail: float
-    min_diff: float
-    min_diff_n: int
-    guard_at_min: float
+    witness: int  # the last failure, else the first closest margin
+    margin: float
+    guard: float
     flank: tuple[float, float]  # a crossover's min_margin and guard_at_witness
     ambiguous: list[int]
     state_changes: int
+
+    @property
+    def last_fail(self) -> int | None:
+        return self.witness if self.fail_count else None
 
 
 def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
@@ -154,13 +158,14 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
     Entry i stands for the integer ns[i]; ns ascends from the range's first
     integer to its last, and the integers between two entries classify as
     both do when both fail, else pass (see Segments).  A diff of +inf marks a
-    provable tie that passes.
+    provable tie that passes.  The witness is the last failure if any, else
+    the first integer of least diff; a crossover's flank is read at the last
+    failure and the integer after it, or at lo.
     """
     fail = diff < -guard
     passing = diff > guard
     fail_count = int(np.count_nonzero(fail))
     amb_count = diff.size - fail_count - int(np.count_nonzero(passing))
-    min_idx = int(np.argmin(diff))
 
     ambiguous: list[int] = []
     definite = fail  # True marks a failing point, False a passing one
@@ -168,27 +173,21 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
         amb = ~(fail | passing)
         ambiguous = ns[amb].tolist()
         definite = fail[~amb]
-    last_fail = None
-    margin_at_last_fail = guard_at_last_fail = math.inf
-    changes = i = 0
+    changes = 0
+    i = int(np.argmin(diff))
+    flank = slice(0, 1)  # the last failure and the next integer, or lo
     if fail_count:
         i = int(np.flatnonzero(fail)[-1])
-        last_fail = int(ns[i])
-        margin_at_last_fail = float(diff[i])
-        guard_at_last_fail = float(guard[i])
+        flank = slice(i, i + 2)
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
         fail_count += int((np.diff(ns) - 1)[fail[1:] & fail[:-1]].sum())
-    flank = slice(i, i + 1 + bool(fail_count))  # the last failure and the next integer, or lo
 
     return _Summary(
         points=int(ns[-1] - ns[0]) + 1,
         fail_count=fail_count,
-        last_fail=last_fail,
-        margin_at_last_fail=margin_at_last_fail,
-        guard_at_last_fail=guard_at_last_fail,
-        min_diff=float(diff[min_idx]),
-        min_diff_n=int(ns[min_idx]),
-        guard_at_min=float(guard[min_idx]),
+        witness=int(ns[i]),
+        margin=float(diff[i]),
+        guard=float(guard[i]),
         flank=(min(0.0 if d == math.inf else abs(d) for d in diff[flank].tolist()),
                max(guard[flank].tolist())),
         ambiguous=ambiguous,
@@ -263,19 +262,19 @@ def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
 
 def _monotone(start: float):
     """The bracket of margins hi - lo, hi and lo nondecreasing from start (see
-    Brackets).  Below the diff and the guard, the margin rows are a bound on
-    the errors of the float hi and lo together, then k rows of hi and k of lo."""
+    Brackets).  Below the diff and the guard, which also bounds the error of
+    the float hi and lo together, the margin rows are k rows of hi and k of lo."""
     def bracket(a, b, at_a, at_b, best):
-        k = (at_a.shape[0] - 3) // 2
-        # hi and lo at the ends and hi - lo inside may each be off by its error
-        err = 3.0 * (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[2], at_b[2])
+        k = (at_a.shape[0] - 2) // 2
+        # the far end's guard bounds the guard inside and the errors of hi and
+        # lo at the ends and of hi - lo inside: four guards in all
         guard = (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
-        d = (at_a[3 : 3 + k] - at_b[3 + k :]).min(axis=0)
-        low = d - _CERT_SLACK * np.abs(d) - err
+        d = (at_a[2 : 2 + k] - at_b[2 + k :]).min(axis=0)
+        low = d - _CERT_SLACK * np.abs(d) - 3.0 * guard
         decided = low > guard
         if best < 0.0:  # a piece FAIL throughout has failing ends, compared already
-            d = (at_b[3 : 3 + k] - at_a[3 + k :]).min(axis=0)
-            failing = d + _CERT_SLACK * np.abs(d) + err < -guard
+            d = (at_b[2 : 2 + k] - at_a[2 + k :]).min(axis=0)
+            failing = d + _CERT_SLACK * np.abs(d) + 3.0 * guard < -guard
             decided |= failing
             low[failing] = np.inf
         return decided, low
@@ -325,45 +324,37 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
     f_of = primes.psi_lookup(hi) if use_psi else primes.pi_lookup(hi)
 
     upper = direction is Direction.UPPER_STRICT
-    turn_patch = None
-    if upper:
-        n0 = math.floor(turn)
-        if lo <= n0 <= hi and turn > b.domain_start():
-            res = evaluate(b, turn)
-            turn_patch = (n0, res.value, res.abs_error_bound)
+    n0 = math.floor(turn)
+    # the slab [n0, n0 + 1) holds the turn, where an upper check's bound is least
+    turning = upper and lo <= n0 <= hi
     # pieces from here on may be decided: the bound increases on every slab,
     # and its guard formula no longer falls
-    start = max(math.floor(turn) + 2, math.ceil(b.guard_increase_start()))
+    start = max(n0 + 2, math.ceil(b.guard_increase_start()))
 
     def margins(ns: np.ndarray) -> np.ndarray:
-        """Diff, guard, slab error bound, hi and lo of each integer in ns."""
+        """Diff, guard (the error bound of the slab bound, plus psi's), hi and lo
+        of each integer in ns."""
         xs = np.repeat(ns.astype(np.float64), 2)
-        xs[1::2] += 1.0  # the slab ends n and n + 1
+        xs[1::2] += 1.0  # the slab ends n and n + 1, or n0 and the turn
+        if turning:
+            xs[1::2][ns == n0] = turn
         vals, errs = b.values_with_error(xs, np.log(xs))
-        diff, guard, err_b, hi_, lo_ = rows = np.empty((5, ns.size))
-        np.maximum(errs[0::2], errs[1::2], out=err_b)
+        diff, guard, hi_, lo_ = rows = np.empty((4, ns.size))
+        np.maximum(errs[0::2], errs[1::2], out=guard)
         f_vals, slab = (lo_, hi_) if upper else (hi_, lo_)
         f_vals[:] = f_of(ns)
         (np.minimum if upper else np.maximum)(vals[0::2], vals[1::2], out=slab)
-        if turn_patch is not None:  # set for upper checks only
-            at = ns == turn_patch[0]
-            slab[at] = np.minimum(slab[at], turn_patch[1])
-            err_b[at] = np.maximum(err_b[at], turn_patch[2])
         np.subtract(hi_, lo_, out=diff)
-        guard[:] = (err_b + PSI_ERR_FACTOR * f_vals) if use_psi else err_b
+        if use_psi:
+            guard += PSI_ERR_FACTOR * f_vals
         return rows
 
     return _scan(margins, _monotone(start), lo, hi)
 
 
 def _to_verdict(out: _Summary) -> Verdict:
-    if out.fail_count:
-        return Verdict(Status.FAIL, out.last_fail, out.margin_at_last_fail, out.points,
-                       out.ambiguous, out.guard_at_last_fail)
-    if out.ambiguous:
-        return Verdict(Status.AMBIGUOUS, out.min_diff_n, out.min_diff, out.points,
-                       out.ambiguous, out.guard_at_min)
-    return Verdict(Status.PASS, out.min_diff_n, out.min_diff, out.points, [], out.guard_at_min)
+    status = Status.FAIL if out.fail_count else Status.AMBIGUOUS if out.ambiguous else Status.PASS
+    return Verdict(status, out.witness, out.margin, out.points, out.ambiguous, out.guard)
 
 
 def _to_crossover(out: _Summary, lo: int) -> CrossoverResult:
@@ -440,13 +431,13 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:
     psi_of = primes.psi_lookup(hi)
 
     def margins(ns: np.ndarray) -> np.ndarray:
-        """Diff, guard (also the error bound of hi and lo), hi rows, lo rows."""
+        """Diff, guard (the error bound of both hi and lo), hi rows, lo rows."""
         pi_log = pi_of(ns) * np.log(ns.astype(np.float64))
         psi_vals = psi_of(ns)
         diff = np.minimum(pi_log - psi_vals, 2.0 * psi_vals - pi_log)
-        guard = _EPS * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi_vals))
+        guard = 2.0 * (_EPS * np.abs(pi_log) + PSI_ERR_FACTOR * np.abs(psi_vals))
         diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2
-        return np.stack((diff, guard, guard, pi_log, 2.0 * psi_vals, psi_vals, pi_log))
+        return np.stack((diff, guard, pi_log, 2.0 * psi_vals, psi_vals, pi_log))
 
     return _to_verdict(_scan(margins, _monotone(2), lo, hi))
 

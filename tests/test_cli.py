@@ -295,6 +295,7 @@ class TestEdgeInputs:
         (("--cap", "10", "table", "--from", "100", "--to", "200", "--step", "50"), "cap"),
         (("table", "--from", "-2", "--to", "2"), "--from"),
         (("table", "--from", "3", "--to", "2"), "--to"),
+        (("table", "--from", "0", "--to", "1" + "0" * 30), "cap"),  # len(rows) overflows
     ])
     def test_table_rejects_before_the_header(self, capsys, argv, message):
         assert message in self.rejected(capsys, *argv)

@@ -291,6 +291,17 @@ def test_pinned_witnesses_hold_at_120_bits(full_report):
     assert checked == 16
 
 
+def test_the_turning_slab_infimum_lies_within_its_guard():
+    # x / (log x - shift) is least at its turn e^(shift + 1), where it equals
+    # that turn; pan_upper's lies inside the slab [8, 9)
+    b = builtin_bounds()["pan_upper"]
+    v = scan.verify_pi(b, scan.Direction.UPPER_STRICT, 8, 8)
+    with mpmath.workprec(PREC):
+        least = mpmath.exp(mpmath.mpf(b.shift) + 1)
+        assert 8 < least < 9 and least < min(exact(b, 8), exact(b, 9))
+        assert abs(mpmath.mpf(v.min_margin) - (least - 4)) <= v.guard_at_witness
+
+
 def test_an_ambiguous_point_is_marked_and_its_margin_lies_inside_its_guard():
     # scale * n / log n meets pi(n) at the 10000th prime n to within rounding,
     # so the scan can decide neither way there, and nowhere else around it

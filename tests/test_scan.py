@@ -67,6 +67,20 @@ class TestVerifyPi:
             assert int(counts[n]) < slab_inf  # matches the PASS verdict
         assert v.status is Status.PASS
 
+    def test_the_turning_slab_is_least_at_the_turn(self, registry):
+        # pan_upper turns at e^2.11 ~ 8.25, inside the slab [8, 9): an upper
+        # check compares pi(8) = 4 with B(turn), guarded by the errors of B(8)
+        # and B(turn); a lower check compares it with the larger end, B(9)
+        b = registry["pan_upper"]
+        turn = b.increase_start()
+        at_8, at_9, at_turn = (evaluate(b, x) for x in (8, 9, turn))
+        v = verify_pi(b, U, 8, 8)
+        assert (v.status, v.witness, v.min_margin) == (Status.PASS, 8, at_turn.value - 4)
+        assert v.guard_at_witness == max(at_8.abs_error_bound, at_turn.abs_error_bound)
+        v = verify_pi(b, L, 8, 8)
+        assert (v.status, v.min_margin) == (Status.FAIL, 4 - max(at_8.value, at_9.value))
+        assert v.guard_at_witness == max(at_8.abs_error_bound, at_9.abs_error_bound)
+
     def test_range_validation(self, registry):
         with pytest.raises(ValueError):
             verify_pi(registry["unit_lower"], U, 1, 10)
@@ -363,7 +377,7 @@ class TestBlockIndependence:
         assert out.ambiguous == [13, 14, 15]
         assert out.state_changes == 1  # pass to fail across the ambiguous points
         assert (out.points, out.fail_count, out.last_fail) == (11, 5, 20)
-        assert (out.min_diff_n, out.margin_at_last_fail) == (20, -4.0)
+        assert (out.witness, out.margin) == (20, -4.0)
 
     def test_only_gaps_between_failing_neighbours_count_as_failures(self):
         # fail, fail, pass, pass, fail: of the gaps 3, 3, 4 and 5 between

@@ -47,10 +47,10 @@ def per_integer(b, direction, lo, hi, *, use_psi):
         slab = np.minimum(vals[:-1], vals[1:])
         turn = b.increase_start()
         n0 = math.floor(turn)
-        if lo <= n0 <= hi and turn > b.domain_start():
+        if lo <= n0 <= hi and turn > b.domain_start():  # [n0, n0 + 1) is least at the turn
             at_turn = evaluate(b, turn)
-            slab[n0 - lo] = min(slab[n0 - lo], at_turn.value)
-            err[n0 - lo] = max(err[n0 - lo], at_turn.abs_error_bound)
+            slab[n0 - lo] = min(vals[n0 - lo], at_turn.value)
+            err[n0 - lo] = max(errs[n0 - lo], at_turn.abs_error_bound)
         diff = slab - f
     else:
         diff = f - np.maximum(vals[:-1], vals[1:])
