@@ -1,21 +1,22 @@
 """Exact prime counting and Chebyshev's second function.
 
 pi values come from a segmented sieve of Eratosthenes over the odd integers:
-a build sieves each segment in one buffer, filled from a wheel with the
-multiples of 3, 5, 7, 11 and 13 cleared, and packs it straight into uint64
-words, the one table of primality, with a count of the primes below each word
-beside them (a rank directory), so pi(n) is that count plus the set bits of
-n's word up to n.  Point queries past the sieve cap run Legendre's sieve
-bottom-up over the O(sqrt x) distinct values of x // k (Lucy_Hedgehog's
-method), with the primes up to sqrt(x) taken from the sieve.  psi is one
-table of prefix sums of log(p) over the prime powers p^k in ascending order,
-each correctly rounded from an exact integer sum and carrying a conservative
-bound on its rounding error.  psi(n) is the prefix at the rank of n among the
-prime powers: pi(n) plus the count of the few higher powers p^k (k >= 2) up to
-n, which the table keeps as one ascending array, in place of positions.  The
-sums are filled a block at a time: the block's primes from the odd bits of the
-words, its higher powers inserted in order, the exact sum carried on.  So a
-build peaks at most one segment's buffer above its table.
+a build sieves the odd integers of each segment in one byte buffer, filled
+from a wheel with the multiples of 3, 5, 7, 11 and 13 cleared, and packs it
+straight into uint64 words of 64 odd integers each, 128 integers a word, the
+one table of primality.  Beside them a uint32 count of the primes below each
+word, the prime 2 included, makes a rank directory: pi(n) for n >= 2 is that
+count plus the set bits of n's word up to n.  Point queries past the sieve
+cap run Legendre's sieve bottom-up over the O(sqrt x) distinct values of
+x // k (Lucy_Hedgehog's method), with the primes up to sqrt(x) taken from the
+sieve.  psi is one table of prefix sums of log(p) over the prime powers p^k
+in ascending order, each correctly rounded from an exact integer sum and
+carrying a conservative bound on its rounding error.  psi(n) is the prefix at
+the rank of n among the prime powers: pi(n) plus the count of the few higher
+powers p^k (k >= 2) up to n, which the table keeps as one ascending array, in
+place of positions.  The sums are filled a block at a time: the block's primes
+from the bits of the words, its higher powers inserted in order, the exact sum
+carried on.  So a build peaks at most one segment's buffer above its table.
 All of these tables live in one store, by name, which counts their builds,
 growths and hits.  When a larger limit is asked for, the words continue their
 segment chain from their old end, a word boundary, and the psi table its exact
@@ -37,12 +38,14 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
-# The largest cap accepted.  Tables sized from the cap hold about 0.25 bytes
-# per integer up to it (the prime words and their counts) and 8 bytes per prime
-# power in the psi table (a float64 prefix; 0.41 GB for the 50.8 million up to
-# 10**9), so at 10**9 they take about 0.66 GB; psi_steps' int32 positions, built
-# only when asked, add 4 bytes per prime power.  A build peaks at most one
-# segment's 1 MB buffer above what it keeps; a growth also holds the old table.
+# The largest cap accepted.  Tables sized from the cap hold about 0.094 bytes
+# per integer up to it (the prime words of the odd integers and their uint32
+# counts, 12 bytes per 128 integers) and 8 bytes per prime power in the psi
+# table (a float64 prefix; 0.41 GB for the 50.8 million up to 10**9), so at
+# 10**9 they take about 0.50 GB; psi_steps' int32 positions, built only when
+# asked, add 4 bytes per prime power.  A build peaks at most one segment's
+# 0.5 MB buffer and its packed words above what it keeps; a growth also holds
+# the old table.  pi(10**9) = 50,847,534 fits the uint32 counts.
 # A Legendre query holds three int64 arrays of isqrt(x) entries and peaks near
 # 0.22 GB at LEGENDRE_MAX_ROOT, whatever the cap; one there took 28-34 s on a 2-core Xeon.
 MAX_CAP = 10**9
@@ -67,7 +70,7 @@ def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {_quote(cap)} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
-            f"tables take about 0.66 GB (0.25 B per integer and 8 B per prime power)"
+            f"tables take about 0.50 GB (0.094 B per integer and 8 B per prime power)"
         )
     if n > cap:
         raise ResourceLimitError(
@@ -95,35 +98,34 @@ def _prime_flags(n: int) -> np.ndarray:
 
 
 # The wheel every segment starts from, two periods of 15015 = 3*5*7*11*13 long,
-# so that one period from any phase is one slice: entry j holds the flags of 2j
-# and 2j + 1 as the low and high byte of a little-endian uint16; the even byte
-# is 0, the odd one 1 where 3, 5, 7, 11 and 13 do not divide 2j + 1.
+# so that one period from any phase is one slice: entry j is the flag of the odd
+# integer 2j + 1, 1 where 3, 5, 7, 11 and 13 do not divide it.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = ((np.gcd(2 * np.arange(2 * 15015) + 1, 15015) == 1) << 8).astype("<u2")
+_WHEEL = (np.gcd(2 * np.arange(2 * 15015) + 1, 15015) == 1).astype(np.uint8)
 
 
 def _sieve(buffer: np.ndarray, lo: int, hi: int, odd: np.ndarray) -> np.ndarray:
-    """Sieve [lo, hi] (0 <= lo <= hi, hi >= 2) in the "<u2" buffer from the
-    wheel and return a view of its uint8 flags for [lo, hi].  odd holds odd base
-    entries from 17 on, every prime up to isqrt(hi) among them."""
-    even = lo & ~1  # pairs[i] holds the flags of even + 2i and even + 2i + 1
-    pairs = buffer[: (hi - even) // 2 + 1]
+    """Sieve the odd integers of [lo, hi] (0 <= lo <= hi) in the uint8 buffer
+    from the wheel and return a view of their flags: entry i for (lo | 1) + 2i.
+    odd holds odd base entries from 17 on, every prime up to isqrt(hi) among them."""
+    first = lo | 1
+    flags = buffer[: (hi - first) // 2 + 1]
     period = _WHEEL.size // 2
-    start, whole = (even >> 1) % period, pairs.size // period * period
-    pairs[:whole].reshape(-1, period)[:] = _WHEEL[start : start + period]
-    pairs[whole:] = _WHEEL[start : start + pairs.size - whole]
-    if lo <= _WHEEL_PRIMES[-1]:  # the wheel cleared its own primes too
+    start, whole = (first >> 1) % period, flags.size // period * period
+    flags[:whole].reshape(-1, period)[:] = _WHEEL[start : start + period]
+    flags[whole:] = _WHEEL[start : start + flags.size - whole]
+    if first <= _WHEEL_PRIMES[-1]:  # the wheel kept 1 and cleared its own primes
+        if first == 1:
+            flags[:1] = 0
         for p in _WHEEL_PRIMES:
-            if lo <= p <= hi:
-                pairs[(p - even) >> 1] = 1 << 8
-        if lo <= 2:  # the bytes from even up to 2: 0 and 1 are not prime, 2 is
-            pairs.view(np.uint8)[: 3 - even] = (0, 0, 1)[even:]
+            if first <= p <= hi:
+                flags[(p - first) >> 1] = 1
     for p in odd[odd <= isqrt(hi)].tolist():
-        m = max(p * p, (lo + p - 1) // p * p)
+        m = max(p * p, (first + p - 1) // p * p)
         if not m & 1:  # odd multiples only, 2p apart
             m += p
-        pairs[(m - even) >> 1 :: p] = 0
-    return pairs.view(np.uint8)[lo - even : hi - even + 1]
+        flags[(m - first) >> 1 :: p] = 0
+    return flags
 
 
 def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
@@ -145,8 +147,12 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
             f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
             f"missing {np.flatnonzero(missing)[:5].tolist()}"
         )
-    buffer = np.empty((hi - (lo & ~1)) // 2 + 1, dtype="<u2")
-    return _sieve(buffer, lo, hi, given[(given >= 17) & (given & 1 == 1)])
+    buffer = np.empty((hi - (lo | 1)) // 2 + 1, dtype=np.uint8)
+    flags = np.zeros(hi - lo + 1, dtype=np.uint8)
+    flags[(lo | 1) - lo :: 2] = _sieve(buffer, lo, hi, given[(given >= 17) & (given & 1 == 1)])
+    if lo == 2:  # the one even prime
+        flags[0] = 1
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +194,34 @@ def table_stats() -> dict[str, dict[str, int]]:
         return {name: dict(stats) for name, stats in _stats.items()}
 
 
-# _LOW_MASKS[b] keeps bits 0..b of a word
-_LOW_MASKS = np.array([(2 << b) - 1 for b in range(64)], dtype=np.uint64)
+# _ODD_MASKS[r] keeps the bits of a word's odd integers up to its integer r
+_ODD_MASKS = np.array([(1 << ((r + 1) >> 1)) - 1 for r in range(128)], dtype=np.uint64)
 
 
 def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, before) for 0..limit | 63: bit n & 63 of uint64 word n >> 6 set
-    at the prime n, and the count of primes below each word."""
+    """(words, before) for 0..limit | 127: bit j of uint64 word i set when the
+    odd integer 128i + 2j + 1 is prime, and before[i] the uint32 count of the
+    odd primes below 128i plus 1, for the prime 2, so that pi(n) for n >= 2 is
+    before[n >> 7] plus the set bits of word n >> 7 up to n (a rank directory)."""
     def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         # a fresh chain starts at 0 and a grown one at the old end + 1, a word
-        # boundary; each segment is whole words long, sieved in the buffer and
-        # packed into place.  One buffer size for every limit lets malloc reuse it
-        top = limit | 63
+        # boundary; each segment is whole words long, its odd integers sieved in
+        # the buffer and packed into place.  One buffer size for every limit
+        # lets malloc reuse it
+        top = limit | 127
         start = old[0] + 1 if old else 0
-        words = np.empty((top >> 6) + 1, dtype="<u8")
+        words = np.empty((top >> 7) + 1, dtype="<u8")
         if old:
-            words[: start >> 6] = old[1][0]
+            words[: start >> 7] = old[1][0]
         odd = np.flatnonzero(_prime_flags(isqrt(top))[17:]) + 17  # the base primes from 17
-        buffer = np.empty(SEGMENT_LENGTH // 2, dtype="<u2")
+        buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
         for lo in range(start, top + 1, SEGMENT_LENGTH):
             hi = min(lo + SEGMENT_LENGTH - 1, top)
             flags = _sieve(buffer, lo, hi, odd)
-            words[lo >> 6 : (hi >> 6) + 1] = np.packbits(flags, bitorder="little").view("<u8")
+            words[lo >> 7 : (hi >> 7) + 1] = np.packbits(flags, bitorder="little").view("<u8")
         del buffer, flags  # freed before the counts are allocated
-        before = np.empty(words.size, dtype=np.int64)  # summed in place
-        before[:1] = 0
+        before = np.empty(words.size, dtype=np.uint32)  # summed in place
+        before[:1] = 1  # the prime 2
         np.bitwise_count(words[:-1], out=before[1:])
         return top, (words, np.cumsum(before, out=before))
 
@@ -220,18 +229,20 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flags(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bool flags for lo..hi, True at the primes, unpacked from the words."""
-    bits = np.unpackbits(words[lo >> 6 : (hi >> 6) + 1].view(np.uint8), bitorder="little")
-    return bits[lo & 63 : (lo & 63) + hi - lo + 1].view(bool)
+    """Bool flags of the odd integers in [lo, hi], entry i for (lo | 1) + 2i,
+    True at the primes, unpacked from the words."""
+    first = lo | 1
+    bits = np.unpackbits(words[first >> 7 : (hi >> 7) + 1].view(np.uint8), bitorder="little")
+    skip = (first & 127) >> 1
+    return bits[skip : skip + (hi - first) // 2 + 1].view(bool)
 
 
 def _primes_in(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The primes in [lo, hi] as an ascending int64 array: 2 where it lies in
-    range, and the set odd bits of the words."""
-    first = lo | 1
-    found = np.flatnonzero(_flags(words, first, hi)[::2])
+    range, and the set bits of the words."""
+    found = np.flatnonzero(_flags(words, lo, hi))
     found *= 2
-    found += first
+    found += lo | 1
     return np.concatenate(([2], found)) if lo <= 2 <= hi else found
 
 
@@ -254,18 +265,22 @@ def _higher_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _counter(words: np.ndarray, before: np.ndarray):
-    """count(ns): a rank directory's set bits up to each n of an int64 array."""
+    """count(ns): pi at each n of an int64 array, as uint32, from a rank
+    directory."""
     def count(ns: np.ndarray) -> np.ndarray:
-        i = ns >> 6
-        return before[i] + np.bitwise_count(words[i] & _LOW_MASKS[ns & 63])
+        i = ns >> 7
+        counts = before[i] + np.bitwise_count(words[i] & _ODD_MASKS[ns & 127])
+        if ns.min(initial=2) < 2:  # scans ask for n >= 2 only, and skip this pass
+            counts[ns < 2] = 0
+        return counts
 
     return count
 
 
 def _pi_le(words: np.ndarray, before: np.ndarray, n: int) -> int:
     """_counter at one n, in Python ints."""
-    i = n >> 6
-    return before.item(i) + (words.item(i) & _LOW_MASKS.item(n & 63)).bit_count()
+    i = n >> 7
+    return before.item(i) + (words.item(i) & _ODD_MASKS.item(n & 127)).bit_count() if n >= 2 else 0
 
 
 def pi_lookup(limit: int):
@@ -285,7 +300,10 @@ def psi_lookup(limit: int):
 def cumulative_pi(limit: int) -> np.ndarray:
     """Array c with c[n] = pi(n) for 0 <= n <= limit (cached, shared)."""
     def build(limit: int, old) -> tuple[int, np.ndarray]:
-        return limit, np.cumsum(_flags(_rank(limit)[0], 0, limit), dtype=np.int64)
+        flags = np.zeros(limit + 1, dtype=np.uint8)
+        flags[1::2] = _flags(_rank(limit)[0], 0, limit)
+        flags[2:3] = 1  # the prime 2, when limit >= 2
+        return limit, np.cumsum(flags, dtype=np.int64)
 
     return _cached("counts", limit, build)
 
@@ -378,8 +396,8 @@ class PsiValue:
 
 
 def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
-    """psi(x): the psi_steps prefix at the rank of x among the prime powers,
-    pi(x) from the rank directory plus the higher powers up to x."""
+    """psi(x): the psi table's prefix sum at the rank of x among the prime
+    powers, pi(x) from the rank directory plus the higher powers up to x."""
     if not 0 <= x < math.inf:
         raise ValueError(f"psi_at requires a finite x >= 0, got {x}")
     n = int(x)

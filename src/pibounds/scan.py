@@ -215,22 +215,23 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
     while a.size:
         decided, low = bracket(a, b, at_a, at_b, best)
         keep = np.flatnonzero(~(decided & (low > best)))
-        a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
-        width = b - a
+        width = (b - a).take(keep)
         # narrow pieces, or all of them once they hold few integers, are compared whole
         whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
-        inner = wait = a[:0]
+        inner, wait = a[:0], keep[:0]
         if whole.any():
-            take = np.flatnonzero(whole)
-            counts = width[take] - 1  # the integers inside each whole piece
+            compared = np.flatnonzero(whole)
+            counts = width.take(compared) - 1  # the integers inside each whole piece
             ends = np.cumsum(counts)
             if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
                 fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
-                wait, take, counts, ends = take[fits:], take[:fits], counts[:fits], ends[:fits]
-            inner = np.repeat(a[take] + 1 - ends + counts, counts)
+                wait, compared = compared[fits:], compared[:fits]
+                counts, ends = counts[:fits], ends[:fits]
+            inner = np.repeat(a.take(keep.take(compared)) + 1 - ends + counts, counts)
             inner += np.arange(inner.size)
-            keep = np.concatenate((wait, np.flatnonzero(~whole)))  # then those to split
-            a, b, at_a, at_b = a[keep], b[keep], at_a[:, keep], at_b[:, keep]
+            # the pieces kept: those waiting, then those to split
+            keep = keep.take(np.concatenate((wait, np.flatnonzero(~whole))))
+        a, b, at_a, at_b = a.take(keep), b.take(keep), at_a.take(keep, 1), at_b.take(keep, 1)
         w = wait.size
         # each piece left to split gets parts - 1 cuts: all first cuts, then all second, ...
         parts = max(2, min(BASE_CASE, SPLIT_BUDGET // max(1, a.size - w)))
@@ -249,8 +250,8 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
         at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
     ns = np.concatenate(ns)
     order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
-    diff, guard = np.concatenate(cols, axis=1)[:, order]
-    return _classify(diff, guard, ns[order])
+    diff, guard = np.concatenate(cols, axis=1).take(order, 1)
+    return _classify(diff, guard, ns.take(order))
 
 
 def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
@@ -264,16 +265,20 @@ def _monotone(start: float):
     """The bracket of margins hi - lo, hi and lo nondecreasing from start (see
     Brackets).  Below the diff and the guard, which also bounds the error of
     the float hi and lo together, the margin rows are k rows of hi and k of lo."""
+    def least(hi, lo):
+        """The least of the k rows hi - lo; one row, for every pi or psi check."""
+        return hi[0] - lo[0] if hi.shape[0] == 1 else (hi - lo).min(axis=0)
+
     def bracket(a, b, at_a, at_b, best):
         k = (at_a.shape[0] - 2) // 2
         # the far end's guard bounds the guard inside and the errors of hi and
         # lo at the ends and of hi - lo inside: four guards in all
         guard = (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
-        d = (at_a[2 : 2 + k] - at_b[2 + k :]).min(axis=0)
+        d = least(at_a[2 : 2 + k], at_b[2 + k :])
         low = d - _CERT_SLACK * np.abs(d) - 3.0 * guard
         decided = low > guard
         if best < 0.0:  # a piece FAIL throughout has failing ends, compared already
-            d = (at_b[2 : 2 + k] - at_a[2 + k :]).min(axis=0)
+            d = least(at_b[2 : 2 + k], at_a[2 + k :])
             failing = d + _CERT_SLACK * np.abs(d) + 3.0 * guard < -guard
             decided |= failing
             low[failing] = np.inf

@@ -106,9 +106,9 @@ class TestSieveSegmentContract:
         (primes.SEGMENT_LENGTH, 2 * primes.SEGMENT_LENGTH - 1),
     ])
     def test_flags_equal_the_rank_words(self, lo, hi):
-        words, _ = primes._rank(hi)
+        found = primes.prime_array(hi)
         flags = sieve_segment(lo, hi, primes.prime_array(isqrt(hi)))
-        assert np.array_equal(flags.view(bool), primes._flags(words, lo, hi))
+        assert (np.flatnonzero(flags) + lo).tolist() == found[found >= lo].tolist()
 
 
 def eratosthenes(limit):
@@ -157,9 +157,10 @@ class TestOddWheelSieve:
 
     @pytest.mark.parametrize("hi", [
         64 * 1000 - 1, 64 * 1000, 64 * 1001 - 1, SEG - 1, SEG, 2 * SEG - 1, 2 * SEG,
+        128 * 1000 + 1, 128 * 1000 + 127,
     ])
     def test_ranges_ending_on_a_word_or_segment_edge(self, hi):
-        for lo in (2, 3, hi - 64, hi - 63, hi - self.SEG // 2, hi):
+        for lo in (2, 3, hi - 128, hi - 127, hi - 64, hi - 63, hi - self.SEG // 2, hi):
             self.check(max(lo, 2), hi)
 
     def test_even_composite_base_entries_are_not_strided(self):
@@ -201,12 +202,13 @@ class TestTableEdges:
 
     @pytest.mark.parametrize("limit", [SEG - 1, SEG, SEG + 1, 2 * SEG + 5])
     def test_bitmap_matches_one_unsegmented_pass(self, limit):
-        # the flags unpacked from the words, which end on a word boundary
+        # the primes read from the words, up to the limit and up to the end of
+        # its word, which one build covers
         primes.clear_caches()
-        words, _ = primes._rank(limit)
-        assert words.size == (limit >> 6) + 1
-        for hi in (limit, limit | 63):
-            assert np.array_equal(primes._flags(words, 0, hi), eratosthenes(hi).view(bool))
+        for hi in (limit, limit | 127):
+            assert np.array_equal(primes.prime_array(hi), np.flatnonzero(eratosthenes(hi)))
+        assert primes.table_stats()["rank"]["builds"] == 1
+        assert primes.table_stats()["rank"]["growths"] == 0
 
     @pytest.mark.parametrize("limit", [
         2**20 - 1, 2**20, 2**20 + 1, 3**12 - 1, 3**12, 3**12 + 1,
@@ -261,9 +263,9 @@ class TestGrownTables:
         (100, 112_006, 10**6),
         (2**20 - 1, 2**20, 2**20 + 1),
         (3**12 - 1, 3**12, 3**12 + 1),
-        (64 * 1000, 64 * 1000 + 63, 64 * 3000 + 63, 64 * 3001),
-        (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64),
-        (100, 130, 191, 192, 2**20 + 3, 2**20 + 64),
+        (128 * 1000, 128 * 1000 + 127, 128 * 3000 + 127, 128 * 3001),
+        (0, 1, 2, 3, 4, 8, 9, 24, 25, 63, 64, 127, 128),
+        (100, 130, 255, 256, 2**20 + 3, 2**20 + 128),
         (100, 3 * 2**20 + 5),
     ], ids=["verify", "segment", "prime-power", "word", "small", "off-word", "three-segments"])
     def test_grown_bitmap_and_psi_steps_equal_fresh_builds(self, chain):
@@ -300,18 +302,18 @@ class TestGrownTables:
         monkeypatch.setattr(primes, "_sieve", recording)
         for limit in (100, 112_006, 10**6, 3 * 2**20):
             primes._rank(limit)
-        assert sieved[0][0] == 0 and sieved[-1][1] == 3 * 2**20 | 63
+        assert sieved[0][0] == 0 and sieved[-1][1] == 3 * 2**20 | 127
         assert all(b[0] == a[1] + 1 for a, b in zip(sieved, sieved[1:]))
-        words, _ = primes._rank(3 * 2**20)
-        assert np.array_equal(primes._flags(words, 0, 3 * 2**20), eratosthenes(3 * 2**20).view(bool))
+        top = 3 * 2**20
+        assert np.array_equal(primes.prime_array(top), np.flatnonzero(eratosthenes(top)))
 
 
 class TestBuildPeak:
     """The prime words are sieved in one reused buffer and the psi sums are
     filled a block at a time, into an array of their final size, so a cold
-    build peaks near the tables it keeps: 0.25 B per integer in the prime words
-    and their counts, and 8 B per prime power in the psi table's float64
-    prefixes, which keeps no positions."""
+    build peaks near the tables it keeps: 0.094 B per integer in the prime
+    words of the odd integers and their uint32 counts, and 8 B per prime power
+    in the psi table's float64 prefixes, which keeps no positions."""
 
     def test_a_cold_psi_at_peaks_within_16_mb_of_the_tables_it_keeps(self, traced_peak):
         n = 2 * 10**7
@@ -331,14 +333,15 @@ class TestBuildPeak:
         assert higher.tolist() == sorted(powers)
         assert res.term_count == pi_at(n, cap=n) + len(higher)
         assert peak < sum(kept.values()) + 16 * 10**6
-        assert sum(kept.values()) < 0.26 * n + 8.1 * res.term_count
+        assert sum(kept.values()) < 0.10 * n + 8.1 * res.term_count
 
     def test_a_cold_rank_directory_peaks_within_one_segment_of_what_it_keeps(self, traced_peak):
         primes.clear_caches()
         (words, before), peak = traced_peak(lambda: primes._rank(5 * 10**6))
-        # one uint16 buffer of SEGMENT_LENGTH // 2 pairs and one packed segment
+        # one uint8 buffer of the SEGMENT_LENGTH // 2 odd integers of a segment,
+        # and that segment packed
         segment = primes.SEGMENT_LENGTH
-        assert peak <= words.nbytes + before.nbytes + segment + segment // 8
+        assert peak <= words.nbytes + before.nbytes + segment // 2 + segment // 16
 
 
 class TestRankPi:
@@ -351,13 +354,73 @@ class TestRankPi:
     def test_equals_the_count_table_at_word_and_segment_edges(self):
         top = 5 * 10**6
         rng = np.random.default_rng(20260)
-        edges = [k * m + d for m in (64, primes.SEGMENT_LENGTH)
-                 for k in rng.integers(1, top // m, 20).tolist() for d in (-1, 0, 1, 63)]
+        edges = [k * m + d for m in (128, primes.SEGMENT_LENGTH)
+                 for k in rng.integers(1, top // m, 20).tolist() for d in (-1, 0, 1, 127)]
         ns = np.array(sorted({n for n in edges + rng.integers(0, top, 2000).tolist() + [top]
                               if n <= top}), dtype=np.int64)
         counts = cumulative_pi(top)
         assert np.array_equal(primes.pi_lookup(top)(ns), counts[ns])
         assert [pi_at(n) for n in ns.tolist()] == counts[ns].tolist()
+
+
+class TestWordEdges:
+    """Each reader of the prime words, at the edges of their 128-integer words
+    and of the sieve segments, equals an unsegmented sieve of all the integers,
+    on fresh tables and on tables grown along the limits a cold verify asks for."""
+
+    CHAIN = (100, 112_006, 10**6, 5 * 10**6)
+    FLAGS = eratosthenes(CHAIN[-1])
+
+    def edges(self, limit):
+        rng = np.random.default_rng(limit)
+        seg = primes.SEGMENT_LENGTH
+        ks = rng.integers(0, limit // 128 + 1, 25).tolist() + [1, 2, seg // 128, 2 * seg // 128]
+        ns = {128 * k + d for k in ks for d in (-1, 0, 1, 127)} | {0, 1, 2, 3, limit}
+        return np.array(sorted(n for n in ns if 0 <= n <= limit), dtype=np.int64)
+
+    def check(self, limit):
+        flags = self.FLAGS[: limit + 1]
+        counts = np.cumsum(flags, dtype=np.int64)
+        ns = self.edges(limit)
+        assert primes.pi_lookup(limit)(ns).tolist() == counts[ns].tolist()
+        assert [pi_at(n) for n in ns.tolist()] == counts[ns].tolist()
+        assert np.array_equal(cumulative_pi(limit), counts)
+        found = primes.prime_array(limit)
+        assert np.array_equal(found, np.flatnonzero(flags))
+        # psi at each edge: its term count is pi(n) plus the higher powers up to
+        # n, and its value the sum of log p over those prime powers
+        logs = np.log(found.astype(np.float64))
+        powers, power_logs = [], []
+        for p, lp in zip(found[found <= isqrt(limit)].tolist(), logs.tolist()):
+            power = p * p
+            while power <= limit:
+                powers.append(power)
+                power_logs.append(lp)
+                power *= p
+        order = np.argsort(powers)
+        powers = np.array(powers, dtype=np.int64)[order]
+        terms = np.concatenate(([0.0], logs))
+        dense = np.cumsum(terms)[counts[ns]]
+        dense += np.concatenate(([0.0], np.cumsum(np.array(power_logs)[order])))[
+            np.searchsorted(powers, ns, side="right")]
+        values = primes.psi_lookup(limit)(ns)
+        for n, value, expect in zip(ns.tolist(), values.tolist(), dense.tolist()):
+            res = psi_at(n)
+            assert res.value == value
+            assert res.term_count == (counts[n] + np.searchsorted(powers, n, side="right")
+                                      if n >= 2 else 0)
+            assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_fresh_tables(self):
+        for limit in self.CHAIN:
+            primes.clear_caches()
+            self.check(limit)
+
+    def test_grown_tables(self):
+        primes.clear_caches()
+        for limit in self.CHAIN:
+            self.check(limit)
+        assert primes.table_stats()["rank"]["builds"] == 1
 
 
 class TestStore:
@@ -369,7 +432,8 @@ class TestStore:
         pi_at(50)
         pi_at(1000)
         stats = primes.table_stats()
-        assert stats["rank"] == {"builds": 1, "growths": 1, "hits": 1, "bytes": 128 * 2}
+        # 0..1023: 8 words of 128 integers, each with a uint32 count
+        assert stats["rank"] == {"builds": 1, "growths": 1, "hits": 1, "bytes": 8 * (8 + 4)}
         assert "bitmap" not in stats
         primes.clear_caches()
         assert primes.table_stats() == {}

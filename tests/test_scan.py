@@ -166,6 +166,20 @@ class TestSandwich:
         with pytest.raises(ResourceLimitError):
             verify_sandwich(2, 100, cap=50)
 
+    def test_a_piece_passes_only_when_both_comparisons_clear(self):
+        # the sandwich's bracket reads two comparisons, pi(n) log n over psi(n)
+        # and 2 psi(n) over pi(n) log n; a piece passes when the least clears
+        bracket = scan._monotone(2)
+        a, b = np.array([100]), np.array([200])
+
+        def ends(hi1, hi2, lo1, lo2):  # diff, guard, hi rows, lo rows
+            return np.array([[1.0], [1e-9], [hi1], [hi2], [lo1], [lo2]])
+
+        assert bracket(a, b, ends(10, 20, 0, 0), ends(30, 40, 1, 10), 0.5)[0].tolist() == [True]
+        for at_a, at_b in [(ends(10, 1, 0, 0), ends(30, 40, 1, 10)),
+                           (ends(1, 20, 0, 0), ends(30, 40, 10, 10))]:
+            assert bracket(a, b, at_a, at_b, 0.5)[0].tolist() == [False]
+
 
 class TestLastViolation:
     def test_cheb_upper_threshold(self, registry):

@@ -386,7 +386,8 @@ def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
     for b in shapes.values():
         calls = kernel_calls(b)
     claims.run_all()
-    assert len(calls) <= 70  # halving every piece made 97, one frontier per segment 166
+    assert len(calls) <= 61  # halving every piece made 97, one frontier per segment 166
+    assert sum(xs.size for xs in calls) <= 100_594
 
 
 def test_a_short_flat_scan_takes_few_kernel_calls(kernel_calls):
