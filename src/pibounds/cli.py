@@ -175,19 +175,13 @@ def _cmd_table(args) -> int:
     if not 0 <= args.start <= args.end:
         raise DomainError(f"table needs 0 <= --from <= --to, got [{args.start}, {args.end}]")
     rows = range(args.start, args.end + 1, args.step)
-    if args.start <= args.cap:
-        # one rank directory for every row the sieve serves, not one per row:
-        # sized at the last row up to the cap (len(rows) overflows on a huge range)
-        top = min(args.end, args.cap)
-        primes.pi_at(top - (top - args.start) % args.step, cap=args.cap)
-    # raise every error before the header: the last row is the farthest from
-    # the cap, and each bound's domain is a half-line, so the first row decides it
-    last = primes.pi_at(rows[-1], cap=args.cap)
+    # raise every error before the header: pi_rows refuses rows it cannot
+    # count, and each bound's domain is a half-line, so the first row decides it
+    counts = primes.pi_rows(rows, cap=args.cap)
     for b in bounds:
         b.check_domain(float(rows[0]))
     print(",".join(["x", "pi", *names]))
-    for x in rows:
-        pi = last if x == rows[-1] else primes.pi_at(x, cap=args.cap)
+    for x, pi in zip(rows, counts):
         values = [repr(evaluate(b, float(x)).value) for b in bounds]
         print(",".join([str(x), str(pi), *values]))
     return 0

@@ -32,6 +32,7 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -360,11 +361,7 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
     if not 2 <= x < math.inf:
         raise ValueError(f"pi_point_legendre requires a finite x >= 2, got {x}")
     n = int(x)
-    root = isqrt(n)
-    check_cap(cap, root, f"Legendre root isqrt({_quote(n)}) =")
-    if root > LEGENDRE_MAX_ROOT:
-        raise ResourceLimitError(f"Legendre root isqrt({n}) = {root} is above the ceiling "
-                                 f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (about 30 s a query)")
+    root = _legendre_root(n, cap)
     quotients = n // np.arange(1, root + 1, dtype=np.int64)  # x // k for k <= root
     small = np.arange(-1, root, dtype=np.int64)  # small[v] = S(v) for v <= root
     large = quotients - 1  # large[k - 1] = S(x // k)
@@ -379,6 +376,71 @@ def pi_point_legendre(x: int, *, cap: int = DEFAULT_CAP) -> int:
         if square <= root:
             small[square:] -= small[np.arange(square, root + 1) // p] - below
     return int(large[0])
+
+
+def _legendre_root(n: int, cap: int) -> int:
+    """isqrt(n), refused above the cap or LEGENDRE_MAX_ROOT: the primes up to it
+    come from the sieve."""
+    root = isqrt(n)
+    check_cap(cap, root, f"Legendre root isqrt({_quote(n)}) =")
+    if root > LEGENDRE_MAX_ROOT:
+        raise ResourceLimitError(f"Legendre root isqrt({n}) = {root} is above the ceiling "
+                                 f"LEGENDRE_MAX_ROOT = {LEGENDRE_MAX_ROOT} (about 30 s a query)")
+    return root
+
+
+def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
+    """pi at each x of rows, an ascending range of integers >= 0, in order.
+
+    Rows up to the cap read the rank directory, built once at the last of
+    them.  Past the cap the first row takes one Legendre query, or pi(cap)
+    stands in when rows start at or below the cap, and the rows after it a
+    running count over windows of SEGMENT_LENGTH integers sieved in one
+    buffer (the segmented sieve of an interval, Bays and Hudson, BIT 17,
+    1977).  That stretch above the cap may be no wider than the cap, so
+    sieving it costs no more than a table build at the cap, and its base
+    primes need isqrt of the last row within the cap and LEGENDRE_MAX_ROOT,
+    as a Legendre query does.  Every refusal and the Legendre query come
+    here, before the first count is yielded.
+    """
+    check_cap(cap)
+    split = max(cap, 1)  # rows up to here read the words (pi is 0 below 2)
+    below = rows[: max(0, (split - rows.start) // rows.step + 1)]
+    above = rows[len(below) :]
+    words, before = _rank(below[-1]) if below else (None, None)
+    if not above:
+        return (_pi_le(words, before, x) for x in below)
+    last = above[-1]
+    root = _legendre_root(last, cap)
+    base = split if below else above[0]  # the window runs from base + 1 to last
+    if last - base > cap:
+        raise ResourceLimitError(
+            f"table rows from {_quote(base)} to {_quote(last)} span more than the scan cap "
+            f"{cap} above it; raise the cap to allow it"
+        )
+    count = _pi_le(words, before, split) if below else pi_point_legendre(base, cap=cap)
+
+    def counts(count: int) -> Iterator[int]:
+        yield from (_pi_le(words, before, x) for x in below)
+        if not below:
+            yield count
+        odd = np.flatnonzero(_prime_flags(root)[17:]) + 17  # the base primes from 17
+        buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
+        upto = np.zeros(SEGMENT_LENGTH // 2 + 1, dtype=np.uint32)  # upto[k]: primes among k odd
+        step = rows.step
+        for lo in range(base + 1, last + 1, SEGMENT_LENGTH):
+            hi = min(lo + SEGMENT_LENGTH - 1, last)
+            flags = _sieve(buffer, lo, hi, odd)
+            np.cumsum(flags, out=upto[1 : flags.size + 1])
+            first = last - (last - lo) // step * step  # the first row in [lo, hi]
+            xs = np.arange(first, hi + 1, step, dtype=np.int64)
+            two = int(lo <= 2)  # the one even prime, in the first window above a cap below 2
+            found = upto.take((xs - (lo | 1)) // 2 + 1).astype(np.int64)
+            found += count + two
+            yield from found.tolist()
+            count += two + int(upto[flags.size])
+
+    return counts(count)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,15 @@ increasing or falls-then-rises through a single turning point, so the slab
 extreme sits at a slab endpoint or at that one turning point: upper checks
 (f < B) compare f(n) against the slab infimum of B, the lesser of B(n) and
 B(n+1), or of B(n) and B(turn) on the slab that holds the turn; lower checks
-(B < f) against the slab supremum, the greater of B(n) and B(n+1).  Each
+(B < f) against the slab supremum, the greater of B(n) and B(n+1).  From
+max(floor(turn) + 2, guard_increase_start) on, the bound increases on every
+slab, so the infimum is B(n) and the supremum B(n+1): each integer there is
+evaluated at that one end (Rosser and Schoenfeld's check at the primes,
+applied one integer at a time), and only those below it at both.  Each
 comparison has one guard, which bounds the combined evaluation error of its
-two sides (bound rounding + psi summation error; pi is exact): a difference
-within it is reported AMBIGUOUS rather than silently decided either way.
+two sides (the error bounds of the bound's points + psi summation error; pi
+is exact): a difference within it is reported AMBIGUOUS rather than silently
+decided either way.
 
 Brackets.  The range starts as pieces of STRETCH integer steps that share
 their ends, and a piece [a, b] is decided from the comparisons at its ends:
@@ -56,12 +61,14 @@ SCAN_SEGMENT caps the integers one level compares whole, its first whole
 piece always included; the whole pieces past the cap wait for the next level,
 so a call holds at most that many integers plus the cuts of the pieces split,
 at most SPLIT_BUDGET or one per piece.  The range is classified once from the
-integers compared, in order, with their diffs and guards.  Between two
-neighbouring compared integers lies the inside of one decided piece, so the
-integers there fail when both neighbours fail and pass otherwise: counts add
-the gaps between failing neighbours, and the last failure, sign changes and
-ambiguous points are those of the compared integers.  So no verdict depends
-on how the range is split.
+integers compared, with their diffs and guards, in the order the levels
+compared them.  Between two neighbouring compared integers lies the inside of
+one decided piece, so the integers there fail when both neighbours fail and
+pass otherwise: counts add the gaps between failing neighbours, and the last
+failure, sign changes and ambiguous points are those of the compared
+integers.  Only those need the integers in order, so they are sorted only
+when something fails; otherwise the witness is the least integer of least
+diff.  So no verdict depends on how the range is split.
 """
 
 from __future__ import annotations
@@ -155,35 +162,44 @@ class _Summary:
 def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
     """Guarded classification of a range from its compared integers.
 
-    Entry i stands for the integer ns[i]; ns ascends from the range's first
-    integer to its last, and the integers between two entries classify as
-    both do when both fail, else pass (see Segments).  A diff of +inf marks a
-    provable tie that passes.  The witness is the last failure if any, else
-    the first integer of least diff; a crossover's flank is read at the last
-    failure and the integer after it, or at lo.
+    Entry i stands for the integer ns[i]; ns holds the range's integers in the
+    order they were compared, its first entry the range's first integer, and
+    the integers between two neighbours in ascending order classify as both
+    do when both fail, else pass (see Segments).  Only a range with a failure
+    needs that order, so only it is sorted.  A diff of +inf marks a provable
+    tie that passes.  The witness is the last failure if any, else the least
+    integer of least diff; a crossover's flank is read at the last failure
+    and the integer after it, or at lo.
     """
     fail = diff < -guard
-    passing = diff > guard
     fail_count = int(np.count_nonzero(fail))
+    if fail_count:
+        order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
+        diff, guard, ns, fail = diff.take(order), guard.take(order), ns.take(order), fail.take(order)
+    passing = diff > guard
     amb_count = diff.size - fail_count - int(np.count_nonzero(passing))
 
     ambiguous: list[int] = []
     definite = fail  # True marks a failing point, False a passing one
     if amb_count:
         amb = ~(fail | passing)
-        ambiguous = ns[amb].tolist()
+        ambiguous = np.sort(ns[amb]).tolist()
         definite = fail[~amb]
     changes = 0
-    i = int(np.argmin(diff))
     flank = slice(0, 1)  # the last failure and the next integer, or lo
     if fail_count:
         i = int(np.flatnonzero(fail)[-1])
         flank = slice(i, i + 2)
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
         fail_count += int((np.diff(ns) - 1)[fail[1:] & fail[:-1]].sum())
+    else:
+        i = int(np.argmin(diff))
+        ties = np.flatnonzero(diff == diff[i])
+        if ties.size > 1:  # the least integer among them
+            i = int(ties[ns.take(ties).argmin()])
 
     return _Summary(
-        points=int(ns[-1] - ns[0]) + 1,
+        points=int(ns.max() - ns[0]) + 1,
         fail_count=fail_count,
         witness=int(ns[i]),
         margin=float(diff[i]),
@@ -248,10 +264,8 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
         a, b = np.concatenate((a, cut)), np.concatenate((b[:w], cut, b[w:]))
         at_a = np.concatenate((at_a, at_cut), 1)
         at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
-    ns = np.concatenate(ns)
-    order = np.argsort(ns, kind="stable")  # a merge sort, fast on the ascending runs of ns
-    diff, guard = np.concatenate(cols, axis=1).take(order, 1)
-    return _classify(diff, guard, ns.take(order))
+    diff, guard = np.concatenate(cols, axis=1)
+    return _classify(diff, guard, np.concatenate(ns))
 
 
 def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
@@ -315,6 +329,13 @@ def _check_range(lo: int, hi: int, cap: int) -> None:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
 
 
+def _one_end_start(b: BoundExpr) -> int:
+    """The integer from which b increases on every slab and its guard formula
+    no longer falls: from there a slab is compared at one end, and pieces may
+    be decided."""
+    return max(math.floor(b.increase_start()) + 2, math.ceil(b.guard_increase_start()))
+
+
 def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
                      *, use_psi: bool, cap: int) -> _Summary:
     _check_range(lo, hi, cap)
@@ -332,23 +353,32 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
     n0 = math.floor(turn)
     # the slab [n0, n0 + 1) holds the turn, where an upper check's bound is least
     turning = upper and lo <= n0 <= hi
-    # pieces from here on may be decided: the bound increases on every slab,
-    # and its guard formula no longer falls
-    start = max(n0 + 2, math.ceil(b.guard_increase_start()))
+    start = _one_end_start(b)
+    end = 0.0 if upper else 1.0  # the slab end evaluated from start on
 
     def margins(ns: np.ndarray) -> np.ndarray:
         """Diff, guard (the error bound of the slab bound, plus psi's), hi and lo
-        of each integer in ns."""
-        xs = np.repeat(ns.astype(np.float64), 2)
-        xs[1::2] += 1.0  # the slab ends n and n + 1, or n0 and the turn
-        if turning:
-            xs[1::2][ns == n0] = turn
+        of each integer in ns.  From start on the slab bound is B(n) for an upper
+        check and B(n + 1) for a lower one; before it, the lesser or greater of
+        B(n) and B(n + 1), or of B(n0) and B(turn), whose second points follow
+        the first in the one kernel call."""
+        m = ns.size
+        xs = ns + end  # B(n) or B(n + 1)
+        below = np.flatnonzero(ns < start) if lo < start else ns[:0]
+        if below.size:  # and B(n + 1) or B(n), or B(turn)
+            near = ns.take(below)
+            far = near + (1.0 - end)
+            if turning:
+                far[near == n0] = turn
+            xs = np.concatenate((xs, far))
         vals, errs = b.values_with_error(xs, np.log(xs))
-        diff, guard, hi_, lo_ = rows = np.empty((4, ns.size))
-        np.maximum(errs[0::2], errs[1::2], out=guard)
+        diff, guard, hi_, lo_ = rows = np.empty((4, m))
         f_vals, slab = (lo_, hi_) if upper else (hi_, lo_)
+        slab[:], guard[:] = vals[:m], errs[:m]
+        if below.size:
+            slab[below] = (np.minimum if upper else np.maximum)(slab.take(below), vals[m:])
+            guard[below] = np.maximum(guard.take(below), errs[m:])
         f_vals[:] = f_of(ns)
-        (np.minimum if upper else np.maximum)(vals[0::2], vals[1::2], out=slab)
         np.subtract(hi_, lo_, out=diff)
         if use_psi:
             guard += PSI_ERR_FACTOR * f_vals

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pibounds import scan
 from pibounds.bounds import (
     DusartSeries,
     PsiAffine,
@@ -15,6 +17,7 @@ from pibounds.bounds import (
     evaluate,
 )
 from pibounds.errors import DomainError
+from pibounds.primes import DEFAULT_CAP, SEGMENT_LENGTH
 
 
 class TestConstants:
@@ -215,6 +218,22 @@ class TestMonotonicity:
     def test_shifted_turn(self, registry):
         b = registry["pan_upper"]
         assert abs(b.increase_start() - math.exp(2.11)) < 1e-12
+
+    @pytest.mark.parametrize("name", list(builtin_bounds()))
+    def test_float_values_and_guards_never_fall_past_the_one_end_start(self, name):
+        # a scan compares each integer n from scan._one_end_start on at one slab
+        # end, B(n) for an upper check and B(n + 1) for a lower one.  Where the
+        # float values and guards never fall, that end is also the lesser or the
+        # greater of the two float ends, so every diff and every lower check's
+        # guard equals its two-end comparison bit for bit, up to the default cap
+        b = builtin_bounds()[name]
+        for lo in range(scan._one_end_start(b), DEFAULT_CAP + 1, SEGMENT_LENGTH):
+            hi = min(lo + SEGMENT_LENGTH, DEFAULT_CAP + 1)  # windows share their ends
+            xs = np.arange(lo, hi + 1, dtype=np.float64)
+            vals, errs = b.values_with_error(xs, np.log(xs))
+            for row in (vals, errs):
+                falls = np.flatnonzero(np.diff(row) < 0)
+                assert not falls.size, xs[falls[:5]]
 
 
 class TestVariantValidation:

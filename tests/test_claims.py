@@ -285,8 +285,10 @@ def _expected_guard(outcome):
         if (v.witness, v.min_margin) == (w, outcome.min_margin):
             bound = registry[name]
             break
-    guard = max(evaluate(bound, float(w)).abs_error_bound,
-                evaluate(bound, float(w + 1)).abs_error_bound)
+    # from where the bound increases on every slab, a slab is evaluated at one
+    # end: n for an upper check and n + 1 for a lower one
+    ends = [w, w + 1] if w < scan._one_end_start(bound) else [w] if direction is Direction.UPPER_STRICT else [w + 1]
+    guard = max(evaluate(bound, float(n)).abs_error_bound for n in ends)
     if use_psi:
         guard += PSI_ERR_FACTOR * float(primes.psi_array(w)[w])
     return guard

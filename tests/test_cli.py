@@ -220,6 +220,18 @@ class TestTable:
             assert pi == pi_oracle_trial_division(x)
 
 
+    def test_rows_past_the_cap_count_as_point_queries(self, capsys):
+        # one Legendre query at the first row past the cap, or pi(cap), then
+        # a sieved running count: the same pi as a point query at every row
+        for start in ("990", "1001"):
+            code, out, _ = run(capsys, "--cap", "1000", "table", "--from", start,
+                               "--to", "1900", "--step", "3", "--bounds", "pan_upper")
+            assert code == 0
+            for row in out.splitlines()[1:]:
+                x, pi, _ = row.split(",")
+                assert int(pi) == primes.pi_at(int(x), cap=1000)
+
+
 class TestEdgeInputs:
     """Non-finite arguments and a negative cap: one error line, exit 2."""
 
@@ -296,6 +308,7 @@ class TestEdgeInputs:
         (("table", "--from", "-2", "--to", "2"), "--from"),
         (("table", "--from", "3", "--to", "2"), "--to"),
         (("table", "--from", "0", "--to", "1" + "0" * 30), "cap"),  # len(rows) overflows
+        (("--cap", "1000", "table", "--from", "500", "--to", "2001"), "span more than"),
     ])
     def test_table_rejects_before_the_header(self, capsys, argv, message):
         assert message in self.rejected(capsys, *argv)

@@ -7,6 +7,8 @@ rounding of the float computation.  The piece certificates of range scans
 also trust each shape's curvature bound and the growth of its guard, which
 are checked here the same way, and the pieces they decide are re-checked
 here at 120 bits, as are the pinned crossover flips and C8b's violators.
+Past each bound's turn a scan evaluates a slab at one end only, which rests
+on the bound rising there; that is checked at 120 bits too.
 """
 
 import json
@@ -300,6 +302,31 @@ def test_the_turning_slab_infimum_lies_within_its_guard():
         least = mpmath.exp(mpmath.mpf(b.shift) + 1)
         assert 8 < least < 9 and least < min(exact(b, 8), exact(b, 9))
         assert abs(mpmath.mpf(v.min_margin) - (least - 4)) <= v.guard_at_witness
+
+
+def one_end_samples(b):
+    """The integer from which b's slabs are compared at one end, the two after
+    it, and 200 integers log-spaced from it to DEFAULT_CAP."""
+    start = scan._one_end_start(b)
+    spaced = np.geomspace(start, primes.DEFAULT_CAP, 200).round().astype(np.int64)
+    return sorted({start, start + 1, start + 2, *spaced.tolist()})
+
+
+@pytest.mark.parametrize("name", list(builtin_bounds()))
+def test_a_slab_past_the_turn_is_compared_at_one_end(name):
+    # from scan._one_end_start on, an upper check compares pi(n) with B(n)
+    # alone and a lower one with B(n + 1): b rises at n, past its one turn, so
+    # it increases over [n, n + 1], and those are the slab's infimum and
+    # supremum.  Each margin then lies within its guard of the true one.
+    b = builtin_bounds()[name]
+    U, L = scan.Direction.UPPER_STRICT, scan.Direction.LOWER_STRICT
+    with mpmath.workprec(PREC):
+        for n in one_end_samples(b):
+            assert mpmath.diff(lambda X: exact(b, X), n) > 0, n
+            f = primes.pi_at(n)
+            for direction, margin in ((U, exact(b, n) - f), (L, f - exact(b, n + 1))):
+                v = scan.verify_pi(b, direction, n, n)
+                assert abs(mpmath.mpf(v.min_margin) - margin) <= v.guard_at_witness, (n, direction)
 
 
 def test_an_ambiguous_point_is_marked_and_its_margin_lies_inside_its_guard():

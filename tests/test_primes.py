@@ -635,6 +635,75 @@ class TestLegendreCeiling:
         assert "LEGENDRE_MAX_ROOT" in refused(lambda: pi_at(x, cap=primes.MAX_CAP))
 
 
+SEGMENT = primes.SEGMENT_LENGTH
+ROWS_CAP = 3 * SEGMENT  # room above the cap for windows of a whole segment
+
+
+class TestPiRows:
+    """pi_rows: rows up to the cap read the words; past it one Legendre query,
+    or pi(cap), and a running count over sieved windows of SEGMENT_LENGTH."""
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (ROWS_CAP - 5, ROWS_CAP + 6, 1),  # straddles the cap
+        (ROWS_CAP - 2, ROWS_CAP + 2 * SEGMENT + 2, SEGMENT - 1),  # the window edges, from the cap
+        (ROWS_CAP - 2, ROWS_CAP + 2 * SEGMENT + 2, SEGMENT),
+        (ROWS_CAP - 2, ROWS_CAP + 2 * SEGMENT + 2, SEGMENT + 1),
+        (ROWS_CAP + 999, ROWS_CAP + 999 + 2 * SEGMENT + 2, SEGMENT - 1),  # from a Legendre row
+        (ROWS_CAP + 999, ROWS_CAP + 999 + 2 * SEGMENT + 2, SEGMENT),
+        (ROWS_CAP + 999, ROWS_CAP + 999 + 2 * SEGMENT + 2, SEGMENT + 1),
+        (5 * ROWS_CAP + 1, 6 * ROWS_CAP + 2, 104_729),  # far above, one row per window or fewer
+    ])
+    def test_rows_equal_point_queries(self, start, stop, step):
+        rows = range(start, stop, step)
+        counts = list(primes.pi_rows(rows, cap=ROWS_CAP))
+        assert len(counts) == len(rows)
+        for x, count in zip(rows, counts):
+            want = pi_at(x) if x <= ROWS_CAP else pi_point_legendre(x, cap=ROWS_CAP)
+            assert count == want, x
+
+    @pytest.mark.parametrize("cap, stop, want", [
+        (0, 2, [0, 0]),
+        (1, 3, [0, 0, 1]),  # 2 lies in the first window above the cap
+        (2, 5, [0, 0, 1, 2, 2]),
+    ])
+    def test_tiny_caps(self, cap, stop, want):
+        assert list(primes.pi_rows(range(0, stop), cap=cap)) == want
+
+    def test_one_legendre_query_for_every_row_above_the_cap(self, monkeypatch):
+        queries = []
+        legendre = primes.pi_point_legendre
+
+        def counted(x, *, cap):
+            queries.append(x)
+            return legendre(x, cap=cap)
+
+        monkeypatch.setattr(primes, "pi_point_legendre", counted)
+        rows = range(10**7 + 1, 10**7 + 10**6, 997)
+        assert len(list(primes.pi_rows(rows, cap=10**6))) == len(rows)
+        assert queries == [rows[0]]
+        queries.clear()
+        list(primes.pi_rows(range(10**6 - 10, 2 * 10**6, 997), cap=10**6))
+        assert queries == []  # pi(cap) from the words stands in
+
+    @pytest.mark.parametrize("start, stop, refused", [
+        (500, 2002, True),  # (1000, 2001] above the cap is wider than the cap
+        (500, 2001, False),
+        (5000, 6002, True),  # (5000, 6001] past the first row
+        (5000, 6001, False),
+        (1001**2, 1001**2 + 1, True),  # the base primes need isqrt(last row) <= cap
+        (1001**2 - 1, 1001**2, False),
+    ])
+    def test_refusals_come_before_any_row(self, start, stop, refused):
+        # pi_rows raises when called, so a table refuses before its header
+        rows = range(start, stop)
+        if refused:
+            with pytest.raises(ResourceLimitError, match="cap 1000"):
+                primes.pi_rows(rows, cap=1000)
+        else:
+            counts = list(primes.pi_rows(rows, cap=1000))
+            assert counts[-1] == pi_point_legendre(rows[-1], cap=1000)
+
+
 def log_lcm(n):
     v = 1
     for k in range(2, n + 1):

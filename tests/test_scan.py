@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pibounds import primes, scan
 from pibounds.bounds import chebyshev_constants, evaluate
@@ -400,6 +402,47 @@ class TestBlockIndependence:
         diff = np.array([-2.0, -2.0, 2.0, 2.0, -2.0])
         out = scan._classify(diff, np.ones(ns.size), ns)
         assert (out.points, out.fail_count, out.state_changes) == (20, 6, 2)
+
+
+@st.composite
+def compared(draw):
+    """A range's compared integers in ascending order, their diffs and guards,
+    drawn from few values so that ties are common, and an order to compare
+    them in that keeps the range's first integer first."""
+    ns = sorted(draw(st.sets(st.integers(2, 10**6), min_size=1, max_size=30)))
+    k = len(ns)
+    diff = draw(st.lists(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 5.0, math.inf]),
+                         min_size=k, max_size=k))
+    guard = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k, max_size=k))
+    order = [0, *draw(st.permutations(range(1, k)))]
+    return np.array(ns), np.array(diff), np.array(guard), np.array(order)
+
+
+class TestClassifyOrder:
+    """_classify takes the compared integers in the order a scan compared
+    them, and sorts them only when something fails."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(compared())
+    def test_any_order_classifies_as_the_ascending_one(self, case):
+        ns, diff, guard, order = case
+        ascending = scan._classify(diff, guard, ns)
+        assert scan._classify(diff[order], guard[order], ns[order]) == ascending
+
+    @pytest.mark.parametrize("diff, witness, ambiguous, fail_count", [
+        ([3.0, 0.5, 2.0, 0.5, 4.0], 5, [], 0),  # a tie at the least diff: the earliest wins
+        ([3.0, 0.1, 2.0, -0.2, 0.0], 14, [5, 14, 20], 0),  # ambiguous points, ascending
+        ([math.inf] * 5, 2, [], 0),  # exact ties throughout: lo
+        ([1.0, -1.0, 2.0, -1.0, -1.0], 20, [], 8),  # 14 to 20 fail, and 5
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(rest=st.permutations(range(1, 5)))
+    def test_named_cases_in_any_order(self, diff, witness, ambiguous, fail_count, rest):
+        ns, diff, guard = np.array([2, 5, 9, 14, 20]), np.array(diff), np.full(5, 0.25)
+        order = np.array([0, *rest])
+        out = scan._classify(diff[order], guard[order], ns[order])
+        assert out == scan._classify(diff, guard, ns)
+        assert (out.witness, out.ambiguous, out.fail_count) == (witness, ambiguous, fail_count)
 
 
 class TestConcurrency:

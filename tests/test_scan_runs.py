@@ -37,13 +37,20 @@ TOP = 200_000
 REGISTRY = builtin_bounds()
 
 
+def one_end_start(b):
+    """The integer from which the bound increases on every slab and its guard
+    formula no longer falls: from there a slab is compared at one end."""
+    return max(math.floor(b.increase_start()) + 2, math.ceil(b.guard_increase_start()))
+
+
 def per_integer(b, direction, lo, hi, *, use_psi):
     """Verdict, violation count and last-violation result, one integer at a time."""
     f = (primes.psi_array(hi) if use_psi else primes.cumulative_pi(hi))[lo : hi + 1]
     xs = np.arange(lo, hi + 2, dtype=np.float64)
     vals, errs = b.values_with_error(xs, np.log(xs))
     err = np.maximum(errs[:-1], errs[1:])
-    if direction is Direction.UPPER_STRICT:
+    upper = direction is Direction.UPPER_STRICT
+    if upper:
         slab = np.minimum(vals[:-1], vals[1:])
         turn = b.increase_start()
         n0 = math.floor(turn)
@@ -51,9 +58,13 @@ def per_integer(b, direction, lo, hi, *, use_psi):
             at_turn = evaluate(b, turn)
             slab[n0 - lo] = min(vals[n0 - lo], at_turn.value)
             err[n0 - lo] = max(errs[n0 - lo], at_turn.abs_error_bound)
-        diff = slab - f
     else:
-        diff = f - np.maximum(vals[:-1], vals[1:])
+        slab = np.maximum(vals[:-1], vals[1:])
+    # from one_end_start on, a slab's infimum is B(n) and its supremum B(n + 1)
+    past = slice(max(0, one_end_start(b) - lo), None)
+    end = slice(None, -1) if upper else slice(1, None)
+    slab[past], err[past] = vals[end][past], errs[end][past]
+    diff = slab - f if upper else f - slab
     guard = err + PSI_ERR_FACTOR * f if use_psi else err
 
     fails, ambiguous, states = [], [], []
@@ -283,6 +294,7 @@ def test_the_integer_after_the_last_failure_is_compared(monkeypatch):
     def recording(diff, guard, ns):
         out = classify(diff, guard, ns)
         if out.last_fail is not None:
+            ns = np.sort(ns)  # the integers come in the order they were compared
             i = int(np.searchsorted(ns, out.last_fail))
             flips.append((out.last_fail, ns[i + 1 : i + 2].tolist(), int(ns[-1])))
         return out
@@ -319,12 +331,12 @@ def kernel_calls(monkeypatch):
 
 def test_a_clean_range_takes_few_kernel_points(kernel_calls):
     # unit_lower holds on all of [17, 10**5]: most pieces are decided from
-    # their ends, where one comparison per run of constant pi would take two
-    # kernel points for each of 9,586 runs
+    # their ends, where one comparison per run of constant pi would take a
+    # kernel point for each of 9,586 runs
     b = REGISTRY["unit_lower"]
     calls = kernel_calls(b)
     assert verify_pi(b, Direction.LOWER_STRICT, 17, 10**5).status is Status.PASS
-    assert sum(xs.size for xs in calls) <= 2000
+    assert sum(xs.size for xs in calls) <= 1000
 
 
 def test_each_violation_is_compared_on_its_own(kernel_calls):
@@ -334,7 +346,7 @@ def test_each_violation_is_compared_on_its_own(kernel_calls):
     b = REGISTRY["pan_upper"]
     calls = kernel_calls(b)
     assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
-    compared = np.concatenate([xs[0::2] for xs in calls])
+    compared = np.concatenate(calls)  # an upper check past the turn evaluates B(n) alone
     fails = [n for n in range(24121, 24255)
              if verify_pi(b, Direction.UPPER_STRICT, n, n).status is Status.FAIL]
     assert len(fails) == 19
@@ -346,11 +358,11 @@ FAILING = REGISTRY["d125506"], Direction.LOWER_STRICT, 17, 5 * 10**6  # fails th
 
 def test_a_range_failing_throughout_takes_few_kernel_points(kernel_calls):
     # every integer fails, so pieces are decided FAIL from their ends, as a
-    # clean range is decided PASS: comparing all of them would take 10**7 points
+    # clean range is decided PASS: comparing all of them would take 5 * 10**6 points
     b = FAILING[0]
     calls = kernel_calls(b)
     assert count_violations(*FAILING) == 4_999_984
-    assert sum(xs.size for xs in calls) <= 20_000
+    assert sum(xs.size for xs in calls) <= 10_000
 
 
 def test_a_range_failing_throughout_stays_small_in_memory(traced_peak):
@@ -387,7 +399,8 @@ def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
         calls = kernel_calls(b)
     claims.run_all()
     assert len(calls) <= 61  # halving every piece made 97, one frontier per segment 166
-    assert sum(xs.size for xs in calls) <= 100_594
+    # one point per compared integer past each bound's turn, where both slab ends took 100,594
+    assert sum(xs.size for xs in calls) <= 55_672
 
 
 def test_a_short_flat_scan_takes_few_kernel_calls(kernel_calls):
@@ -411,8 +424,9 @@ def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch):
     calls = kernel_calls(b)
     assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == expected
     pieces = -(-(hi - lo) // scan.STRETCH)  # the starting pieces
-    assert sum(xs.size for xs in calls) > 2 * 40_000  # most integers compared whole
-    assert max(xs.size for xs in calls) <= 2 * (1000 + pieces)
+    below = one_end_start(b) - lo  # integers compared at both slab ends
+    assert sum(xs.size for xs in calls) > 40_000  # most integers compared whole
+    assert max(xs.size for xs in calls) <= 1000 + pieces + below
 
 
 def touching_line(use_psi, direction, lo, hi, shift):
@@ -573,14 +587,15 @@ def test_the_psi_guard_inside_a_piece_is_kept(monkeypatch):
 
 def test_float_values_inside_a_piece_may_sit_below_its_ends(monkeypatch):
     # the true bound is a constant level just above the plateau, and its float
-    # values stay within the guard E of it: 0.9 E above at the slab ends of the
-    # left piece's ends, 0.9 E below elsewhere, where the integers are ambiguous
+    # values stay within the guard E of it: 0.9 E above at the left piece's
+    # ends, where an upper check evaluates its slabs, 0.9 E below elsewhere,
+    # where the integers are ambiguous
     lo, hi = PLATEAU
     pi = primes.cumulative_pi(hi)
     assert len(set(pi[lo:hi].tolist())) == 1
     E = 1e-3
     level = pi[lo] + 1.5 * E
-    ends = np.array([lo, lo + 1, lo + 18, lo + 19], dtype=np.float64)
+    ends = np.array([lo, lo + 18], dtype=np.float64)
     b = Drawn("wobble", 1.0, lambda x: level + np.where(np.isin(x, ends), 0.9, -0.9) * E,
               lambda x: np.full_like(x, E))
     verdict, _, _ = per_integer(b, Direction.UPPER_STRICT, lo, hi, use_psi=False)
@@ -591,19 +606,19 @@ def test_float_values_inside_a_piece_may_sit_below_its_ends(monkeypatch):
 
 def test_float_values_inside_a_piece_may_sit_above_its_ends(monkeypatch):
     # the mirror case: the true bound is a constant level just below the
-    # plateau, and its float values sit 0.9 E below it at the slab ends of the
-    # left piece's ends, where the integers fail, and 0.9 E above elsewhere,
-    # where they are ambiguous
+    # plateau, and its float values sit 0.9 E below it at the left piece's ends,
+    # where the integers fail, and 0.9 E above elsewhere, where they are
+    # ambiguous
     lo, hi = PLATEAU
     pi = primes.cumulative_pi(hi)
     E = 1e-3
     level = pi[lo] - 1.5 * E
-    ends = np.array([lo, lo + 1, lo + 18, lo + 19], dtype=np.float64)
+    ends = np.array([lo, lo + 18], dtype=np.float64)
     b = Drawn("wobble", 1.0, lambda x: level + np.where(np.isin(x, ends), -0.9, 0.9) * E,
               lambda x: np.full_like(x, E))
     verdict, count, _ = per_integer(b, Direction.UPPER_STRICT, lo, hi, use_psi=False)
     assert verdict.status is Status.FAIL
-    assert set(range(lo + 2, lo + 17)) <= set(verdict.ambiguous_points)
+    assert set(range(lo + 1, lo + 18)) <= set(verdict.ambiguous_points)
     two_pieces(monkeypatch)
     assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == verdict
     assert count_violations(b, Direction.UPPER_STRICT, lo, hi) == count
