@@ -156,6 +156,18 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
     return flags
 
 
+def _windows(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(start, end, flags) for each window [start, end] of SEGMENT_LENGTH
+    integers of [lo, hi] in turn, flags the _sieve view of its odd integers in
+    one buffer that the next window reuses.  One buffer size for every range
+    lets malloc reuse it."""
+    odd = np.flatnonzero(_prime_flags(isqrt(hi))[17:]) + 17  # the base primes from 17
+    buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
+    for start in range(lo, hi + 1, SEGMENT_LENGTH):
+        end = min(start + SEGMENT_LENGTH - 1, hi)
+        yield start, end, _sieve(buffer, start, end, odd)
+
+
 # ---------------------------------------------------------------------------
 # cached tables: one store; a table asked for past its end is grown or rebuilt
 # ---------------------------------------------------------------------------
@@ -206,21 +218,15 @@ def _rank(limit: int) -> tuple[np.ndarray, np.ndarray]:
     before[n >> 7] plus the set bits of word n >> 7 up to n (a rank directory)."""
     def build(limit: int, old) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
         # a fresh chain starts at 0 and a grown one at the old end + 1, a word
-        # boundary; each segment is whole words long, its odd integers sieved in
-        # the buffer and packed into place.  One buffer size for every limit
-        # lets malloc reuse it
+        # boundary; each window is whole words long, its flags packed into place
         top = limit | 127
         start = old[0] + 1 if old else 0
         words = np.empty((top >> 7) + 1, dtype="<u8")
         if old:
             words[: start >> 7] = old[1][0]
-        odd = np.flatnonzero(_prime_flags(isqrt(top))[17:]) + 17  # the base primes from 17
-        buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
-        for lo in range(start, top + 1, SEGMENT_LENGTH):
-            hi = min(lo + SEGMENT_LENGTH - 1, top)
-            flags = _sieve(buffer, lo, hi, odd)
+        for lo, hi, flags in _windows(start, top):
             words[lo >> 7 : (hi >> 7) + 1] = np.packbits(flags, bitorder="little").view("<u8")
-        del buffer, flags  # freed before the counts are allocated
+        del flags  # the buffer is freed before the counts are allocated
         before = np.empty(words.size, dtype=np.uint32)  # summed in place
         before[:1] = 1  # the prime 2
         np.bitwise_count(words[:-1], out=before[1:])
@@ -392,45 +398,49 @@ def _legendre_root(n: int, cap: int) -> int:
 def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     """pi at each x of rows, an ascending range of integers >= 0, in order.
 
-    Rows up to the cap read the rank directory, built once at the last of
-    them.  Past the cap the first row takes one Legendre query, or pi(cap)
-    stands in when rows start at or below the cap, and the rows after it a
-    running count over windows of SEGMENT_LENGTH integers sieved in one
-    buffer (the segmented sieve of an interval, Bays and Hudson, BIT 17,
-    1977).  That stretch above the cap may be no wider than the cap, so
-    sieving it costs no more than a table build at the cap, and its base
-    primes need isqrt of the last row within the cap and LEGENDRE_MAX_ROOT,
-    as a Legendre query does.  Every refusal and the Legendre query come
-    here, before the first count is yielded.
+    Rows up to the cap read the rank directory.  Past the cap a running count
+    over windows of SEGMENT_LENGTH integers sieved in one buffer (the
+    segmented sieve of an interval, Bays and Hudson, BIT 17, 1977) starts
+    from pi(cap) off the words, or from one Legendre query at the first row
+    when the rows start above the cap.  Where the stretch above the cap is
+    wider than the cap and its rows lie more than a window apart, each row is
+    a Legendre query instead, so no window without a row is sieved.  Such a
+    wide stretch is refused when its rows, each taken as a Legendre query,
+    would cost more in that query's x^(3/4) time than one query at
+    LEGENDRE_MAX_ROOT; dense rows sieve in less.  The base primes, as a
+    Legendre query's, need isqrt of the last row within the cap and
+    LEGENDRE_MAX_ROOT.  Every refusal comes here, before the first count.
     """
     check_cap(cap)
     split = max(cap, 1)  # rows up to here read the words (pi is 0 below 2)
     below = rows[: max(0, (split - rows.start) // rows.step + 1)]
     above = rows[len(below) :]
-    words, before = _rank(below[-1]) if below else (None, None)
-    if not above:
-        return (_pi_le(words, before, x) for x in below)
-    last = above[-1]
-    root = _legendre_root(last, cap)
-    base = split if below else above[0]  # the window runs from base + 1 to last
-    if last - base > cap:
-        raise ResourceLimitError(
-            f"table rows from {_quote(base)} to {_quote(last)} span more than the scan cap "
-            f"{cap} above it; raise the cap to allow it"
-        )
-    count = _pi_le(words, before, split) if below else pi_point_legendre(base, cap=cap)
+    sieve = False
+    if above:
+        last = above[-1]
+        root = _legendre_root(last, cap)
+        base = split if below else above[0]  # a sieved stretch runs from base + 1 to last
+        wide = last - base > cap
+        if wide and len(above) ** 2 * root**3 > LEGENDRE_MAX_ROOT**3:
+            raise ResourceLimitError(
+                f"table rows from {_quote(base)} to {_quote(last)} span more than the scan cap "
+                f"{cap} above it, and their {len(above)} Legendre queries would take longer "
+                f"than one at LEGENDRE_MAX_ROOT; raise the cap to allow it"
+            )
+        sieve = not wide or rows.step <= SEGMENT_LENGTH
+    words, before = _rank(split if sieve and below else below[-1]) if below else (None, None)
 
-    def counts(count: int) -> Iterator[int]:
+    def counts() -> Iterator[int]:
         yield from (_pi_le(words, before, x) for x in below)
+        if not sieve:
+            yield from (pi_point_legendre(x, cap=cap) for x in above)
+            return
+        count = _pi_le(words, before, split) if below else pi_point_legendre(base, cap=cap)
         if not below:
             yield count
-        odd = np.flatnonzero(_prime_flags(root)[17:]) + 17  # the base primes from 17
-        buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
         upto = np.zeros(SEGMENT_LENGTH // 2 + 1, dtype=np.uint32)  # upto[k]: primes among k odd
         step = rows.step
-        for lo in range(base + 1, last + 1, SEGMENT_LENGTH):
-            hi = min(lo + SEGMENT_LENGTH - 1, last)
-            flags = _sieve(buffer, lo, hi, odd)
+        for lo, hi, flags in _windows(base + 1, last):
             np.cumsum(flags, out=upto[1 : flags.size + 1])
             first = last - (last - lo) // step * step  # the first row in [lo, hi]
             xs = np.arange(first, hi + 1, step, dtype=np.int64)
@@ -440,7 +450,7 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
             yield from found.tolist()
             count += two + int(upto[flags.size])
 
-    return counts(count)
+    return counts()
 
 
 # ---------------------------------------------------------------------------

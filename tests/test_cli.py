@@ -223,13 +223,25 @@ class TestTable:
     def test_rows_past_the_cap_count_as_point_queries(self, capsys):
         # one Legendre query at the first row past the cap, or pi(cap), then
         # a sieved running count: the same pi as a point query at every row
-        for start in ("990", "1001"):
+        # (the words unbuilt, from 5 with step 500 the last row below the cap is 495 below it)
+        for start, step in (("990", "3"), ("1001", "3"), ("5", "500")):
+            primes.clear_caches()
             code, out, _ = run(capsys, "--cap", "1000", "table", "--from", start,
-                               "--to", "1900", "--step", "3", "--bounds", "pan_upper")
+                               "--to", "1900", "--step", step, "--bounds", "pan_upper")
             assert code == 0
             for row in out.splitlines()[1:]:
                 x, pi, _ = row.split(",")
                 assert int(pi) == primes.pi_at(int(x), cap=1000)
+
+    def test_sparse_rows_far_past_the_cap_are_point_queries(self, capsys):
+        # wider than the cap, 10**7 apart: a Legendre query a row, not a sieve of 10**8
+        code, out, _ = run(capsys, "table", "--from", "1000000000",
+                           "--to", "1100000000", "--step", "10000000")
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [int(x) for x, _ in rows] == list(range(10**9, 11 * 10**8 + 1, 10**7))
+        assert rows[0][1] == "50847534"  # pi(10**9)
+        assert int(rows[-1][1]) == primes.pi_point_legendre(11 * 10**8)
 
 
 class TestEdgeInputs:
@@ -308,7 +320,8 @@ class TestEdgeInputs:
         (("table", "--from", "-2", "--to", "2"), "--from"),
         (("table", "--from", "3", "--to", "2"), "--to"),
         (("table", "--from", "0", "--to", "1" + "0" * 30), "cap"),  # len(rows) overflows
-        (("--cap", "1000", "table", "--from", "500", "--to", "2001"), "span more than"),
+        (("--cap", "1000", "table", "--from", "0", "--to", "999999", "--step", "2"),
+         "span more than"),
     ])
     def test_table_rejects_before_the_header(self, capsys, argv, message):
         assert message in self.rejected(capsys, *argv)

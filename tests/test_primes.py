@@ -641,7 +641,13 @@ ROWS_CAP = 3 * SEGMENT  # room above the cap for windows of a whole segment
 
 class TestPiRows:
     """pi_rows: rows up to the cap read the words; past it one Legendre query,
-    or pi(cap), and a running count over sieved windows of SEGMENT_LENGTH."""
+    or pi(cap), and a running count over sieved windows of SEGMENT_LENGTH, or
+    a Legendre query a row where wide rows lie more than a window apart."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        # the words start unbuilt, so each table builds only what it reads
+        primes.clear_caches()
 
     @pytest.mark.parametrize("start, stop, step", [
         (ROWS_CAP - 5, ROWS_CAP + 6, 1),  # straddles the cap
@@ -660,6 +666,19 @@ class TestPiRows:
         for x, count in zip(rows, counts):
             want = pi_at(x) if x <= ROWS_CAP else pi_point_legendre(x, cap=ROWS_CAP)
             assert count == want, x
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (2, 1201, 500),  # the last row at or below the cap lies 498 below it
+        (2, 1201, 129),
+        (0, 10**6, 3),  # wider than the cap, a sieved running count
+    ])
+    def test_rows_past_the_cap_count_on_from_the_cap(self, start, stop, step):
+        rows = range(start, stop, step)
+        counts = list(primes.pi_rows(rows, cap=1000))
+        assert len(counts) == len(rows)
+        for x in (*rows[:3], *rows[-3:]):
+            want = pi_at(x) if x <= 1000 else pi_point_legendre(x, cap=1000)
+            assert counts[rows.index(x)] == want, x
 
     @pytest.mark.parametrize("cap, stop, want", [
         (0, 2, [0, 0]),
@@ -684,18 +703,25 @@ class TestPiRows:
         queries.clear()
         list(primes.pi_rows(range(10**6 - 10, 2 * 10**6, 997), cap=10**6))
         assert queries == []  # pi(cap) from the words stands in
+        queries.clear()
+        # wider than the cap and more than a window apart: a query a row
+        rows = range(0, 10**8, 10**7 + 1)
+        counts = list(primes.pi_rows(rows, cap=10**4))
+        assert queries == list(rows[1:])
+        assert counts == [0, *map(legendre, rows[1:])]
 
-    @pytest.mark.parametrize("start, stop, refused", [
-        (500, 2002, True),  # (1000, 2001] above the cap is wider than the cap
-        (500, 2001, False),
-        (5000, 6002, True),  # (5000, 6001] past the first row
-        (5000, 6001, False),
-        (1001**2, 1001**2 + 1, True),  # the base primes need isqrt(last row) <= cap
-        (1001**2 - 1, 1001**2, False),
+    @pytest.mark.parametrize("start, stop, step, refused", [
+        # (1000, 999998] is wider than the cap, and its 499,499 rows would
+        # take more than one query at LEGENDRE_MAX_ROOT: 499,499**2 * 999**3 > (5 * 10**6)**3
+        (0, 10**6, 2, True),
+        (0, 10**6, 3, False),  # 333,000 rows
+        (5000, 6002, 1, False),  # (5000, 6001] wider than the cap, its rows sieved
+        (1001**2, 1001**2 + 1, 1, True),  # the base primes need isqrt(last row) <= cap
+        (1001**2 - 1, 1001**2, 1, False),
     ])
-    def test_refusals_come_before_any_row(self, start, stop, refused):
+    def test_refusals_come_before_any_row(self, start, stop, step, refused):
         # pi_rows raises when called, so a table refuses before its header
-        rows = range(start, stop)
+        rows = range(start, stop, step)
         if refused:
             with pytest.raises(ResourceLimitError, match="cap 1000"):
                 primes.pi_rows(rows, cap=1000)

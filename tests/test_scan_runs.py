@@ -339,14 +339,24 @@ def test_a_clean_range_takes_few_kernel_points(kernel_calls):
     assert sum(xs.size for xs in calls) <= 1000
 
 
-def test_each_violation_is_compared_on_its_own(kernel_calls):
+def test_each_violation_is_compared_on_its_own(monkeypatch):
     # pan_upper fails at 19 integers of [24121, 24254], with passes between
     # them, so no piece around a violation is decided and each is compared
     # as an integer of its own
     b = REGISTRY["pan_upper"]
-    calls = kernel_calls(b)
+    calls = []
+    scan_ = scan._scan
+
+    def recorded(margins, *args):
+        def recording(ns):  # the integers compared, not the kernel's second slab ends
+            calls.append(ns.copy())
+            return margins(ns)
+
+        return scan_(recording, *args)
+
+    monkeypatch.setattr(scan, "_scan", recorded)
     assert count_violations(b, Direction.UPPER_STRICT, 4, 10**5) == 19
-    compared = np.concatenate(calls)  # an upper check past the turn evaluates B(n) alone
+    compared = np.concatenate(calls)
     fails = [n for n in range(24121, 24255)
              if verify_pi(b, Direction.UPPER_STRICT, n, n).status is Status.FAIL]
     assert len(fails) == 19
