@@ -9,24 +9,37 @@ Four shapes cover everything the toolkit checks against pi(x) or psi(x):
 
 All logs are natural.  Constants are constructed from their defining
 formulas, never hardcoded as decimals, except where a decimal literal *is*
-the definition (1.11, 2.51, ...).  Every evaluation returns a conservative
-rounding-error bound alongside the value so scans can guard comparisons.
+the definition (1.11, 2.51, ...).
+
+Error bounds.  Every factor follows from one assumption, that numpy's float64
+log is within 1 ulp (relative error eps), and the operation count: each +,
+-, * and / rounds within eps/2, and n such roundings, the log's counting as
+two, stay within gamma_n ~ n eps/2 (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3), x and the constants taken as exact.  ScaledLog:
+scale * x / L carries gamma_4 ~ 2 eps, kept at 8 eps.  DusartSeries: t = 1/L
+gamma_3, x t gamma_4, k t t gamma_8, 1 + t + k t t gamma_9, the product
+gamma_14 ~ 7 eps, kept at 16 eps.  PsiAffine: log2_coeff L L carries 3 eps,
+and the sum adds 1.5 eps of all |terms|, so 4 eps of them holds while that
+term is at most 4 slope x, at every x > 1 once log2_coeff <= 7 slope
+(log^2 x / x <= 4/e^2), as in both builtin ones.  ShiftedLog: u = L - shift
+inherits the log's eps |L|, eps |L| / |u| of u; 2 |L| / |u| doubles it, for
+a true u down to half the float one (where the guard is below the value),
+and 4 covers two roundings.  PSI_ERR_FACTOR: a psi prefix rounds once the
+exact sum of float log p, each within eps: 1.5 eps, kept at 4 eps.
 
 Each shape is either increasing on its whole domain or falls then rises
 through a single minimum; `increase_start` exposes that turning point in
 closed form (or by bisection of the closed-form derivative), which is what
-makes the integer reduction in the scan module sound.  `guard_increase_start`
-is the point from which the error bound of `values_with_error` no longer
-falls.
+makes the integer reduction in the scan module sound; the error bound of
+`values_with_error` no longer falls from `guard_increase_start` on.
 
 `curvature(xs, logs)` bounds |B''| over [x, inf) in closed form.  B'' is a
 sum of terms c * L^-j / x, with L = log x (log x - shift for ShiftedLog), or
 (c + c' L) / x^2 for PsiAffine; the bound adds the absolute values of the
 terms, each of which falls as x grows, so its value at a stretch's left end
-bounds the whole stretch.  It is inflated by
-a few ulps (and by the cancellation in log(x) - shift for ShiftedLog) to
-cover its own rounding.  The stretch reduction of crossover searches reads
-it.
+bounds the whole stretch.  It is inflated by a few ulps (and by the
+cancellation in log(x) - shift for ShiftedLog) to cover its own rounding.
+The stretch reduction of crossover searches reads it.
 """
 
 from __future__ import annotations
@@ -138,7 +151,6 @@ class ShiftedLog(BoundExpr):
     def values_with_error(self, xs, logs):
         denom = logs - self.shift
         vals = xs / denom
-        # log(x)'s ulp error is amplified by 1/denom when denom is small
         rel = _EPS * (4.0 + 2.0 * np.abs(logs) / np.abs(denom))
         return vals, rel * np.abs(vals)
 

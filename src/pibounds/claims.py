@@ -67,19 +67,10 @@ class Report:
         return all(o.status == "MATCH" for o in self.outcomes)
 
     def to_json_obj(self) -> dict[str, Any]:
-        claims = []
-        for o in self.outcomes:
-            claims.append(
-                {
-                    "id": o.claim.id,
-                    "status": o.status,
-                    "verdict": o.verdict,
-                    "witness": o.witness,
-                    "min_margin": o.min_margin,
-                    "range": [o.scan_range[0], o.scan_range[1]],
-                    "elapsed_ms": o.elapsed_ms,
-                }
-            )
+        claims = [{"id": o.claim.id, "status": o.status, "verdict": o.verdict,
+                   "witness": o.witness, "min_margin": o.min_margin,
+                   "range": list(o.scan_range), "elapsed_ms": o.elapsed_ms}
+                  for o in self.outcomes]
         return {
             "config": {"cap": self.config["cap"], "guard_policy": self.config["guard_policy"]},
             "claims": claims,

@@ -55,8 +55,7 @@ SEGMENT_LENGTH = 1 << 20
 
 _EPS = sys.float_info.epsilon
 
-# A psi prefix rounds the sum of its positive float terms once, each term within
-# numpy's log error (about an ulp) of log p: 1.5 eps of psi in all, kept at 4 eps.
+# 1.5 eps of psi, kept at 4 eps: derived in the module docstring of bounds
 PSI_ERR_FACTOR = 4.0 * _EPS
 
 _lock = threading.RLock()
@@ -146,7 +145,7 @@ def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray)
     if missing.any():
         raise ConfigurationError(
             f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
-            f"missing {np.flatnonzero(missing)[:5].tolist()}"
+            f"missing {missing.nonzero()[0][:5].tolist()}"
         )
     buffer = np.empty((hi - (lo | 1)) // 2 + 1, dtype=np.uint8)
     flags = np.zeros(hi - lo + 1, dtype=np.uint8)
@@ -161,7 +160,7 @@ def _windows(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
     integers of [lo, hi] in turn, flags the _sieve view of its odd integers in
     one buffer that the next window reuses.  One buffer size for every range
     lets malloc reuse it."""
-    odd = np.flatnonzero(_prime_flags(isqrt(hi))[17:]) + 17  # the base primes from 17
+    odd = _prime_flags(isqrt(hi))[17:].nonzero()[0] + 17  # the base primes from 17
     buffer = np.empty(SEGMENT_LENGTH // 2, dtype=np.uint8)
     for start in range(lo, hi + 1, SEGMENT_LENGTH):
         end = min(start + SEGMENT_LENGTH - 1, hi)
@@ -247,7 +246,7 @@ def _flags(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _primes_in(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The primes in [lo, hi] as an ascending int64 array: 2 where it lies in
     range, and the set bits of the words."""
-    found = np.flatnonzero(_flags(words, lo, hi))
+    found = _flags(words, lo, hi).nonzero()[0]
     found *= 2
     found += lo | 1
     return np.concatenate(([2], found)) if lo <= 2 <= hi else found
@@ -276,7 +275,7 @@ def _counter(words: np.ndarray, before: np.ndarray):
     directory."""
     def count(ns: np.ndarray) -> np.ndarray:
         i = ns >> 7
-        counts = before[i] + np.bitwise_count(words[i] & _ODD_MASKS[ns & 127])
+        counts = before.take(i) + np.bitwise_count(words.take(i) & _ODD_MASKS.take(ns & 127))
         if ns.min(initial=2) < 2:  # scans ask for n >= 2 only, and skip this pass
             counts[ns < 2] = 0
         return counts
@@ -301,7 +300,7 @@ def psi_lookup(limit: int):
     higher powers up to n."""
     sums, _, higher = _psi_table(limit)
     pi_of = pi_lookup(limit)
-    return lambda ns: sums[pi_of(ns) + np.searchsorted(higher, ns, side="right")]
+    return lambda ns: sums.take(pi_of(ns) + higher.searchsorted(ns, "right"))
 
 
 def cumulative_pi(limit: int) -> np.ndarray:

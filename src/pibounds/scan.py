@@ -36,11 +36,10 @@ decided piece holds no ambiguous point or sign change, and its ends are compared
   float hi and lo at the ends and hi - lo inside may each be off by it.  A
   piece is PASS when hi(a) - lo(b), less a small rounding slack, clears four
   such guards, and FAIL when hi(b) - lo(a), plus the slack, stays below
-  minus four guards.  This holds where the bound
-  increases and its guard formula no longer falls, so a piece below
-  floor(turn) + 2 or guard_increase_start is split.  A piece FAIL throughout
-  has failing ends, so FAIL is tried only once the scan has compared a
-  negative margin.
+  minus four guards.  This holds where the bound increases and its guard
+  formula no longer falls, so a piece below floor(turn) + 2 or
+  guard_increase_start is split.  A piece FAIL throughout has failing ends,
+  so FAIL is tried only once the scan has compared a negative margin.
 * A crossover bounds d = g - f by its chord: d >= min(d(a), d(b)) -
   M (b-a)^2 / 8 on [a, b], M = f.curvature(a) + g.curvature(a) bounding |d''|.
   With each end's true d within its guard G = fe + ge, and max(G(a), G(b))
@@ -60,11 +59,14 @@ makes one margins call and one bracket call for the whole frontier.
 SCAN_SEGMENT caps the integers one level compares whole, its first whole
 piece always included; the whole pieces past the cap wait for the next level,
 so a call holds at most that many integers plus the cuts of the pieces split,
-at most SPLIT_BUDGET or one per piece.  The range is classified once from the
-integers compared, with their diffs and guards, in the order the levels
-compared them.  Between two neighbouring compared integers lies the inside of
-one decided piece, so the integers there fail when both neighbours fail and
-pass otherwise: counts add the gaps between failing neighbours, and the last
+at most SPLIT_BUDGET or one per piece.  A level reads the pieces it compares
+whole from their ends alone, gathers the end columns only of the pieces that
+wait or that it splits, and ends the scan when it leaves neither, even after
+comparing no new integer.  The range is classified once from the integers
+compared, with their diffs and guards, in the order the levels compared
+them.  Between two neighbouring compared integers lies the inside of one
+decided piece, so the integers there fail when both neighbours fail and pass
+otherwise: counts add the gaps between failing neighbours, and the last
 failure, sign changes and ambiguous points are those of the compared
 integers.  Only those need the integers in order, so they are sorted only
 when something fails; otherwise the witness is the least integer of least
@@ -188,13 +190,13 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
     changes = 0
     flank = slice(0, 1)  # the last failure and the next integer, or lo
     if fail_count:
-        i = int(np.flatnonzero(fail)[-1])
+        i = int(fail.nonzero()[0][-1])
         flank = slice(i, i + 2)
         changes = int(np.count_nonzero(definite[1:] != definite[:-1]))
         fail_count += int((np.diff(ns) - 1)[fail[1:] & fail[:-1]].sum())
     else:
         i = int(np.argmin(diff))
-        ties = np.flatnonzero(diff == diff[i])
+        ties = (diff == diff[i]).nonzero()[0]
         if ties.size > 1:  # the least integer among them
             i = int(ties[ns.take(ties).argmin()])
 
@@ -219,10 +221,11 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
     at_b, best) gives, for the pieces [a[i], b[i]] and their ends' columns,
     whether every integer of each classifies as its ends do, and a lower bound
     on their diffs, inf where none is needed; best is the smallest diff the
-    scan has compared (see Brackets and Closest margin).  One frontier of
-    pieces is split over the whole range, each undecided piece of a level in
-    the same number of equal parts, and at most SCAN_SEGMENT integers are
-    compared whole a level (see Segments).
+    scan has compared (see Brackets and Closest margin).  Each level of the
+    one frontier splits its undecided pieces in the same number of equal
+    parts, compares at most SCAN_SEGMENT integers whole, and gathers the end
+    columns only of the pieces that wait or that it splits; the scan ends at
+    the first level that leaves neither (see Segments).
     """
     new = np.append(np.arange(lo, hi, STRETCH, dtype=np.int64), hi)
     rows = margins(new)
@@ -230,49 +233,55 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
     ns, cols, best = [new], [rows[:2]], rows[0].min()  # best: smallest margin compared
     while a.size:
         decided, low = bracket(a, b, at_a, at_b, best)
-        keep = np.flatnonzero(~(decided & (low > best)))
-        width = (b - a).take(keep)
+        keep = (~(decided & (low > best))).nonzero()[0]
+        a, b = a.take(keep), b.take(keep)
+        width = b - a
         # narrow pieces, or all of them once they hold few integers, are compared whole
         whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
-        inner, wait = a[:0], keep[:0]
+        new, w = a[:0], 0  # w: the whole pieces that wait, kept first
         if whole.any():
-            compared = np.flatnonzero(whole)
+            compared = whole.nonzero()[0]
             counts = width.take(compared) - 1  # the integers inside each whole piece
             ends = np.cumsum(counts)
+            left = (~whole).nonzero()[0]  # the pieces left: those waiting, then those to split
             if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
                 fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
-                wait, compared = compared[fits:], compared[:fits]
-                counts, ends = counts[:fits], ends[:fits]
-            inner = np.repeat(a.take(keep.take(compared)) + 1 - ends + counts, counts)
-            inner += np.arange(inner.size)
-            # the pieces kept: those waiting, then those to split
-            keep = keep.take(np.concatenate((wait, np.flatnonzero(~whole))))
-        a, b, at_a, at_b = a.take(keep), b.take(keep), at_a.take(keep, 1), at_b.take(keep, 1)
-        w = wait.size
-        # each piece left to split gets parts - 1 cuts: all first cuts, then all second, ...
-        parts = max(2, min(BASE_CASE, SPLIT_BUDGET // max(1, a.size - w)))
-        cut = (a[w:] + (b[w:] - a[w:]) * np.arange(1, parts)[:, None] // parts).ravel()
-        new = np.concatenate((inner, cut))
-        if not new.size:
-            break
-        rows = margins(new)
-        ns.append(new)
-        cols.append(rows[:2])
-        best = min(best, rows[0].min())
-        # a split piece now ends at its first cut; new pieces run cut to cut, then to its end
-        at_cut = rows[:, inner.size :]
-        a, b = np.concatenate((a, cut)), np.concatenate((b[:w], cut, b[w:]))
-        at_a = np.concatenate((at_a, at_cut), 1)
-        at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
-    diff, guard = np.concatenate(cols, axis=1)
-    return _classify(diff, guard, np.concatenate(ns))
+                w, left = compared.size - fits, np.concatenate((compared[fits:], left))
+                compared, counts, ends = compared[:fits], counts[:fits], ends[:fits]
+            new = np.repeat(a.take(compared) + 1 - ends + counts, counts)
+            new += np.arange(new.size)
+            keep, a, b = keep.take(left), a.take(left), b.take(left)
+        if a.size:
+            at_a, at_b = at_a.take(keep, 1), at_b.take(keep, 1)
+        split = a.size > w
+        if split:
+            # each piece left to split gets parts - 1 cuts: all first cuts, then all second, ...
+            parts = max(2, min(BASE_CASE, SPLIT_BUDGET // (a.size - w)))
+            cut = (a[w:] + (b[w:] - a[w:]) * np.arange(1, parts)[:, None] // parts).ravel()
+            new = np.concatenate((new, cut)) if new.size else cut
+        if new.size:
+            rows = margins(new)
+            ns.append(new)
+            cols.append(rows[:2])
+            best = min(best, rows[0].min())
+        if split:
+            # a split piece now ends at its first cut; new pieces run cut to cut, then to its end
+            at_cut = rows[:, -cut.size :]
+            a, b = np.concatenate((a, cut)), np.concatenate((b[:w], cut, b[w:]))
+            at_a = np.concatenate((at_a, at_cut), 1)
+            at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
+    diff, guard = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+    return _classify(diff, guard, ns[0] if len(ns) == 1 else np.concatenate(ns))
 
 
 def _stretch_guard(a, start: float, at_a, at_b) -> np.ndarray:
     """A bound on a quantity inside each piece from its values at the ends: the
     larger where the piece starts at or past start (the quantity never falls
     from there), else inf."""
-    return np.where(a >= start, np.maximum(at_a, at_b), np.inf)
+    guard = np.maximum(at_a, at_b)
+    if a.min() < start:
+        guard[a < start] = np.inf
+    return guard
 
 
 def _monotone(start: float):
@@ -314,11 +323,10 @@ def _chord(f: BoundExpr, g: BoundExpr):
         sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * ((b - a) ** 2 / 8.0)
         sag *= 1.0 + _CERT_SLACK
         bar = 2.0 * (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
-        decided = np.zeros(a.size, dtype=bool)
-        for sign in (1.0, -1.0):  # every integer PASS, then the mirror case, every one FAIL
-            low = np.minimum(sign * d_a - at_a[1], sign * d_b - at_b[1])
-            decided |= low * (1.0 - _CERT_SLACK) - sag > bar
-        return decided, np.full(a.size, np.inf)  # a crossover keeps no closest margin
+        low = np.fmax(np.minimum(d_a - at_a[1], d_b - at_b[1]),  # every integer PASS,
+                      np.minimum(-d_a - at_a[1], -d_b - at_b[1]))  # or every one FAIL
+        # x (1 - slack) - sag never falls as x rises, in floats too: the larger low decides
+        return low * (1.0 - _CERT_SLACK) - sag > bar, np.full(a.size, np.inf)  # no closest margin
 
     return bracket
 
@@ -364,7 +372,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
         the first in the one kernel call."""
         m = ns.size
         xs = ns + end  # B(n) or B(n + 1)
-        below = np.flatnonzero(ns < start) if lo < start else ns[:0]
+        below = (ns < start).nonzero()[0] if lo < start and ns.min() < start else ns[:0]
         if below.size:  # and B(n + 1) or B(n), or B(turn)
             near = ns.take(below)
             far = near + (1.0 - end)

@@ -384,6 +384,23 @@ class TestBlockIndependence:
         monkeypatch.setattr(scan, "SCAN_SEGMENT", 97)
         assert results() == whole
 
+    def test_pieces_waiting_behind_a_level_with_no_new_integer_are_compared(
+            self, registry, monkeypatch):
+        # with a cap of 2 integers a level, a level here compares only whole
+        # pieces of one step, which hold no integer inside, and splits none,
+        # while nine pieces wait; they must still be compared at later levels
+        b = registry["legendre_a"]
+
+        def results():
+            return (verify_pi(b, U, 43557, 44557), count_violations(b, U, 43557, 44557),
+                    last_violation(b, U, 43557, 44557))
+
+        default, small = with_small_blocks(monkeypatch, results)
+        assert default[1] == 594 and default[2].sign_changes == 25
+        assert small == default
+        monkeypatch.setattr(scan, "SCAN_SEGMENT", 2)
+        assert results() == default
+
     def test_ambiguous_points_between_a_pass_and_a_fail_keep_their_order(self):
         # 10 passes, 13-15 are ambiguous, and the fails 16 and 20 enclose the
         # inside of a piece decided FAIL
@@ -443,6 +460,77 @@ class TestClassifyOrder:
         out = scan._classify(diff[order], guard[order], ns[order])
         assert out == scan._classify(diff, guard, ns)
         assert (out.witness, out.ambiguous, out.fail_count) == (witness, ambiguous, fail_count)
+
+
+def per_sign_chord(f, g, a, b, at_a, at_b):
+    """The chord bracket's decisions as two tests, every integer PASS or every
+    one FAIL, one per sign of d."""
+    slack = scan._CERT_SLACK
+    start = max(f.guard_increase_start(), g.guard_increase_start())
+    d_a, d_b = (np.where(np.isinf(at[0]), 0.0, at[0]) for at in (at_a, at_b))
+    xs = a.astype(np.float64)
+    logs = np.log(xs)
+    sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * ((b - a) ** 2 / 8.0)
+    sag *= 1.0 + slack
+    bar = 2.0 * (1.0 + slack) * np.where(a >= start, np.maximum(at_a[1], at_b[1]), np.inf)
+    decided = np.zeros(a.size, dtype=bool)
+    for sign in (1.0, -1.0):
+        low = np.minimum(sign * d_a - at_a[1], sign * d_b - at_b[1])
+        decided |= low * (1.0 - slack) - sag > bar
+    return decided
+
+
+class TestBracketFolds:
+    """The brackets fold their tests into fewer numpy calls, and decide as the
+    formulas they fold."""
+
+    @pytest.mark.parametrize("start", [1000, 1000.5])
+    @pytest.mark.parametrize("lo, hi, below", [(-500, 500, "some"), (0, 1000, "none"),
+                                               (-1000, 0, "all")])
+    def test_stretch_guard_is_the_larger_end_or_inf(self, start, lo, hi, below):
+        # pieces start from lo to hi - 1 integers past start, rounded up, in no
+        # order, as a frontier holds them: the first starts at the last
+        rng = np.random.default_rng(2031)
+        a = math.ceil(start) + rng.integers(lo, hi, 500)
+        a[:2] = math.ceil(start) + np.array([hi - 1, lo])
+        at_a, at_b = rng.uniform(0.0, 1.0, (2, 500))
+        at_b[::7] = at_a[::7]  # ties between the ends
+        expected = np.where(a >= start, np.maximum(at_a, at_b), np.inf)
+        got = scan._stretch_guard(a, start, at_a, at_b)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        inf = np.isinf(got)
+        assert {"none": not inf.any(), "some": 0 < inf.sum() < inf.size,
+                "all": inf.all()}[below]
+
+    @pytest.mark.parametrize("f, g", [("dusart_upper", "pan_upper"),
+                                      ("dusart_upper", "legendre_a"),
+                                      ("cheb_upper", "pan_lower")])
+    def test_chord_decides_as_its_two_sign_tests(self, registry, f, g):
+        f, g = registry[f], registry[g]
+        rng = np.random.default_rng(2032)
+        n = 4000
+        start = max(f.guard_increase_start(), g.guard_increase_start())
+        a = rng.integers(math.floor(start) - 20, 10**6, n)
+        b = a + rng.integers(1, 4097, n)
+        guards = rng.uniform(1e-12, 1e-8, (2, n))
+        xs = a.astype(np.float64)
+        sag = (f.curvature(xs, np.log(xs)) + g.curvature(xs, np.log(xs))) * ((b - a) ** 2 / 8.0)
+        # ends around the threshold of a decision, of one sign mostly, some exact ties
+        need = (sag + 2.0 * guards.max(axis=0)) + guards
+        jitter = 1.0 + scan._CERT_SLACK * rng.uniform(-4.0, 4.0, (2, n))
+        sign = np.where(rng.random((2, n)) < 0.9, 1.0, -1.0) * rng.choice([1.0, -1.0], n)
+        diffs = sign * need * jitter
+        diffs[rng.random((2, n)) < 0.05] = np.inf
+        at_a, at_b = np.stack((diffs[0], guards[0])), np.stack((diffs[1], guards[1]))
+
+        decided, low = scan._chord(f, g)(a, b, at_a, at_b, 0.0)
+        expected = per_sign_chord(f, g, a, b, at_a, at_b)
+        assert decided.tolist() == expected.tolist()
+        assert np.isinf(low).all()
+        # both signs are decided, and neither always
+        for side in (diffs[0] > 0, diffs[0] < 0):
+            assert 0 < np.count_nonzero(expected & side) < np.count_nonzero(side)
+        assert not expected[np.isinf(diffs).any(axis=0) | (a < start)].any()
 
 
 class TestConcurrency:

@@ -413,6 +413,26 @@ def test_a_warm_verify_takes_few_kernel_calls(kernel_calls):
     assert sum(xs.size for xs in calls) <= 55_672
 
 
+def test_a_warm_verify_takes_few_scan_levels(monkeypatch):
+    # each level makes one margins call; counting them shows a level added
+    # even where the kernel points stay the same
+    claims.run_all()
+    levels = []
+    frontier = scan._scan
+
+    def counted(margins, bracket, lo, hi):
+        def level(ns):
+            levels.append(ns.size)
+            return margins(ns)
+
+        return frontier(level, bracket, lo, hi)
+
+    monkeypatch.setattr(scan, "_scan", counted)
+    claims.run_all()
+    assert 20 <= len(levels) <= 56  # its 20 scans make one level at least
+    assert sum(levels) <= 51_770  # the integers compared
+
+
 def test_a_short_flat_scan_takes_few_kernel_calls(kernel_calls):
     # unit_lower's margin barely trends on [500000, 510000], so its ten
     # starting pieces stay undecided down to the base case: split in many
