@@ -21,7 +21,7 @@ gamma_3, x t gamma_4, k t t gamma_8, 1 + t + k t t gamma_9, the product
 gamma_14 ~ 7 eps, kept at 16 eps.  PsiAffine: log2_coeff L L carries 3 eps,
 and the sum adds 1.5 eps of all |terms|, so 4 eps of them holds while that
 term is at most 4 slope x, at every x > 1 once log2_coeff <= 7 slope
-(log^2 x / x <= 4/e^2), as in both builtin ones.  ShiftedLog: u = L - shift
+(log^2 x / x <= 4/e^2), which PsiAffine requires.  ShiftedLog: u = L - shift
 inherits the log's eps |L|, eps |L| / |u| of u; 2 |L| / |u| doubles it, for
 a true u down to half the float one (where the guard is below the value),
 and 4 covers two roundings.  PSI_ERR_FACTOR: a psi prefix rounds once the
@@ -217,8 +217,8 @@ class PsiAffine(BoundExpr):
     offset: float
 
     def __post_init__(self) -> None:
-        if not self.slope > 0 or self.log2_coeff < 0:
-            raise ValueError("PsiAffine needs slope > 0 and log2_coeff >= 0")
+        if not (self.slope > 0 and 0 <= self.log2_coeff <= 7.0 * self.slope):
+            raise ValueError("PsiAffine needs slope > 0 and 0 <= log2_coeff <= 7 * slope")
 
     def formula(self) -> str:
         return (

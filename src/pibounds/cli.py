@@ -123,11 +123,8 @@ def _cmd_bound(args) -> int:
             print(f"{name}\tvalid_from={b.valid_from:g}\t{b.formula()}")
         return 0
     b = _lookup_bound(args.name)
-    if args.x < 1e300:  # no builtin bound overflows below, and silencing numpy slows a call
+    with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses what overflows
         res = evaluate(b, args.x)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses what overflows
-            res = evaluate(b, args.x)
     print(res.value)
     return 0
 

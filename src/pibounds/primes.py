@@ -64,9 +64,12 @@ _lock = threading.RLock()
 def check_cap(cap: int, n: int = 0, what: str = "") -> None:
     """Refuse work past the cap before any array is sized from it.
 
-    A cap above MAX_CAP is refused first.  Then n, the largest integer the
-    work called what needs a table for, is refused when it is above the cap.
+    A negative cap, or one above MAX_CAP, is refused first.  Then n, the
+    largest integer the work called what needs a table for, is refused when
+    it is above the cap.
     """
+    if cap < 0:
+        raise ResourceLimitError(f"cap {cap} must be >= 0")
     if cap > MAX_CAP:
         raise ResourceLimitError(
             f"cap {_quote(cap)} is above the ceiling MAX_CAP = {MAX_CAP}, at which the "
@@ -397,9 +400,9 @@ def _legendre_root(n: int, cap: int) -> int:
 def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     """pi at each x of rows, an ascending range of integers >= 0, in order.
 
-    Rows up to the cap read the rank directory.  Past the cap a running count
-    over windows of SEGMENT_LENGTH integers sieved in one buffer (the
-    segmented sieve of an interval, Bays and Hudson, BIT 17, 1977) starts
+    Rows up to the cap, or up to 2, read the rank directory.  Past it a
+    running count over windows of SEGMENT_LENGTH integers sieved in one buffer
+    (the segmented sieve of an interval, Bays and Hudson, BIT 17, 1977) starts
     from pi(cap) off the words, or from one Legendre query at the first row
     when the rows start above the cap.  Where the stretch above the cap is
     wider than the cap and its rows lie more than a window apart, each row is
@@ -411,7 +414,7 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     LEGENDRE_MAX_ROOT.  Every refusal comes here, before the first count.
     """
     check_cap(cap)
-    split = max(cap, 1)  # rows up to here read the words (pi is 0 below 2)
+    split = max(cap, 2)  # rows up to here read the words, which always cover 0..127
     below = rows[: max(0, (split - rows.start) // rows.step + 1)]
     above = rows[len(below) :]
     sieve = False
@@ -443,11 +446,10 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
             np.cumsum(flags, out=upto[1 : flags.size + 1])
             first = last - (last - lo) // step * step  # the first row in [lo, hi]
             xs = np.arange(first, hi + 1, step, dtype=np.int64)
-            two = int(lo <= 2)  # the one even prime, in the first window above a cap below 2
             found = upto.take((xs - (lo | 1)) // 2 + 1).astype(np.int64)
-            found += count + two
+            found += count
             yield from found.tolist()
-            count += two + int(upto[flags.size])
+            count += int(upto[flags.size])
 
     return counts()
 

@@ -55,22 +55,21 @@ FAIL, and a crossover, keep none: a FAIL verdict reports its last failure,
 and a crossover its margin at the flip, whose two integers are compared.
 
 Segments.  One frontier of pieces is split over the whole range: each level
-makes one margins call and one bracket call for the whole frontier.
-SCAN_SEGMENT caps the integers one level compares whole, its first whole
-piece always included; the whole pieces past the cap wait for the next level,
-so a call holds at most that many integers plus the cuts of the pieces split,
-at most SPLIT_BUDGET or one per piece.  A level reads the pieces it compares
-whole from their ends alone, gathers the end columns only of the pieces that
-wait or that it splits, and ends the scan when it leaves neither, even after
-comparing no new integer.  The range is classified once from the integers
-compared, with their diffs and guards, in the order the levels compared
-them.  Between two neighbouring compared integers lies the inside of one
-decided piece, so the integers there fail when both neighbours fail and pass
-otherwise: counts add the gaps between failing neighbours, and the last
-failure, sign changes and ambiguous points are those of the compared
-integers.  Only those need the integers in order, so they are sorted only
-when something fails; otherwise the witness is the least integer of least
-diff.  So no verdict depends on how the range is split.
+makes one bracket call for the whole frontier, compares the integers of all
+its whole pieces in margins calls of at most SCAN_SEGMENT integers each, and
+splits every other piece, the cuts joining the last call, at most
+SPLIT_BUDGET or one per piece.  A level reads the pieces it compares whole
+from their ends alone and gathers the end columns only of the pieces it
+splits; the scan ends at the first level that splits none.  The range is
+classified once from the integers compared, with their diffs and guards, in
+the order the levels compared them.  Between two neighbouring compared
+integers lies the inside of one decided piece, so the integers there fail
+when both neighbours fail and pass otherwise: counts add the gaps between
+failing neighbours, and the last failure, sign changes and ambiguous points
+are those of the compared integers.  Only those need the integers in order,
+so they are sorted only when something fails; otherwise the witness is the
+least integer of least diff.  So no verdict depends on how the range is
+split.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ from .bounds import BoundExpr, evaluate  # noqa: F401
 from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
-SCAN_SEGMENT = 1 << 20  # integers compared whole per level, at most
+SCAN_SEGMENT = 1 << 20  # integers compared whole per margins call, at most
 STRETCH = 1 << 10  # integer steps per starting piece of the range
 BASE_CASE = 1 << 5  # integer steps of the widest piece compared integer by integer
 SPLIT_BUDGET = 1 << 11  # new points a level adds, at most, when it splits finer than halves
@@ -222,10 +221,10 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
     whether every integer of each classifies as its ends do, and a lower bound
     on their diffs, inf where none is needed; best is the smallest diff the
     scan has compared (see Brackets and Closest margin).  Each level of the
-    one frontier splits its undecided pieces in the same number of equal
-    parts, compares at most SCAN_SEGMENT integers whole, and gathers the end
-    columns only of the pieces that wait or that it splits; the scan ends at
-    the first level that leaves neither (see Segments).
+    one frontier compares its whole pieces' integers, SCAN_SEGMENT a margins
+    call at most, and splits every other undecided piece in the same number
+    of equal parts, gathering the end columns only of those; the scan ends
+    at the first level that splits none (see Segments).
     """
     new = np.append(np.arange(lo, hi, STRETCH, dtype=np.int64), hi)
     rows = margins(new)
@@ -238,38 +237,33 @@ def _scan(margins, bracket, lo: int, hi: int) -> _Summary:
         width = b - a
         # narrow pieces, or all of them once they hold few integers, are compared whole
         whole = (width <= BASE_CASE) | (width.sum() <= STRETCH)
-        new, w = a[:0], 0  # w: the whole pieces that wait, kept first
+        new = a[:0]
         if whole.any():
             compared = whole.nonzero()[0]
             counts = width.take(compared) - 1  # the integers inside each whole piece
             ends = np.cumsum(counts)
-            left = (~whole).nonzero()[0]  # the pieces left: those waiting, then those to split
-            if ends[-1] > SCAN_SEGMENT:  # the pieces past the cap, the first aside, wait
-                fits = max(1, int(np.searchsorted(ends, SCAN_SEGMENT, "right")))
-                w, left = compared.size - fits, np.concatenate((compared[fits:], left))
-                compared, counts, ends = compared[:fits], counts[:fits], ends[:fits]
             new = np.repeat(a.take(compared) + 1 - ends + counts, counts)
             new += np.arange(new.size)
+            left = (~whole).nonzero()[0]  # the pieces to split
             keep, a, b = keep.take(left), a.take(left), b.take(left)
+        breaks = range(SCAN_SEGMENT, new.size, SCAN_SEGMENT)  # SCAN_SEGMENT whole integers a call
         if a.size:
             at_a, at_b = at_a.take(keep, 1), at_b.take(keep, 1)
-        split = a.size > w
-        if split:
-            # each piece left to split gets parts - 1 cuts: all first cuts, then all second, ...
-            parts = max(2, min(BASE_CASE, SPLIT_BUDGET // (a.size - w)))
-            cut = (a[w:] + (b[w:] - a[w:]) * np.arange(1, parts)[:, None] // parts).ravel()
+            # each piece left gets parts - 1 cuts: all first cuts, then all second, ...
+            parts = max(2, min(BASE_CASE, SPLIT_BUDGET // a.size))
+            cut = (a + (b - a) * np.arange(1, parts)[:, None] // parts).ravel()
             new = np.concatenate((new, cut)) if new.size else cut
         if new.size:
-            rows = margins(new)
             ns.append(new)
-            cols.append(rows[:2])
-            best = min(best, rows[0].min())
-        if split:
+            for part in np.split(new, breaks) if breaks else (new,):  # the cuts join the last call
+                rows = margins(part)
+                cols.append(rows[:2])
+                best = min(best, rows[0].min())
+        if a.size:
             # a split piece now ends at its first cut; new pieces run cut to cut, then to its end
             at_cut = rows[:, -cut.size :]
-            a, b = np.concatenate((a, cut)), np.concatenate((b[:w], cut, b[w:]))
-            at_a = np.concatenate((at_a, at_cut), 1)
-            at_b = np.concatenate((at_b[:, :w], at_cut, at_b[:, w:]), 1)
+            a, b = np.concatenate((a, cut)), np.concatenate((cut, b))
+            at_a, at_b = np.concatenate((at_a, at_cut), 1), np.concatenate((at_cut, at_b), 1)
     diff, guard = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
     return _classify(diff, guard, ns[0] if len(ns) == 1 else np.concatenate(ns))
 

@@ -250,3 +250,9 @@ class TestVariantValidation:
             PsiAffine("bad", 2.0, -1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             PsiAffine("bad", 2.0, 1.0, -1.0, 0.0, 0.0)
+
+    def test_psi_affine_log2_coeff_stays_within_its_guard(self):
+        # the 4 eps guard covers the log^2 term's rounding while log2_coeff <= 7 slope
+        PsiAffine("edge", 2.0, 1.0, 7.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="log2_coeff <= 7"):
+            PsiAffine("bad", 2.0, 1.0, 7.001, 0.0, 0.0)

@@ -572,6 +572,17 @@ class TestLegendre:
         with pytest.raises(ResourceLimitError, match="MAX_CAP"):
             query(primes.MAX_CAP + 1)
 
+    @pytest.mark.parametrize("query", [
+        lambda cap: pi_at(10, cap=cap),
+        lambda cap: pi_point_legendre(10**6, cap=cap),
+        lambda cap: primes.psi_at(1, cap=cap),
+        lambda cap: primes.pi_rows(range(6), cap=cap),
+    ], ids=["pi_at", "pi_point_legendre", "psi_at", "pi_rows"])
+    def test_a_negative_cap_is_refused_first(self, no_tables, query):
+        # a ResourceLimitError, as past MAX_CAP, so a claim run reports SKIPPED
+        with pytest.raises(ResourceLimitError, match="^cap -1 must be >= 0$"):
+            query(-1)
+
     def test_agrees_with_sieve_on_samples(self):
         counts = primes.cumulative_pi(2237**2)
         rng = random.Random(1234)

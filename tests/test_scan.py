@@ -384,11 +384,9 @@ class TestBlockIndependence:
         monkeypatch.setattr(scan, "SCAN_SEGMENT", 97)
         assert results() == whole
 
-    def test_pieces_waiting_behind_a_level_with_no_new_integer_are_compared(
-            self, registry, monkeypatch):
-        # with a cap of 2 integers a level, a level here compares only whole
-        # pieces of one step, which hold no integer inside, and splits none,
-        # while nine pieces wait; they must still be compared at later levels
+    def test_a_cap_of_two_integers_a_call_changes_no_result(self, registry, monkeypatch):
+        # with a cap of 2 whole integers a margins call, a level compares its
+        # whole pieces in many calls, and the cuts join the last one
         b = registry["legendre_a"]
 
         def results():

@@ -445,14 +445,27 @@ def test_a_short_flat_scan_takes_few_kernel_calls(kernel_calls):
 
 def test_a_level_compares_at_most_a_segment_whole(kernel_calls, monkeypatch):
     # with the starting pieces compared whole, pan_upper's check over
-    # [4, 50003] (C8b's) would compare almost every integer at its first
-    # level; SCAN_SEGMENT caps the integers one level compares whole
+    # [4, 50003] (C8b's) compares almost every integer at its first level,
+    # in margins calls of at most SCAN_SEGMENT whole integers each, and no
+    # piece waits for a later level
     b, lo, hi = REGISTRY["pan_upper"], 4, 50_003
     expected = verify_pi(b, Direction.UPPER_STRICT, lo, hi)
     monkeypatch.setattr(scan, "BASE_CASE", scan.STRETCH)
     monkeypatch.setattr(scan, "SCAN_SEGMENT", 1000)
+    levels = []
+    frontier = scan._scan
+
+    def counted(margins, bracket, lo, hi):
+        def level(*args):
+            levels.append(1)
+            return bracket(*args)
+
+        return frontier(margins, level, lo, hi)
+
+    monkeypatch.setattr(scan, "_scan", counted)
     calls = kernel_calls(b)
     assert verify_pi(b, Direction.UPPER_STRICT, lo, hi) == expected
+    assert len(levels) <= 2  # one bracket call a level
     pieces = -(-(hi - lo) // scan.STRETCH)  # the starting pieces
     below = one_end_start(b) - lo  # integers compared at both slab ends
     assert sum(xs.size for xs in calls) > 40_000  # most integers compared whole
