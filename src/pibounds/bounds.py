@@ -51,7 +51,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnknownNameError
 
 _EPS = sys.float_info.epsilon
 # covers the roundings in evaluating a curvature bound, log(x)'s ulp raised to
@@ -290,6 +290,16 @@ def builtin_bounds() -> dict[str, BoundExpr]:
     """The named bound registry used by scans, claims and the CLI: a new dict
     on each call, over instances built once per process."""
     return {b.name: b for b in _builtin_entries()}
+
+
+def lookup_bound(name: str) -> BoundExpr:
+    """The builtin bound called name; an unknown name's error lists the valid ones."""
+    registry = builtin_bounds()
+    if name not in registry:
+        raise UnknownNameError(
+            f"unknown bound {name!r}; valid names: {', '.join(registry)}"
+        )
+    return registry[name]
 
 
 @cache

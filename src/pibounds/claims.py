@@ -17,10 +17,10 @@ from enum import Enum
 from typing import Any, Iterable
 
 from . import primes, scan
-from .bounds import builtin_bounds, chebyshev_constants, evaluate
+from .bounds import chebyshev_constants, evaluate, lookup_bound
 from .errors import CrossoverNotFoundError, ResourceLimitError, UnknownNameError
 from .primes import DEFAULT_CAP
-from .scan import Direction, Status
+from .scan import Direction, Status, Verdict
 
 GUARD_POLICY = "abs_error_bound_plus_psi_summation"
 
@@ -247,9 +247,30 @@ def _claim_range(claim: Claim) -> tuple[int, int]:
     return 0, 0
 
 
+def _expect_fail(v: Verdict, witness: int | None, where: str = "",
+                 margin_abs: tuple[float, float] | None = None) -> list[str]:
+    """What is amiss with v as a FAIL at witness, with |margin| in margin_abs."""
+    if v.status is not Status.FAIL:
+        return [f"expected FAIL{where}, got {v.status.value}"]
+    problems = []
+    if witness is not None and v.witness != witness:
+        problems.append(f"expected witness {witness}{where}, got {v.witness}")
+    lo_m, hi_m = margin_abs or (0.0, math.inf)
+    if not lo_m <= abs(v.min_margin) <= hi_m:
+        problems.append(f"witness margin |{v.min_margin:.6f}| outside [{lo_m}, {hi_m}]")
+    return problems
+
+
+def _within(label: str, got: float, expected: float, tol: float, problems: list[str]) -> float:
+    """The slack tol - |got - expected|; a problem is noted when it is negative."""
+    diff = abs(got - expected)
+    if diff > tol:
+        problems.append(f"{label} = {got!r}, expected {expected} +/- {tol}")
+    return tol - diff
+
+
 def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
     p = claim.payload
-    registry = builtin_bounds()
     lo, hi = int(p["lo"]), int(p["hi"])
     use_psi = claim.kind is ClaimKind.PSI_CHECK
     verify = scan.verify_psi if use_psi else scan.verify_pi
@@ -259,11 +280,8 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
         verdicts = [(None, scan.verify_sandwich(lo, hi, cap=cap))]
     else:
         parts = p.get("parts") or [(p["bound"], p["direction"])]
-        verdicts = []
-        for bname, dirname in parts:
-            b = registry[bname]
-            direction = Direction(dirname)
-            verdicts.append((bname, verify(b, direction, lo, hi, cap=cap)))
+        verdicts = [(bname, verify(lookup_bound(bname), dirname, lo, hi, cap=cap))
+                    for bname, dirname in parts]
 
     # primary verdict: a FAIL or AMBIGUOUS part if any, else the tightest margin
     def rank(item):
@@ -275,31 +293,18 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
 
     expect = p.get("expect", "PASS")
     if expect == "PASS":
-        if not all(v.status is Status.PASS for _, v in verdicts):
-            bad = [f"{n or 'check'}:{v.status.value}" for n, v in verdicts if v.status is not Status.PASS]
+        bad = [f"{n or 'check'}:{v.status.value}" for n, v in verdicts if v.status is not Status.PASS]
+        if bad:
             problems.append("expected PASS, got " + ", ".join(bad))
     else:
-        if primary.status is not Status.FAIL:
-            problems.append(f"expected FAIL, got {primary.status.value}")
-        elif "expect_witness" in p and primary.witness != p["expect_witness"]:
-            problems.append(f"expected witness {p['expect_witness']}, got {primary.witness}")
-        if "margin_abs" in p and primary.status is Status.FAIL:
-            lo_m, hi_m = p["margin_abs"]
-            if not lo_m <= abs(primary.min_margin) <= hi_m:
-                problems.append(
-                    f"witness margin |{primary.min_margin:.6f}| outside [{lo_m}, {hi_m}]"
-                )
+        problems.extend(_expect_fail(primary, p.get("expect_witness"),
+                                     margin_abs=p.get("margin_abs")))
 
     if "sub_fail" in p:
         sf = p["sub_fail"]
-        b = registry[p["bound"]]
-        direction = Direction(p["direction"])
-        v2 = verify(b, direction, int(sf["lo"]), int(sf["hi"]), cap=cap)
-        if v2.status is not Status.FAIL or v2.witness != sf["expect_witness"]:
-            problems.append(
-                f"expected FAIL at {sf['expect_witness']} on [{sf['lo']}, {sf['hi']}], "
-                f"got {v2.status.value} at {v2.witness}"
-            )
+        v2 = verify(lookup_bound(p["bound"]), p["direction"], int(sf["lo"]), int(sf["hi"]),
+                    cap=cap)
+        problems.extend(_expect_fail(v2, sf["expect_witness"], f" on [{sf['lo']}, {sf['hi']}]"))
 
     for x, expected in p.get("pi_points", []):
         got = primes.pi_at(x, cap=cap)
@@ -307,18 +312,16 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
             problems.append(f"pi({x}) = {got}, expected {expected}")
 
     for bname, x, expected, tol in p.get("eval_points", []):
-        got = evaluate(registry[bname], x).value
-        if abs(got - expected) > tol:
-            problems.append(f"{bname}({x}) = {got!r}, expected {expected} +/- {tol}")
+        _within(f"{bname}({x})", evaluate(lookup_bound(bname), x).value, expected, tol, problems)
 
     if "tail_shift" in p:
-        problems.extend(_check_tail(registry, float(p["tail_shift"]), hi, cap=cap))
+        problems.extend(_check_tail(float(p["tail_shift"]), hi, cap=cap))
 
     return (primary.status.value, primary.witness, primary.min_margin,
             primary.guard_at_witness), problems
 
 
-def _check_tail(registry, shift: float, scan_hi: int, *, cap: int) -> list[str]:
+def _check_tail(shift: float, scan_hi: int, *, cap: int) -> list[str]:
     """The analytic tail of C2.
 
     Above t = exp(shift*c2/(c2-1)) -- the exact real solution of
@@ -334,10 +337,11 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int) -> list[str]:
     t = scan.exp_threshold(shift, c2)
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
-    shifted = registry["pan_upper"]
+    shifted = lookup_bound("pan_upper")
     hi_pt = math.ceil(t)
     try:
-        flip = scan.analytic_crossover(shifted, registry["cheb_upper"], hi_pt - 1, hi_pt, cap=cap)
+        flip = scan.analytic_crossover(shifted, lookup_bound("cheb_upper"), hi_pt - 1, hi_pt,
+                                       cap=cap)
     except CrossoverNotFoundError:
         flip = None
     if flip is None or flip.threshold != hi_pt or flip.ambiguous_points:
@@ -354,9 +358,8 @@ def _check_tail(registry, shift: float, scan_hi: int, *, cap: int) -> list[str]:
 
 def _run_crossover(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
     p = claim.payload
-    registry = builtin_bounds()
-    f = registry[p["left"]]
-    g = registry[p["right"]]
+    f = lookup_bound(p["left"])
+    g = lookup_bound(p["right"])
     try:
         res = scan.analytic_crossover(f, g, int(p["lo"]), int(p["hi"]), cap=cap)
     except CrossoverNotFoundError as exc:
@@ -374,27 +377,19 @@ def _run_crossover(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
 
 def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
     p = claim.payload
-    problems = []
-    slacks = []
     if p["kind"] == "exp_threshold":
         _, c2 = chebyshev_constants()
-        got = scan.exp_threshold(float(p["shift"]), c2)
-        diff = abs(got - p["expected"])
-        slacks.append(p["tol"] - diff)
-        if diff > p["tol"]:
-            problems.append(f"exp_threshold = {got!r}, expected {p['expected']} +/- {p['tol']}")
+        checks = [("exp_threshold", scan.exp_threshold(float(p["shift"]), c2),
+                   p["expected"], p["tol"])]
     elif p["kind"] == "chebyshev":
-        values = chebyshev_constants()
-        for got, (expected, tol) in zip(values, p["expected"]):
-            diff = abs(got - expected)
-            slacks.append(tol - diff)
-            if diff > tol:
-                problems.append(f"constant {got!r} differs from {expected} by {diff:.3e} > {tol}")
+        checks = [(name, got, expected, tol) for name, got, (expected, tol)
+                  in zip(("c1", "c2"), chebyshev_constants(), p["expected"])]
     else:
-        problems.append(f"unknown constant check {p['kind']!r}")
-
+        return ("FAIL", None, None, None), [f"unknown constant check {p['kind']!r}"]
+    problems: list[str] = []
+    slack = min(_within(*check, problems) for check in checks)
     verdict = "PASS" if not problems else "FAIL"
-    return (verdict, None, min(slacks) if slacks else None, None), problems
+    return (verdict, None, slack, None), problems
 
 
 def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP) -> ClaimOutcome:

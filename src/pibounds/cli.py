@@ -16,10 +16,10 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import claims, primes, scan
-from .bounds import builtin_bounds, evaluate
-from .errors import CrossoverNotFoundError, DomainError, PiBoundsError, UnknownNameError
+from .bounds import builtin_bounds, evaluate, lookup_bound
+from .errors import CrossoverNotFoundError, DomainError, PiBoundsError
 from .primes import DEFAULT_CAP
-from .scan import Direction, Status
+from .scan import Status
 
 
 @functools.cache
@@ -33,52 +33,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pi = sub.add_parser("pi", help="prime count pi(floor(x))")
+    p_pi.set_defaults(handler=_cmd_pi)
     p_pi.add_argument("x", help="integer or decimal; pi(floor(x)) is reported")
     p_pi.add_argument("--method", choices=("auto", "sieve", "legendre"), default="auto")
 
     p_psi = sub.add_parser("psi", help="Chebyshev psi(floor(x))")
+    p_psi.set_defaults(handler=_cmd_psi)
     p_psi.add_argument("x", help="integer or decimal; psi(floor(x)) is reported")
 
     p_bound = sub.add_parser("bound", help="bound registry operations")
     bound_sub = p_bound.add_subparsers(dest="bound_command", required=True)
-    bound_sub.add_parser("list", help="list registered bounds")
+    p_list = bound_sub.add_parser("list", help="list registered bounds")
+    p_list.set_defaults(handler=_cmd_bound_list)
     p_eval = bound_sub.add_parser("eval", help="evaluate a bound at x")
+    p_eval.set_defaults(handler=_cmd_bound_eval)
     p_eval.add_argument("name")
     p_eval.add_argument("x", type=float)
 
     p_scan = sub.add_parser("scan", help="verify a pi inequality over a range")
+    p_scan.set_defaults(handler=_cmd_scan)
     p_scan.add_argument("--bound", required=True)
     p_scan.add_argument("--dir", required=True, choices=("upper", "lower"))
     p_scan.add_argument("--from", dest="start", type=int, required=True)
     p_scan.add_argument("--to", dest="end", type=int, required=True)
 
     p_cross = sub.add_parser("crossover", help="locate where one bound drops below another")
+    p_cross.set_defaults(handler=_cmd_crossover)
     p_cross.add_argument("--left", required=True)
     p_cross.add_argument("--right", required=True)
     p_cross.add_argument("--from", dest="start", type=int, required=True)
     p_cross.add_argument("--to", dest="end", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="run the builtin claim suite")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--claims", dest="claim_ids", default=None,
                           help="comma-separated claim ids (default: all)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="CSV table of pi and bound values")
+    p_table.set_defaults(handler=_cmd_table)
     p_table.add_argument("--from", dest="start", type=int, required=True)
     p_table.add_argument("--to", dest="end", type=int, required=True)
     p_table.add_argument("--step", type=int, default=1)
     p_table.add_argument("--bounds", default=None, help="comma-separated bound names")
 
     return parser
-
-
-def _lookup_bound(name: str):
-    registry = builtin_bounds()
-    if name not in registry:
-        raise UnknownNameError(
-            f"unknown bound {name!r}; valid names: {', '.join(registry)}"
-        )
-    return registry[name]
 
 
 _MAX_DIGITS = 4300  # the default digit limit of Python's int(str)
@@ -117,12 +116,14 @@ def _cmd_psi(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    if args.bound_command == "list":
-        for name, b in builtin_bounds().items():
-            print(f"{name}\tvalid_from={b.valid_from:g}\t{b.formula()}")
-        return 0
-    b = _lookup_bound(args.name)
+def _cmd_bound_list(args) -> int:
+    for name, b in builtin_bounds().items():
+        print(f"{name}\tvalid_from={b.valid_from:g}\t{b.formula()}")
+    return 0
+
+
+def _cmd_bound_eval(args) -> int:
+    b = lookup_bound(args.name)
     with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses what overflows
         res = evaluate(b, args.x)
     print(res.value)
@@ -130,9 +131,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    b = _lookup_bound(args.bound)
-    direction = Direction(args.dir)
-    verdict = scan.verify_pi(b, direction, args.start, args.end, cap=args.cap)
+    b = lookup_bound(args.bound)
+    verdict = scan.verify_pi(b, args.dir, args.start, args.end, cap=args.cap)
     print(
         f"{verdict.status.value} witness={verdict.witness} "
         f"min_margin={verdict.min_margin!r} points={verdict.points_checked} "
@@ -142,8 +142,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    f = _lookup_bound(args.left)
-    g = _lookup_bound(args.right)
+    f = lookup_bound(args.left)
+    g = lookup_bound(args.right)
     res = scan.analytic_crossover(f, g, args.start, args.end, cap=args.cap)
     print(
         f"threshold={res.threshold} last_failure={res.last_failure} "
@@ -166,7 +166,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     names = [t.strip() for t in (args.bounds or "").split(",") if t.strip()]
-    bounds = [_lookup_bound(name) for name in names]
+    bounds = [lookup_bound(name) for name in names]
     if args.step < 1:
         raise DomainError("table step must be >= 1")
     if not 0 <= args.start <= args.end:
@@ -190,20 +190,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    handlers = {
-        "pi": _cmd_pi,
-        "psi": _cmd_psi,
-        "bound": _cmd_bound,
-        "scan": _cmd_scan,
-        "crossover": _cmd_crossover,
-        "verify": _cmd_verify,
-        "table": _cmd_table,
-    }
     try:
         if args.cap < 0:
             raise DomainError(f"--cap must be >= 0, got {args.cap}")
         primes.check_cap(args.cap)
-        return handlers[args.command](args)
+        return args.handler(args)
     except CrossoverNotFoundError as exc:
         print(f"no crossover: {exc}", file=sys.stderr)
         return 1

@@ -413,6 +413,8 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     Legendre query's, need isqrt of the last row within the cap and
     LEGENDRE_MAX_ROOT.  Every refusal comes here, before the first count.
     """
+    if rows.step < 0:
+        raise ValueError(f"pi_rows needs ascending rows, got {rows}")
     check_cap(cap)
     split = max(cap, 2)  # rows up to here read the words, which always cover 0..127
     below = rows[: max(0, (split - rows.start) // rows.step + 1)]

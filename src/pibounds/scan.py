@@ -338,8 +338,9 @@ def _one_end_start(b: BoundExpr) -> int:
     return max(math.floor(b.increase_start()) + 2, math.ceil(b.guard_increase_start()))
 
 
-def _scan_inequality(b: BoundExpr, direction: Direction, lo: int, hi: int,
+def _scan_inequality(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
                      *, use_psi: bool, cap: int) -> _Summary:
+    direction = Direction(direction)  # a member or its value; anything else is refused
     _check_range(lo, hi, cap)
     b.check_domain(lo)
     try:
@@ -399,26 +400,26 @@ def _to_crossover(out: _Summary, lo: int) -> CrossoverResult:
     return CrossoverResult(threshold, out.last_fail, out.state_changes, out.ambiguous, *out.flank)
 
 
-def verify_pi(b: BoundExpr, direction: Direction, lo: int, hi: int,
+def verify_pi(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
               *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the pi inequality over real x in [lo, hi+1) by integer reduction."""
     return _to_verdict(_scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap))
 
 
-def verify_psi(b: BoundExpr, direction: Direction, lo: int, hi: int,
+def verify_psi(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
                *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check the psi inequality over real x in [lo, hi+1); guards include psi's
     accumulated summation error."""
     return _to_verdict(_scan_inequality(b, direction, lo, hi, use_psi=True, cap=cap))
 
 
-def last_violation(b: BoundExpr, direction: Direction, lo: int, hi: int,
+def last_violation(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
                    *, cap: int = DEFAULT_CAP) -> CrossoverResult:
     """Largest violating integer in range and the threshold right after it."""
     return _to_crossover(_scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap), lo)
 
 
-def count_violations(b: BoundExpr, direction: Direction, lo: int, hi: int,
+def count_violations(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
                      *, cap: int = DEFAULT_CAP) -> int:
     """Number of definitely violating integers in range."""
     return _scan_inequality(b, direction, lo, hi, use_psi=False, cap=cap).fail_count

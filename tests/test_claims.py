@@ -115,15 +115,46 @@ class TestRunClaim:
         out = run_claim(fake)
         assert out.status == "MISMATCH"
 
+    @pytest.mark.parametrize("cid, change, note", [
+        ("C1", dict(expect_witness=99), "expected witness 99, got 100"),
+        ("C4", dict(margin_abs=(0.01, 0.02)), "witness margin |{m:.6f}| outside [0.01, 0.02]"),
+        ("C5", dict(sub_fail=dict(lo=16, hi=16, expect_witness=15)),
+         "expected witness 15 on [16, 16], got 16"),
+        ("C5", dict(sub_fail=dict(lo=17, hi=17, expect_witness=17)),
+         "expected FAIL on [17, 17], got PASS"),
+        ("C5", dict(eval_points=[("unit_lower", 16.999, 6.0001, 5e-7)]),
+         "unit_lower(16.999) = {unit!r}, expected 6.0001 +/- 5e-07"),
+        ("C3", dict(tol=1e-4), "exp_threshold = {t!r}, expected 112005.18 +/- 0.0001"),
+        ("C15", dict(expected=[(0.92, 1e-11), (1.10555042752, 1e-10)]),
+         "c1 = {c1!r}, expected 0.92 +/- 1e-11"),
+    ])
+    def test_a_missed_expectation_says_what_was_expected_and_got(self, cid, change, note):
+        # a FAIL is checked by one helper, its status first and then its
+        # witness and margin, and a value within a tolerance by another
+        claim = by_id(cid)
+        out = run_claim(dataclasses.replace(claim, payload={**claim.payload, **change}))
+        c1, c2 = chebyshev_constants()
+        unit = evaluate(builtin_bounds()["unit_lower"], 16.999).value
+        assert out.status == "MISMATCH"
+        assert out.note == note.format(unit=unit, t=scan.exp_threshold(1.11, c2), c1=c1,
+                                       m=out.min_margin)
+
+    def test_an_unknown_bound_in_a_payload_lists_the_valid_names(self):
+        fake = Claim("X2", "synthetic", ClaimKind.PI_CHECK,
+                     dict(bound="nope", direction="upper", lo=100, hi=100, expect="PASS"))
+        with pytest.raises(UnknownNameError) as err:
+            run_claim(fake)
+        assert str(err.value) == f"unknown bound 'nope'; valid names: {', '.join(builtin_bounds())}"
+
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
-        assert _check_tail(builtin_bounds(), 1.11, 112006, cap=primes.DEFAULT_CAP) == []
+        assert _check_tail(1.11, 112006, cap=primes.DEFAULT_CAP) == []
 
     @pytest.mark.parametrize("shift", [1.10, 1.12])
     def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift):
         # t moves by about 1e4 either way; the scan end covers it and the shifted
         # bound holds past it, so only the flip check can fail
         hi_pt = math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1]))
-        problems = _check_tail(builtin_bounds(), shift, 200_000, cap=primes.DEFAULT_CAP)
+        problems = _check_tail(shift, 200_000, cap=primes.DEFAULT_CAP)
         assert problems == [
             f"shifted bound does not flip below the scaled bound exactly at {hi_pt}"
         ]

@@ -8,12 +8,16 @@ also trust each shape's curvature bound and the growth of its guard, which
 are checked here the same way, and the pieces they decide are re-checked
 here at 120 bits, as are the pinned crossover flips and C8b's violators.
 Past each bound's turn a scan evaluates a slab at one end only, which rests
-on the bound rising there; that is checked at 120 bits too.
+on the bound rising there; that is checked at 120 bits too.  Every guard
+assumes numpy's float64 log within a relative eps, and that is checked last,
+at each x whose log the pinned report reads.
 """
 
 import json
 import math
+import platform
 import random
+import sys
 from pathlib import Path
 
 import mpmath
@@ -31,7 +35,7 @@ from pibounds.bounds import (
     builtin_bounds,
     evaluate,
 )
-from pibounds.claims import ClaimKind
+from pibounds.claims import ClaimKind, builtin_claims
 
 PREC = 120
 TOP = 1e12
@@ -339,3 +343,53 @@ def test_an_ambiguous_point_is_marked_and_its_margin_lies_inside_its_guard():
     assert v.ambiguous_points == [n] and v.witness == n
     with mpmath.workprec(PREC):  # b increases, so its slab over [n, n + 1) starts at b(n)
         assert abs(exact(b, n) - primes.pi_at(n)) <= v.guard_at_witness
+
+
+def glibc_with_cited_log():
+    """Whether this process runs on glibc 2.28 or later, whose log states a
+    worst case of about 0.52 ulp in its source."""
+    lib, version = platform.libc_ver()
+    return lib == "glibc" and tuple(map(int, version.split(".")[:2])) >= (2, 28)
+
+
+def log_within_eps(x, got):
+    """got, a float64 log of x, lies within eps |log x| of it at PREC bits."""
+    with mpmath.workprec(PREC):
+        exact_log = mpmath.log(mpmath.mpf(x))
+        return abs(mpmath.mpf(got) - exact_log) <= sys.float_info.epsilon * abs(exact_log)
+
+
+LOG_CHUNK = 1 << 20
+
+
+@pytest.mark.skipif(not glibc_with_cited_log(), reason=(
+    f"libc {platform.libc_ver()} is not glibc 2.28 or later, whose cited log bound "
+    "this test assumes; test_numpy_log_is_within_eps_at_turns_and_eval_points "
+    "settles a seeded sample of these integers with mpmath instead"))
+def test_numpy_log_is_within_eps_at_every_integer_up_to_the_cap():
+    # this test's one assumption: glibc's log is within about 0.52 ulp, so
+    # within eps relative, wherever numpy's SIMD log agrees with it; each
+    # integer where the two differ is settled at PREC bits
+    differ = []
+    for lo in range(2, primes.DEFAULT_CAP + 2, LOG_CHUNK):
+        ns = np.arange(lo, min(lo + LOG_CHUNK, primes.DEFAULT_CAP + 2), dtype=np.float64)
+        logs = np.log(ns)
+        libc = np.fromiter(map(math.log, ns.tolist()), np.float64, ns.size)
+        off = logs != libc
+        differ.extend(zip(ns[off].tolist(), logs[off].tolist()))
+    for n, got in differ:
+        assert log_within_eps(n, got), n
+
+
+def test_numpy_log_is_within_eps_at_turns_and_eval_points():
+    # each bound's turning point and the x from which its guard grows, and
+    # each claim's eval_points, are read off the log too; without glibc's
+    # cited bound, a seeded sample stands in for the integers
+    xs = [x for b in builtin_bounds().values()
+          for x in (b.increase_start(), b.guard_increase_start())]
+    xs += [x for c in builtin_claims() for _, x, _, _ in c.payload.get("eval_points", [])]
+    if not glibc_with_cited_log():
+        xs += random.Random(2030).sample(range(2, primes.DEFAULT_CAP + 2), 10_000)
+    logs = np.log(np.array(xs, dtype=np.float64))
+    for x, got in zip(xs, logs.tolist()):
+        assert log_within_eps(x, got), x

@@ -721,6 +721,10 @@ class TestPiRows:
         assert queries == list(rows[1:])
         assert counts == [0, *map(legendre, rows[1:])]
 
+    def test_rows_that_do_not_ascend_are_refused(self, no_tables):
+        with pytest.raises(ValueError, match="ascending"):
+            primes.pi_rows(range(5, 0, -1))
+
     @pytest.mark.parametrize("start, stop, step, refused", [
         # (1000, 999998] is wider than the cap, and its 499,499 rows would
         # take more than one query at LEGENDRE_MAX_ROOT: 499,499**2 * 999**3 > (5 * 10**6)**3

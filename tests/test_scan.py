@@ -95,6 +95,16 @@ class TestVerifyPi:
         with pytest.raises(DomainError):
             verify_pi(registry["pan_upper"], U, 3, 10)
 
+    @pytest.mark.parametrize("check", [verify_pi, verify_psi, last_violation, count_violations])
+    def test_a_direction_is_a_member_or_its_value(self, registry, check):
+        # cheb_upper fails as an upper bound on [90, 110] and holds as a lower one
+        b = registry["cheb_upper"]
+        for direction in Direction:
+            assert check(b, direction.value, 90, 110) == check(b, direction, 90, 110)
+        assert check(b, "upper", 90, 110) != check(b, "lower", 90, 110)
+        with pytest.raises(ValueError, match="sideways"):
+            check(b, "sideways", 90, 110)
+
     def test_real_semantics_spot_oracle_upper(self, registry):
         b = registry["cheb_upper"]
         v = verify_pi(b, U, 96098, 112006)
