@@ -261,6 +261,32 @@ def _expect_fail(v: Verdict, witness: int | None, where: str = "",
     return problems
 
 
+def _expect_pass(verdicts: list[tuple[str | None, Verdict]], where: str = "") -> list[str]:
+    """What is amiss with the (bound name, verdict) pairs as PASSes."""
+    bad = [f"{n or 'check'}:{v.status.value}" for n, v in verdicts if v.status is not Status.PASS]
+    return [f"expected PASS{where}, got " + ", ".join(bad)] if bad else []
+
+
+def _expect_crossover(p: dict[str, Any], *, cap: int) -> tuple[tuple, list[str]]:
+    """The crossover of p["left"] below p["right"] on [p["lo"], p["hi"]], and
+    what is amiss with it as a flip at p["expected_threshold"] with no
+    ambiguous point and, where p gives them, p["expected_sign_changes"]."""
+    try:
+        res = scan.analytic_crossover(lookup_bound(p["left"]), lookup_bound(p["right"]),
+                                      int(p["lo"]), int(p["hi"]), cap=cap)
+    except CrossoverNotFoundError as exc:
+        return ("FAIL", None, None, None), [str(exc)]
+    problems = []
+    if res.threshold != p["expected_threshold"]:
+        problems.append(f"threshold {res.threshold}, expected {p['expected_threshold']}")
+    if "expected_sign_changes" in p and res.sign_changes != p["expected_sign_changes"]:
+        problems.append(f"sign_changes {res.sign_changes}, expected {p['expected_sign_changes']}")
+    if res.ambiguous_points:
+        problems.append(f"{len(res.ambiguous_points)} ambiguous comparison points")
+    verdict = "PASS" if not res.ambiguous_points else "AMBIGUOUS"
+    return (verdict, res.threshold, res.min_margin, res.guard_at_witness), problems
+
+
 def _within(label: str, got: float, expected: float, tol: float, problems: list[str]) -> float:
     """The slack tol - |got - expected|; a problem is noted when it is negative."""
     diff = abs(got - expected)
@@ -293,9 +319,7 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
 
     expect = p.get("expect", "PASS")
     if expect == "PASS":
-        bad = [f"{n or 'check'}:{v.status.value}" for n, v in verdicts if v.status is not Status.PASS]
-        if bad:
-            problems.append("expected PASS, got " + ", ".join(bad))
+        problems.extend(_expect_pass(verdicts))
     else:
         problems.extend(_expect_fail(primary, p.get("expect_witness"),
                                      margin_abs=p.get("margin_abs")))
@@ -337,42 +361,14 @@ def _check_tail(shift: float, scan_hi: int, *, cap: int) -> list[str]:
     t = scan.exp_threshold(shift, c2)
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
-    shifted = lookup_bound("pan_upper")
     hi_pt = math.ceil(t)
-    try:
-        flip = scan.analytic_crossover(shifted, lookup_bound("cheb_upper"), hi_pt - 1, hi_pt,
-                                       cap=cap)
-    except CrossoverNotFoundError:
-        flip = None
-    if flip is None or flip.threshold != hi_pt or flip.ambiguous_points:
-        problems.append(f"shifted bound does not flip below the scaled bound exactly at {hi_pt}")
+    problems.extend(_expect_crossover(dict(left="pan_upper", right="cheb_upper", lo=hi_pt - 1,
+                                           hi=hi_pt, expected_threshold=hi_pt), cap=cap)[1])
     tail_hi = max(scan_hi, min(cap, MILLION))
-    tail = scan.verify_pi(shifted, Direction.UPPER_STRICT, hi_pt, tail_hi, cap=cap)
-    if tail.status is not Status.PASS:
-        problems.append(
-            f"shifted bound not verified on the tail window [{hi_pt}, {tail_hi}]: "
-            f"{tail.status.value} at {tail.witness}"
-        )
+    tail = scan.verify_pi(lookup_bound("pan_upper"), Direction.UPPER_STRICT, hi_pt, tail_hi,
+                          cap=cap)
+    problems.extend(_expect_pass([("pan_upper", tail)], f" on [{hi_pt}, {tail_hi}]"))
     return problems
-
-
-def _run_crossover(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
-    p = claim.payload
-    f = lookup_bound(p["left"])
-    g = lookup_bound(p["right"])
-    try:
-        res = scan.analytic_crossover(f, g, int(p["lo"]), int(p["hi"]), cap=cap)
-    except CrossoverNotFoundError as exc:
-        return ("FAIL", None, None, None), [str(exc)]
-    problems = []
-    if res.threshold != p["expected_threshold"]:
-        problems.append(f"threshold {res.threshold}, expected {p['expected_threshold']}")
-    if res.sign_changes != p["expected_sign_changes"]:
-        problems.append(f"sign_changes {res.sign_changes}, expected {p['expected_sign_changes']}")
-    if res.ambiguous_points:
-        problems.append(f"{len(res.ambiguous_points)} ambiguous comparison points")
-    verdict = "PASS" if not res.ambiguous_points else "AMBIGUOUS"
-    return (verdict, res.threshold, res.min_margin, res.guard_at_witness), problems
 
 
 def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
@@ -399,7 +395,7 @@ def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP) -> ClaimOutcome:
     # guard_at_witness, and its problems; the outcome is built here alone
     try:
         if claim.kind is ClaimKind.CROSSOVER:
-            decided, problems = _run_crossover(claim, cap=cap)
+            decided, problems = _expect_crossover(claim.payload, cap=cap)
         elif claim.kind is ClaimKind.CONSTANT_VALUE:
             decided, problems = _run_constant(claim)
         else:

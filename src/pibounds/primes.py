@@ -188,7 +188,9 @@ def _cached(name: str, limit: int, build):
 
     On a miss build(limit, old) returns (largest n covered, table), which
     replaces old, the cached (largest n covered, table) or None; a builder
-    grows old where it can.  Builds may nest: _lock is reentrant.
+    grows old where it can.  Builds may nest: _lock is reentrant.  A thread
+    that asks for a table another is building waits for it under _lock, and
+    reads it rather than build a second one and replace the first.
     """
     with _lock:
         entry = _tables.get(name)

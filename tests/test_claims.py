@@ -127,10 +127,13 @@ class TestRunClaim:
         ("C3", dict(tol=1e-4), "exp_threshold = {t!r}, expected 112005.18 +/- 0.0001"),
         ("C15", dict(expected=[(0.92, 1e-11), (1.10555042752, 1e-10)]),
          "c1 = {c1!r}, expected 0.92 +/- 1e-11"),
+        ("C13", dict(expected_threshold=28515), "threshold 28516, expected 28515"),
+        ("C13", dict(expected_sign_changes=2), "sign_changes 1, expected 2"),
     ])
     def test_a_missed_expectation_says_what_was_expected_and_got(self, cid, change, note):
         # a FAIL is checked by one helper, its status first and then its
-        # witness and margin, and a value within a tolerance by another
+        # witness and margin, a value within a tolerance by another, and a
+        # crossover by a third
         claim = by_id(cid)
         out = run_claim(dataclasses.replace(claim, payload={**claim.payload, **change}))
         c1, c2 = chebyshev_constants()
@@ -149,15 +152,23 @@ class TestRunClaim:
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
         assert _check_tail(1.11, 112006, cap=primes.DEFAULT_CAP) == []
 
-    @pytest.mark.parametrize("shift", [1.10, 1.12])
-    def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift):
-        # t moves by about 1e4 either way; the scan end covers it and the shifted
-        # bound holds past it, so only the flip check can fail
-        hi_pt = math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1]))
-        problems = _check_tail(shift, 200_000, cap=primes.DEFAULT_CAP)
-        assert problems == [
-            f"shifted bound does not flip below the scaled bound exactly at {hi_pt}"
-        ]
+    @pytest.mark.parametrize("shift, hi_pt, notes", [
+        pytest.param(1.10, 100868, ["no n in [100867, 100868] from which 'pan_upper' <= "
+                                    "'cheb_upper' holds onward"], id="1.1"),
+        pytest.param(1.12, 124374, ["threshold 124373, expected 124374"], id="1.12"),
+        pytest.param(0.9, 12416, ["no n in [12415, 12416] from which 'pan_upper' <= "
+                                  "'cheb_upper' holds onward",
+                                  "expected PASS on [12416, 1000000], got pan_upper:FAIL"],
+                     id="0.9"),
+    ])
+    def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift, hi_pt, notes):
+        # the flip is checked as C13 and C14 are, and the window [ceil(t), 10^6]
+        # as a range claim's PASS.  For 1.10 and 1.12, t moves by about 1e4
+        # either way; the scan end covers it and the shifted bound holds past
+        # it, so only the flip check fails.  For 0.9 the window also holds
+        # C8b's violators, the last at 24254, and fails too
+        assert math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1])) == hi_pt
+        assert _check_tail(shift, 200_000, cap=primes.DEFAULT_CAP) == notes
 
     def test_cap_yields_skipped_not_mismatch(self):
         for cid in ("C14", "C6b"):
@@ -284,6 +295,8 @@ class TestReportSerialization:
         for cid in ALL_IDS:
             assert cid in text
         assert "all_match: false" in text
+        c8b = next(line for line in text.splitlines() if line.startswith("C8b "))
+        assert c8b.endswith("ms  (expected PASS, got pan_upper:FAIL)")
 
 
 def _expected_guard(outcome):

@@ -1,12 +1,29 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from pibounds import primes
 from pibounds.bounds import builtin_bounds, evaluate
 from pibounds.cli import build_parser, floor_exact, main
 
 from oracle import pi_oracle_trial_division
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = ROOT / "bench" / "reference" / "verify_full.json"
+
+# prints the SIMD targets numpy dispatches to on stderr, then runs verify
+VERIFY_CHILD = """
+import sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from pibounds.cli import main
+print(*[t for t in __cpu_dispatch__ if __cpu_features__[t]], file=sys.stderr)
+sys.exit(main(["verify", "--format", "json"]))
+"""
 
 
 def run(capsys, *argv):
@@ -178,6 +195,30 @@ class TestVerify:
         a = scrubbed("verify", "--claims", "C5,C13", "--format", "json")
         b = scrubbed("verify", "--claims", "C5,C13", "--format", "json")
         assert a == b
+
+    def test_every_simd_path_of_this_cpu_gives_the_pinned_report(self):
+        """numpy picks its float64 log at run time from the SIMD targets the
+        CPU has.  NPY_DISABLE_CPU_FEATURES turns the targets this CPU has off
+        from the top down, one setting a subprocess, to numpy's baseline, and
+        each must print the pinned report.  No target the CPU lacks is
+        simulated, so another machine may run a path that this one never does."""
+        found = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                   os.environ.get("PYTHONPATH")]))
+        ran = []
+        for k in range(len(found), -1, -1):
+            env = {**os.environ, "PYTHONPATH": pythonpath,
+                   "NPY_DISABLE_CPU_FEATURES": " ".join(found[k:])}
+            done = subprocess.run([sys.executable, "-c", VERIFY_CHILD], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.stderr.split() == found[:k], done.stderr
+            obj = json.loads(done.stdout)
+            for e in obj["claims"]:
+                e["elapsed_ms"] = 0
+            top = found[k - 1] if k else "baseline " + " ".join(__cpu_baseline__)
+            assert json.dumps(obj, indent=2) + "\n" == PINNED.read_text(), top
+            ran.append(top)
+        print("pinned report on SIMD paths: " + ", ".join(ran))
 
 
 class TestTable:

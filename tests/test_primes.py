@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import isqrt
@@ -473,6 +474,39 @@ class TestStore:
         assert [v.value for v in self.from_threads(psi_at, ns)] == expect
         psi = primes.table_stats()["psi_steps"]
         assert psi["builds"] == 1 and psi["builds"] + psi["growths"] + psi["hits"] == len(ns)
+
+    def test_a_table_asked_for_during_its_build_is_built_once(self, monkeypatch):
+        # one thread is held inside the rank build while a second asks for the
+        # same table; the store's lock keeps the second out until the build is
+        # done, so it reads that table instead of building one beside it
+        windows, inside, seen = primes._windows, [], []
+        first_in, second_in = threading.Event(), threading.Event()
+
+        def held(lo, hi):
+            inside.append(lo)
+            seen.append(len(inside))
+            if not first_in.is_set():
+                first_in.set()
+                second_in.wait(0.5)  # times out while the lock keeps the second out
+            else:
+                second_in.set()
+            yield from windows(lo, hi)
+            inside.pop()
+
+        monkeypatch.setattr(primes, "_windows", held)
+        primes.clear_caches()
+        counts = []
+        first = threading.Thread(target=lambda: counts.append(pi_at(1000)))
+        first.start()
+        assert first_in.wait(10)
+        second = threading.Thread(target=lambda: counts.append(pi_at(1000)))
+        second.start()
+        first.join(10)
+        second.join(10)
+        assert counts == [168, 168]
+        assert seen == [1]  # one build, and no other beside it
+        rank = primes.table_stats()["rank"]
+        assert (rank["builds"], rank["growths"], rank["hits"]) == (1, 0, 1)
 
 
 class TestPiTable:

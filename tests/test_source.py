@@ -33,3 +33,20 @@ def unused_imports(path):
 def test_no_module_imports_a_name_it_never_uses(path):
     # a name kept on purpose must still be unused, so a stale entry shows too
     assert unused_imports(path) == sorted(n for m, n in KEPT if m == path.stem)
+
+
+def private_without_caller():
+    """Private top-level functions and classes of src that no other top-level
+    statement there names, as a Name or an attribute."""
+    nodes = [node for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    names = [{getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+             for node in nodes]
+    return sorted(
+        node.name for i, node in enumerate(nodes)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and not any(node.name in used for j, used in enumerate(names) if j != i))
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a helper that only tests call is code kept for them alone: fold it or delete it
+    assert private_without_caller() == []
