@@ -324,12 +324,16 @@ def _builtin_entries() -> tuple[BoundExpr, ...]:
 
 
 def evaluate(b: BoundExpr, x: float) -> EvalResult:
-    """Evaluate b at a real x > its domain start; refuse a non-finite result."""
+    """Evaluate b at a real x > its domain start; refuse a non-finite result.
+
+    The kernel runs on a float64 scalar, with numpy's log as the scans take
+    it, so the value and guard equal a scan's at x bit for bit, without the
+    per-array cost of a one-element array.
+    """
     b.check_domain(x)
-    xs = np.array([float(x)], dtype=np.float64)
-    logs = np.log(xs)
-    vals, errs = b.values_with_error(xs, logs)
-    value, error = float(vals[0]), float(errs[0])
+    x64 = np.float64(x)
+    vals, errs = b.values_with_error(x64, np.log(x64))
+    value, error = float(vals), float(errs)
     if not (math.isfinite(value) and math.isfinite(error)):
         raise DomainError(f"bound {b.name!r} has no finite value or error bound at x={x}")
     return EvalResult(value, error)

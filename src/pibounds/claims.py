@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from . import primes, scan
-from .bounds import chebyshev_constants, evaluate, lookup_bound
+from .bounds import BoundExpr, ShiftedLog, chebyshev_constants, evaluate, lookup_bound
 from .errors import CrossoverNotFoundError, ResourceLimitError, UnknownNameError
 from .primes import DEFAULT_CAP
 from .scan import Direction, Status, Verdict
@@ -118,7 +118,7 @@ def builtin_claims() -> list[Claim]:
             ClaimKind.PI_CHECK,
             dict(
                 bound="cheb_upper", direction="upper", lo=96098, hi=112006,
-                expect="PASS", tail_shift=1.11,
+                expect="PASS", tail="pan_upper",
             ),
         ),
         Claim(
@@ -267,13 +267,13 @@ def _expect_pass(verdicts: list[tuple[str | None, Verdict]], where: str = "") ->
     return [f"expected PASS{where}, got " + ", ".join(bad)] if bad else []
 
 
-def _expect_crossover(p: dict[str, Any], *, cap: int) -> tuple[tuple, list[str]]:
-    """The crossover of p["left"] below p["right"] on [p["lo"], p["hi"]], and
-    what is amiss with it as a flip at p["expected_threshold"] with no
-    ambiguous point and, where p gives them, p["expected_sign_changes"]."""
+def _expect_crossover(left: BoundExpr, right: BoundExpr, p: dict[str, Any], *,
+                      cap: int) -> tuple[tuple, list[str]]:
+    """The crossover of left below right on [p["lo"], p["hi"]], and what is
+    amiss with it as a flip at p["expected_threshold"] with no ambiguous point
+    and, where p gives them, p["expected_sign_changes"]."""
     try:
-        res = scan.analytic_crossover(lookup_bound(p["left"]), lookup_bound(p["right"]),
-                                      int(p["lo"]), int(p["hi"]), cap=cap)
+        res = scan.analytic_crossover(left, right, int(p["lo"]), int(p["hi"]), cap=cap)
     except CrossoverNotFoundError as exc:
         return ("FAIL", None, None, None), [str(exc)]
     problems = []
@@ -338,36 +338,37 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
     for bname, x, expected, tol in p.get("eval_points", []):
         _within(f"{bname}({x})", evaluate(lookup_bound(bname), x).value, expected, tol, problems)
 
-    if "tail_shift" in p:
-        problems.extend(_check_tail(float(p["tail_shift"]), hi, cap=cap))
+    if "tail" in p:
+        problems.extend(_check_tail(lookup_bound(p["tail"]), hi, cap=cap))
 
     return (primary.status.value, primary.witness, primary.min_margin,
             primary.guard_at_witness), problems
 
 
-def _check_tail(shift: float, scan_hi: int, *, cap: int) -> list[str]:
+def _check_tail(tail: ShiftedLog, scan_hi: int, *, cap: int) -> list[str]:
     """The analytic tail of C2.
 
     Above t = exp(shift*c2/(c2-1)) -- the exact real solution of
-    x/(log x - shift) <= c2*x/log x -- the shifted-log upper bound implies the
-    scaled-log one, so the finite scan plus the shifted bound covers all real
-    x >= the scan start.  Checked numerically: t lands inside the scanned
-    window, a guarded crossover search finds the implication flipping exactly
-    at ceil(t), and the shifted bound itself is scan-verified from ceil(t) to
-    the largest horizon the cap allows.
+    x/(log x - shift) <= c2*x/log x, shift being the tail bound's own -- the
+    shifted-log upper bound implies the scaled-log one, so the finite scan
+    plus the shifted bound covers all real x >= the scan start.  Checked
+    numerically: t lands inside the scanned window, a guarded crossover search
+    finds the tail bound flipping below the scaled one exactly at ceil(t), and
+    the tail bound itself is scan-verified from ceil(t) to the largest horizon
+    the cap allows.
     """
     problems = []
     _, c2 = chebyshev_constants()
-    t = scan.exp_threshold(shift, c2)
+    t = scan.exp_threshold(tail.shift, c2)
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
     hi_pt = math.ceil(t)
-    problems.extend(_expect_crossover(dict(left="pan_upper", right="cheb_upper", lo=hi_pt - 1,
-                                           hi=hi_pt, expected_threshold=hi_pt), cap=cap)[1])
+    problems.extend(_expect_crossover(tail, lookup_bound("cheb_upper"),
+                                      dict(lo=hi_pt - 1, hi=hi_pt, expected_threshold=hi_pt),
+                                      cap=cap)[1])
     tail_hi = max(scan_hi, min(cap, MILLION))
-    tail = scan.verify_pi(lookup_bound("pan_upper"), Direction.UPPER_STRICT, hi_pt, tail_hi,
-                          cap=cap)
-    problems.extend(_expect_pass([("pan_upper", tail)], f" on [{hi_pt}, {tail_hi}]"))
+    window = scan.verify_pi(tail, Direction.UPPER_STRICT, hi_pt, tail_hi, cap=cap)
+    problems.extend(_expect_pass([(tail.name, window)], f" on [{hi_pt}, {tail_hi}]"))
     return problems
 
 
@@ -395,7 +396,9 @@ def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP) -> ClaimOutcome:
     # guard_at_witness, and its problems; the outcome is built here alone
     try:
         if claim.kind is ClaimKind.CROSSOVER:
-            decided, problems = _expect_crossover(claim.payload, cap=cap)
+            p = claim.payload
+            decided, problems = _expect_crossover(lookup_bound(p["left"]),
+                                                  lookup_bound(p["right"]), p, cap=cap)
         elif claim.kind is ClaimKind.CONSTANT_VALUE:
             decided, problems = _run_constant(claim)
         else:

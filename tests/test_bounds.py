@@ -19,6 +19,8 @@ from pibounds.bounds import (
 from pibounds.errors import DomainError
 from pibounds.primes import DEFAULT_CAP, SEGMENT_LENGTH
 
+from numerics import integers_where_log_differs, point_sample, points_off_the_kernel
+
 
 class TestConstants:
     def test_c1_decimal(self):
@@ -138,6 +140,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(registry["dusart_upper"], 0.5)
         assert evaluate(registry["pan_upper"], 4).value > 0
+
+    def test_a_point_value_is_the_scans_kernel_value_bit_for_bit(self):
+        # evaluate runs the kernel on a float64 scalar; the scans run it on
+        # arrays.  The integers where numpy's log differs from libm's are where
+        # a scalar path through libm would show
+        xs = list(integers_where_log_differs()) + point_sample(2000, seed=32)
+        assert points_off_the_kernel(xs) == []
 
     def test_scaled_log_two_evaluation_orders_agree(self):
         # c*(x/log x) vs (c*x)/log x within 4 ulp

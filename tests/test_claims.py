@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pibounds import claims, primes, scan
-from pibounds.bounds import builtin_bounds, chebyshev_constants, evaluate
+from pibounds.bounds import ShiftedLog, builtin_bounds, chebyshev_constants, evaluate
 from pibounds.claims import (
     Claim,
     ClaimKind,
@@ -150,25 +150,27 @@ class TestRunClaim:
         assert str(err.value) == f"unknown bound 'nope'; valid names: {', '.join(builtin_bounds())}"
 
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
-        assert _check_tail(1.11, 112006, cap=primes.DEFAULT_CAP) == []
+        assert _check_tail(builtin_bounds()["pan_upper"], 112006, cap=primes.DEFAULT_CAP) == []
 
     @pytest.mark.parametrize("shift, hi_pt, notes", [
-        pytest.param(1.10, 100868, ["no n in [100867, 100868] from which 'pan_upper' <= "
-                                    "'cheb_upper' holds onward"], id="1.1"),
-        pytest.param(1.12, 124374, ["threshold 124373, expected 124374"], id="1.12"),
-        pytest.param(0.9, 12416, ["no n in [12415, 12416] from which 'pan_upper' <= "
-                                  "'cheb_upper' holds onward",
-                                  "expected PASS on [12416, 1000000], got pan_upper:FAIL"],
-                     id="0.9"),
+        pytest.param(1.10, 100868, [], id="1.1"),
+        pytest.param(1.12, 124374, [], id="1.12"),
+        pytest.param(0.9, 12416, ["expected PASS on [12416, 1000000], got tail:FAIL"], id="0.9"),
     ])
-    def test_c2_tail_refuses_a_threshold_off_the_real_flip(self, shift, hi_pt, notes):
-        # the flip is checked as C13 and C14 are, and the window [ceil(t), 10^6]
-        # as a range claim's PASS.  For 1.10 and 1.12, t moves by about 1e4
-        # either way; the scan end covers it and the shifted bound holds past
-        # it, so only the flip check fails.  For 0.9 the window also holds
-        # C8b's violators, the last at 24254, and fails too
+    def test_c2_tail_checks_the_flip_and_window_of_its_own_bound(self, shift, hi_pt, notes):
+        # t, the flip below c2*x/log x and the window [ceil(t), 10^6] all come
+        # from the tail bound's shift, so a bound of another shift flips at its
+        # own ceil(t).  For 1.10 and 1.12 the scan end covers t and the bound
+        # holds past it; for 0.9 the window also holds C8b's violators, the
+        # last at 24254, and fails
         assert math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1])) == hi_pt
-        assert _check_tail(shift, 200_000, cap=primes.DEFAULT_CAP) == notes
+        tail = ShiftedLog("tail", 4.0, shift)
+        assert _check_tail(tail, 200_000, cap=primes.DEFAULT_CAP) == notes
+
+    def test_c2_tail_refuses_a_threshold_beyond_the_scan(self):
+        assert _check_tail(builtin_bounds()["pan_upper"], 100_000, cap=primes.DEFAULT_CAP) == [
+            f"analytic tail threshold {scan.exp_threshold(1.11, chebyshev_constants()[1]):.2f} "
+            "beyond scanned range end 100000"]
 
     def test_cap_yields_skipped_not_mismatch(self):
         for cid in ("C14", "C6b"):

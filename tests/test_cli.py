@@ -4,24 +4,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from pibounds import primes
-from pibounds.bounds import builtin_bounds, evaluate
+from pibounds.bounds import builtin_bounds
 from pibounds.cli import build_parser, floor_exact, main
 
+from numerics import integers_where_log_differs
 from oracle import pi_oracle_trial_division
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "bench" / "reference" / "verify_full.json"
 
-# prints the SIMD targets numpy dispatches to on stderr, then runs verify
+# prints on stderr the SIMD targets numpy dispatches to, the points where a
+# point value is off the scans' kernel (the integers on stdin and a seeded
+# sample) and the sampled logs not within eps; then runs verify
 VERIFY_CHILD = """
-import sys
+import json, sys
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from pibounds.cli import main
+from numerics import log_points, logs_outside_eps, point_sample, points_off_the_kernel
 print(*[t for t in __cpu_dispatch__ if __cpu_features__[t]], file=sys.stderr)
+xs = json.load(sys.stdin) + point_sample(1000, seed=33)
+print("points off the kernel:", points_off_the_kernel(xs), file=sys.stderr)
+print("logs outside eps:", logs_outside_eps(log_points(sample=True)), file=sys.stderr)
 sys.exit(main(["verify", "--format", "json"]))
 """
 
@@ -200,25 +208,30 @@ class TestVerify:
         """numpy picks its float64 log at run time from the SIMD targets the
         CPU has.  NPY_DISABLE_CPU_FEATURES turns the targets this CPU has off
         from the top down, one setting a subprocess, to numpy's baseline, and
-        each must print the pinned report.  No target the CPU lacks is
-        simulated, so another machine may run a path that this one never does."""
+        each must print the pinned report, give point values equal to the
+        scans' kernel and a log within eps at the seeded sample.  The points
+        include the integers where this CPU's top path differs from libm.  No
+        target the CPU lacks is simulated, so another machine may run a path
+        that this one never does."""
         found = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
-        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"),
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                                    os.environ.get("PYTHONPATH")]))
+        differ = json.dumps(integers_where_log_differs())
         ran = []
         for k in range(len(found), -1, -1):
             env = {**os.environ, "PYTHONPATH": pythonpath,
                    "NPY_DISABLE_CPU_FEATURES": " ".join(found[k:])}
-            done = subprocess.run([sys.executable, "-c", VERIFY_CHILD], env=env,
+            done = subprocess.run([sys.executable, "-c", VERIFY_CHILD], env=env, input=differ,
                                   capture_output=True, text=True, timeout=60)
-            assert done.stderr.split() == found[:k], done.stderr
+            assert done.stderr.splitlines() == [" ".join(found[:k]), "points off the kernel: []",
+                                                "logs outside eps: []"], done.stderr
             obj = json.loads(done.stdout)
             for e in obj["claims"]:
                 e["elapsed_ms"] = 0
             top = found[k - 1] if k else "baseline " + " ".join(__cpu_baseline__)
             assert json.dumps(obj, indent=2) + "\n" == PINNED.read_text(), top
             ran.append(top)
-        print("pinned report on SIMD paths: " + ", ".join(ran))
+        print("pinned report, point values and log sample on SIMD paths: " + ", ".join(ran))
 
 
 class TestTable:
@@ -229,13 +242,14 @@ class TestTable:
         assert "\r" not in out
         lines = out.strip().split("\n")
         assert lines[0] == "x,pi,cheb_upper,unit_lower"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(pi) for _, pi, *_ in rows] == [primes.pi_at(int(x)) for x, *_ in rows]
+        # each cell is the value a scan's kernel gives at its row
+        xs = np.array([float(x) for x, *_ in rows])
         registry = builtin_bounds()
-        for line in lines[1:]:
-            xs, pis, *vals = line.split(",")
-            x = int(xs)
-            assert int(pis) == primes.pi_at(x)
-            assert float(vals[0]) == evaluate(registry["cheb_upper"], x).value
-            assert float(vals[1]) == evaluate(registry["unit_lower"], x).value
+        for col, name in enumerate(("cheb_upper", "unit_lower"), start=2):
+            vals, _ = registry[name].values_with_error(xs, np.log(xs))
+            assert [float(row[col]) for row in rows] == vals.tolist(), name
 
     def test_without_bounds(self, capsys):
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "5", "--step", "1")

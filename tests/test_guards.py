@@ -17,7 +17,6 @@ import json
 import math
 import platform
 import random
-import sys
 from pathlib import Path
 
 import mpmath
@@ -35,9 +34,16 @@ from pibounds.bounds import (
     builtin_bounds,
     evaluate,
 )
-from pibounds.claims import ClaimKind, builtin_claims
+from pibounds.claims import ClaimKind
 
-PREC = 120
+from numerics import (
+    PREC,
+    glibc_with_cited_log,
+    integers_where_log_differs,
+    log_points,
+    logs_outside_eps,
+)
+
 TOP = 1e12
 WIDTH = 1 << 12  # wider than any stretch a crossover search cuts
 
@@ -345,23 +351,6 @@ def test_an_ambiguous_point_is_marked_and_its_margin_lies_inside_its_guard():
         assert abs(exact(b, n) - primes.pi_at(n)) <= v.guard_at_witness
 
 
-def glibc_with_cited_log():
-    """Whether this process runs on glibc 2.28 or later, whose log states a
-    worst case of about 0.52 ulp in its source."""
-    lib, version = platform.libc_ver()
-    return lib == "glibc" and tuple(map(int, version.split(".")[:2])) >= (2, 28)
-
-
-def log_within_eps(x, got):
-    """got, a float64 log of x, lies within eps |log x| of it at PREC bits."""
-    with mpmath.workprec(PREC):
-        exact_log = mpmath.log(mpmath.mpf(x))
-        return abs(mpmath.mpf(got) - exact_log) <= sys.float_info.epsilon * abs(exact_log)
-
-
-LOG_CHUNK = 1 << 20
-
-
 @pytest.mark.skipif(not glibc_with_cited_log(), reason=(
     f"libc {platform.libc_ver()} is not glibc 2.28 or later, whose cited log bound "
     "this test assumes; test_numpy_log_is_within_eps_at_turns_and_eval_points "
@@ -370,26 +359,11 @@ def test_numpy_log_is_within_eps_at_every_integer_up_to_the_cap():
     # this test's one assumption: glibc's log is within about 0.52 ulp, so
     # within eps relative, wherever numpy's SIMD log agrees with it; each
     # integer where the two differ is settled at PREC bits
-    differ = []
-    for lo in range(2, primes.DEFAULT_CAP + 2, LOG_CHUNK):
-        ns = np.arange(lo, min(lo + LOG_CHUNK, primes.DEFAULT_CAP + 2), dtype=np.float64)
-        logs = np.log(ns)
-        libc = np.fromiter(map(math.log, ns.tolist()), np.float64, ns.size)
-        off = logs != libc
-        differ.extend(zip(ns[off].tolist(), logs[off].tolist()))
-    for n, got in differ:
-        assert log_within_eps(n, got), n
+    assert logs_outside_eps(list(integers_where_log_differs())) == []
 
 
 def test_numpy_log_is_within_eps_at_turns_and_eval_points():
     # each bound's turning point and the x from which its guard grows, and
     # each claim's eval_points, are read off the log too; without glibc's
     # cited bound, a seeded sample stands in for the integers
-    xs = [x for b in builtin_bounds().values()
-          for x in (b.increase_start(), b.guard_increase_start())]
-    xs += [x for c in builtin_claims() for _, x, _, _ in c.payload.get("eval_points", [])]
-    if not glibc_with_cited_log():
-        xs += random.Random(2030).sample(range(2, primes.DEFAULT_CAP + 2), 10_000)
-    logs = np.log(np.array(xs, dtype=np.float64))
-    for x, got in zip(xs, logs.tolist()):
-        assert log_within_eps(x, got), x
+    assert logs_outside_eps(log_points(sample=not glibc_with_cited_log())) == []
