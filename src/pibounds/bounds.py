@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache, cached_property
 
 import numpy as np
@@ -102,7 +103,12 @@ class BoundExpr:
     # -- conveniences ------------------------------------------------------
 
     def check_domain(self, x: float) -> None:
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:  # a number beyond every float, an int or a Fraction, quoted short
+            raise DomainError(f"bound {self.name!r} needs x within the float range, "
+                              f"got x={Decimal(int(x)):.6e}") from None
+        if not finite:
             raise DomainError(f"bound {self.name!r} needs a finite x, got x={x}")
         if not x > self.domain_start():
             raise DomainError(

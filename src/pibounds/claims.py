@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from . import primes, scan
-from .bounds import BoundExpr, ShiftedLog, chebyshev_constants, evaluate, lookup_bound
+from .bounds import BoundExpr, ScaledLog, ShiftedLog, chebyshev_constants, evaluate, lookup_bound
 from .errors import CrossoverNotFoundError, ResourceLimitError, UnknownNameError
 from .primes import DEFAULT_CAP
 from .scan import Direction, Status, Verdict
@@ -125,7 +125,8 @@ def builtin_claims() -> list[Claim]:
             "C3",
             "tail threshold exp(1.11*c2/(c2-1)) equals 112005.18 within 0.01",
             ClaimKind.CONSTANT_VALUE,
-            dict(kind="exp_threshold", shift=1.11, expected=112005.18, tol=0.01),
+            dict(kind="exp_threshold", tail="pan_upper", bound="cheb_upper",
+                 expected=112005.18, tol=0.01),
         ),
         Claim(
             "C4",
@@ -331,39 +332,36 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
         problems.extend(_expect_fail(v2, sf["expect_witness"], f" on [{sf['lo']}, {sf['hi']}]"))
 
     for x, expected in p.get("pi_points", []):
-        got = primes.pi_at(x, cap=cap)
-        if got != expected:
-            problems.append(f"pi({x}) = {got}, expected {expected}")
+        _within(f"pi({x})", primes.pi_at(x, cap=cap), expected, 0, problems)
 
     for bname, x, expected, tol in p.get("eval_points", []):
         _within(f"{bname}({x})", evaluate(lookup_bound(bname), x).value, expected, tol, problems)
 
     if "tail" in p:
-        problems.extend(_check_tail(lookup_bound(p["tail"]), hi, cap=cap))
+        problems.extend(_check_tail(lookup_bound(p["tail"]), lookup_bound(p["bound"]), hi, cap=cap))
 
     return (primary.status.value, primary.witness, primary.min_margin,
             primary.guard_at_witness), problems
 
 
-def _check_tail(tail: ShiftedLog, scan_hi: int, *, cap: int) -> list[str]:
+def _check_tail(tail: ShiftedLog, bound: ScaledLog, scan_hi: int, *, cap: int) -> list[str]:
     """The analytic tail of C2.
 
-    Above t = exp(shift*c2/(c2-1)) -- the exact real solution of
-    x/(log x - shift) <= c2*x/log x, shift being the tail bound's own -- the
-    shifted-log upper bound implies the scaled-log one, so the finite scan
-    plus the shifted bound covers all real x >= the scan start.  Checked
+    Above t = exp(shift*c/(c-1)) -- the exact real solution of
+    x/(log x - shift) <= c*x/log x, for the tail's shift and the bound's scale
+    c -- the shifted-log upper bound implies the scaled-log one, so the finite
+    scan plus the shifted bound covers all real x >= the scan start.  Checked
     numerically: t lands inside the scanned window, a guarded crossover search
     finds the tail bound flipping below the scaled one exactly at ceil(t), and
     the tail bound itself is scan-verified from ceil(t) to the largest horizon
     the cap allows.
     """
     problems = []
-    _, c2 = chebyshev_constants()
-    t = scan.exp_threshold(tail.shift, c2)
+    t = scan.exp_threshold(tail.shift, bound.scale)
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
     hi_pt = math.ceil(t)
-    problems.extend(_expect_crossover(tail, lookup_bound("cheb_upper"),
+    problems.extend(_expect_crossover(tail, bound,
                                       dict(lo=hi_pt - 1, hi=hi_pt, expected_threshold=hi_pt),
                                       cap=cap)[1])
     tail_hi = max(scan_hi, min(cap, MILLION))
@@ -375,9 +373,8 @@ def _check_tail(tail: ShiftedLog, scan_hi: int, *, cap: int) -> list[str]:
 def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
     p = claim.payload
     if p["kind"] == "exp_threshold":
-        _, c2 = chebyshev_constants()
-        checks = [("exp_threshold", scan.exp_threshold(float(p["shift"]), c2),
-                   p["expected"], p["tol"])]
+        t = scan.exp_threshold(lookup_bound(p["tail"]).shift, lookup_bound(p["bound"]).scale)
+        checks = [("exp_threshold", t, p["expected"], p["tol"])]
     elif p["kind"] == "chebyshev":
         checks = [(name, got, expected, tol) for name, got, (expected, tol)
                   in zip(("c1", "c2"), chebyshev_constants(), p["expected"])]

@@ -275,9 +275,16 @@ def _higher_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return positions[order], np.concatenate(logs)[order]
 
 
-def _counter(words: np.ndarray, before: np.ndarray):
-    """count(ns): pi at each n of an int64 array, as uint32, from a rank
-    directory."""
+def _pi_le(words: np.ndarray, before: np.ndarray, n: int) -> int:
+    """pi_lookup's count at one n, in Python ints."""
+    i = n >> 7
+    return before.item(i) + (words.item(i) & _ODD_MASKS.item(n & 127)).bit_count() if n >= 2 else 0
+
+
+def pi_lookup(limit: int):
+    """pi over int64 arrays of n <= limit, as uint32, read from the rank directory."""
+    words, before = _rank(limit)
+
     def count(ns: np.ndarray) -> np.ndarray:
         i = ns >> 7
         counts = before.take(i) + np.bitwise_count(words.take(i) & _ODD_MASKS.take(ns & 127))
@@ -286,17 +293,6 @@ def _counter(words: np.ndarray, before: np.ndarray):
         return counts
 
     return count
-
-
-def _pi_le(words: np.ndarray, before: np.ndarray, n: int) -> int:
-    """_counter at one n, in Python ints."""
-    i = n >> 7
-    return before.item(i) + (words.item(i) & _ODD_MASKS.item(n & 127)).bit_count() if n >= 2 else 0
-
-
-def pi_lookup(limit: int):
-    """pi over int64 arrays of n <= limit, read from the rank directory."""
-    return _counter(*_rank(limit))
 
 
 def psi_lookup(limit: int):

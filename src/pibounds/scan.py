@@ -75,6 +75,7 @@ split.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -326,6 +327,10 @@ def _chord(f: BoundExpr, g: BoundExpr):
 
 
 def _check_range(lo: int, hi: int, cap: int) -> None:
+    try:
+        lo, hi = operator.index(lo), operator.index(hi)
+    except TypeError:
+        raise ValueError(f"lo and hi must be integers, got [{lo!r}, {hi!r}]") from None
     primes.check_cap(cap, hi, "scan end")
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(registry["dusart_upper"], 0.5)
         assert evaluate(registry["pan_upper"], 4).value > 0
+
+    @pytest.mark.parametrize("x", [10**400, -(10**400), Fraction(10**401 + 1, 10)],
+                             ids=["1e400", "-1e400", "fraction"])
+    def test_a_number_beyond_every_float_is_refused_and_quoted_short(self, registry, x):
+        # math.isfinite raises OverflowError on such an int or Fraction
+        with pytest.raises(DomainError, match=r"float range, got x=-?1\.000000e\+400$") as err:
+            evaluate(registry["unit_lower"], x)
+        assert len(str(err.value)) < 200
 
     def test_a_point_value_is_the_scans_kernel_value_bit_for_bit(self):
         # evaluate runs the kernel on a float64 scalar; the scans run it on

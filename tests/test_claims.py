@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from pibounds import claims, primes, scan
-from pibounds.bounds import ShiftedLog, builtin_bounds, chebyshev_constants, evaluate
+from pibounds import bounds, claims, primes, scan
+from pibounds.bounds import ScaledLog, ShiftedLog, builtin_bounds, chebyshev_constants, evaluate
 from pibounds.claims import (
     Claim,
     ClaimKind,
@@ -129,6 +129,7 @@ class TestRunClaim:
          "c1 = {c1!r}, expected 0.92 +/- 1e-11"),
         ("C13", dict(expected_threshold=28515), "threshold 28516, expected 28515"),
         ("C13", dict(expected_sign_changes=2), "sign_changes 1, expected 2"),
+        ("C1", dict(pi_points=[(100, 26)]), "pi(100) = 25, expected 26 +/- 0"),
     ])
     def test_a_missed_expectation_says_what_was_expected_and_got(self, cid, change, note):
         # a FAIL is checked by one helper, its status first and then its
@@ -149,8 +150,37 @@ class TestRunClaim:
             run_claim(fake)
         assert str(err.value) == f"unknown bound 'nope'; valid names: {', '.join(builtin_bounds())}"
 
+    @pytest.mark.parametrize("change, notes", [
+        pytest.param(dict(pan_upper=dict(shift=1.12)), {
+            "C2": "analytic tail threshold 124373.18 beyond scanned range end 112006",
+            "C3": "exp_threshold = 124373.17672466126, expected 112005.18 +/- 0.01"}, id="shift"),
+        pytest.param(dict(cheb_upper=dict(scale=1.001 * chebyshev_constants()[1])), {
+            "C2": "",
+            "C3": "exp_threshold = 100437.6966913679, expected 112005.18 +/- 0.01"}, id="scale"),
+    ])
+    def test_c2_and_c3_read_their_constants_from_the_bounds_they_name(
+            self, monkeypatch, change, notes):
+        # the scans and the tail checks take 1.11 and c2 from the registry, so
+        # a registry bound that drifts is what C2's tail and C3 see
+        drifted = tuple(dataclasses.replace(b, **change.get(b.name, {}))
+                        for b in bounds._builtin_entries())
+        monkeypatch.setattr(bounds, "_builtin_entries", lambda: drifted)
+        got = {cid: run_claim(by_id(cid)) for cid in notes}
+        assert {cid: out.note for cid, out in got.items()} == notes
+        assert {cid: out.status for cid, out in got.items()} == {
+            cid: "MISMATCH" if note else "MATCH" for cid, note in notes.items()}
+
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
-        assert _check_tail(builtin_bounds()["pan_upper"], 112006, cap=primes.DEFAULT_CAP) == []
+        assert _check_tail(builtin_bounds()["pan_upper"], builtin_bounds()["cheb_upper"], 112006,
+                           cap=primes.DEFAULT_CAP) == []
+
+    def test_c2_tail_crosses_the_scaled_bound_it_is_given(self):
+        # x/(log x - 1.11) drops below 1.12*x/log x from ceil(t) = 31572, and
+        # below cheb_upper only from 112006
+        scaled = ScaledLog("scaled", 30.0, 1.12)
+        assert math.ceil(scan.exp_threshold(1.11, scaled.scale)) == 31572
+        assert _check_tail(builtin_bounds()["pan_upper"], scaled, 50_000,
+                           cap=primes.DEFAULT_CAP) == []
 
     @pytest.mark.parametrize("shift, hi_pt, notes", [
         pytest.param(1.10, 100868, [], id="1.1"),
@@ -165,10 +195,12 @@ class TestRunClaim:
         # last at 24254, and fails
         assert math.ceil(scan.exp_threshold(shift, chebyshev_constants()[1])) == hi_pt
         tail = ShiftedLog("tail", 4.0, shift)
-        assert _check_tail(tail, 200_000, cap=primes.DEFAULT_CAP) == notes
+        assert _check_tail(tail, builtin_bounds()["cheb_upper"], 200_000,
+                           cap=primes.DEFAULT_CAP) == notes
 
     def test_c2_tail_refuses_a_threshold_beyond_the_scan(self):
-        assert _check_tail(builtin_bounds()["pan_upper"], 100_000, cap=primes.DEFAULT_CAP) == [
+        assert _check_tail(builtin_bounds()["pan_upper"], builtin_bounds()["cheb_upper"], 100_000,
+                           cap=primes.DEFAULT_CAP) == [
             f"analytic tail threshold {scan.exp_threshold(1.11, chebyshev_constants()[1]):.2f} "
             "beyond scanned range end 100000"]
 

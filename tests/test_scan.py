@@ -91,6 +91,22 @@ class TestVerifyPi:
         with pytest.raises(ResourceLimitError):
             verify_pi(registry["unit_lower"], U, 2, 100, cap=50)
 
+    @pytest.mark.parametrize("check", [
+        lambda b, lo, hi: verify_pi(b, U, lo, hi),
+        lambda b, lo, hi: verify_psi(b, U, lo, hi),
+        lambda b, lo, hi: last_violation(b, U, lo, hi),
+        lambda b, lo, hi: count_violations(b, U, lo, hi),
+        lambda b, lo, hi: analytic_crossover(b, b, lo, hi),
+        lambda b, lo, hi: verify_sandwich(lo, hi),
+    ], ids=["verify_pi", "verify_psi", "last_violation", "count_violations",
+            "analytic_crossover", "verify_sandwich"])
+    def test_a_range_end_that_is_no_integer_is_refused(self, registry, check):
+        b = registry["psi_upper"]  # a bound each of the six scans takes
+        for lo, hi in [(17, 17.5), (2.0, 10), ("2", 10), (17, None)]:
+            with pytest.raises(ValueError, match=r"lo and hi must be integers, got \["):
+                check(b, lo, hi)
+        assert check(b, np.int64(30), np.int64(40)) == check(b, 30, 40)
+
     def test_domain_validation(self, registry):
         with pytest.raises(DomainError):
             verify_pi(registry["pan_upper"], U, 3, 10)

@@ -1,9 +1,12 @@
 """Static checks on the package source, by an ast walk (no linter is needed)."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from pibounds import bounds
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pibounds"
 
@@ -50,3 +53,22 @@ def private_without_caller():
 def test_every_private_helper_has_a_caller_in_src():
     # a helper that only tests call is code kept for them alone: fold it or delete it
     assert private_without_caller() == []
+
+
+def bound_constants_in_claims():
+    """Float literals of claims.py that equal a nonzero parameter of a builtin
+    bound (a field other than name and valid_from), with their line numbers.
+    A zero parameter is a term the bound lacks (psi_lower has no log^2 term),
+    not a constant a claim could restate."""
+    params = {getattr(b, f.name) for b in bounds._builtin_entries() for f in dataclasses.fields(b)
+              if f.name not in ("name", "valid_from")} - {0.0}
+    tree = ast.parse((SRC / "claims.py").read_text())
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and node.value in params)
+
+
+def test_claims_names_bounds_and_never_their_constants():
+    # a claim that restates 1.11 or c2 checks its own copy, not the number the
+    # scans run with; ints stay out, as expected_sign_changes=1 equals psi_upper's offset
+    assert bound_constants_in_claims() == []
