@@ -52,7 +52,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainError, UnknownNameError
+from .errors import DomainError, MonotonicityError, UnknownNameError
 
 _EPS = sys.float_info.epsilon
 # covers the roundings in evaluating a curvature bound, log(x)'s ulp raised to
@@ -88,9 +88,12 @@ class BoundExpr:
         """x* such that the expression decreases before x* and increases after.
 
         Returns domain_start() when the expression increases on its whole
-        domain.
+        domain.  A shape without such a turn is refused here, for every scan
+        and crossover.
         """
-        raise NotImplementedError
+        raise MonotonicityError(
+            f"bound {self.name!r} does not expose a monotone/single-minimum shape"
+        )
 
     def guard_increase_start(self) -> float:
         """x from which the error bound of values_with_error never falls."""

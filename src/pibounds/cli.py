@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi = sub.add_parser("pi", help="prime count pi(floor(x))")
     p_pi.set_defaults(handler=_cmd_pi)
     p_pi.add_argument("x", help="integer or decimal; pi(floor(x)) is reported")
-    p_pi.add_argument("--method", choices=("auto", "sieve", "legendre"), default="auto")
 
     p_psi = sub.add_parser("psi", help="Chebyshev psi(floor(x))")
     p_psi.set_defaults(handler=_cmd_psi)
@@ -97,16 +96,7 @@ def floor_exact(text: str) -> int:
 
 
 def _cmd_pi(args) -> int:
-    n = floor_exact(args.x)
-    if n < 2:
-        value = 0
-    elif args.method == "legendre":
-        value = primes.pi_point_legendre(n, cap=args.cap)
-    else:
-        if args.method == "sieve":  # the sieve alone: refuse n past the cap
-            primes.check_cap(args.cap, n, "sieve query")
-        value = primes.pi_at(n, cap=args.cap)
-    print(value)
+    print(primes.pi_at(floor_exact(args.x), cap=args.cap))
     return 0
 
 
@@ -191,8 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.cap < 0:
-            raise DomainError(f"--cap must be >= 0, got {args.cap}")
         primes.check_cap(args.cap)
         return args.handler(args)
     except CrossoverNotFoundError as exc:

@@ -5,10 +5,6 @@ class PiBoundsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigurationError(PiBoundsError):
-    """A caller-supplied precomputation (e.g. a base prime list) does not cover the request."""
-
-
 class ResourceLimitError(PiBoundsError):
     """The request exceeds the configured scan cap or an oracle's supported range."""
 

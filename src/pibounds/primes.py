@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import ResourceLimitError
 
 DEFAULT_CAP = 5_000_000
 # The largest cap accepted.  Tables sized from the cap hold about 0.094 bytes
@@ -131,28 +131,17 @@ def _sieve(buffer: np.ndarray, lo: int, hi: int, odd: np.ndarray) -> np.ndarray:
     return flags
 
 
-def sieve_segment(lo: int, hi: int, base_primes: list[int] | range | np.ndarray) -> np.ndarray:
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
     """Primality flags for [lo, hi] as a fresh uint8 array: 1 iff lo+i is prime.
 
-    base_primes must contain every prime <= isqrt(hi); extra, composite or
-    unsorted entries are harmless.  Only the odd integers are sieved: they
-    start from the wheel, with the multiples of 3, 5, 7, 11 and 13 cleared,
-    and the odd base entries from 17 up to the root strike out the rest.
+    The table build's sieve: the flags of the odd integers of each window of
+    _windows are copied into place, and of the even integers only 2 is set.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    root = isqrt(hi)
-    missing = _prime_flags(root)
-    given = np.asarray(base_primes, dtype=np.int64)
-    missing[given[(given >= 0) & (given <= root)]] = 0
-    if missing.any():
-        raise ConfigurationError(
-            f"base_primes must hold every prime up to {root} to sieve [{lo}, {hi}]; "
-            f"missing {missing.nonzero()[0][:5].tolist()}"
-        )
-    buffer = np.empty((hi - (lo | 1)) // 2 + 1, dtype=np.uint8)
     flags = np.zeros(hi - lo + 1, dtype=np.uint8)
-    flags[(lo | 1) - lo :: 2] = _sieve(buffer, lo, hi, given[(given >= 17) & (given & 1 == 1)])
+    for start, end, odd in _windows(lo, hi):
+        flags[(start | 1) - lo : end - lo + 1 : 2] = odd
     if lo == 2:  # the one even prime
         flags[0] = 1
     return flags

@@ -84,7 +84,7 @@ import numpy as np
 from . import primes
 # scan calls no evaluate; it keeps the name for bench/tracer.py, which patches scan.evaluate
 from .bounds import BoundExpr, evaluate  # noqa: F401
-from .errors import CrossoverNotFoundError, DomainError, MonotonicityError
+from .errors import CrossoverNotFoundError, DomainError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
 SCAN_SEGMENT = 1 << 20  # integers compared whole per margins call, at most
@@ -348,12 +348,7 @@ def _scan_inequality(b: BoundExpr, direction: Direction | str, lo: int, hi: int,
     direction = Direction(direction)  # a member or its value; anything else is refused
     _check_range(lo, hi, cap)
     b.check_domain(lo)
-    try:
-        turn = b.increase_start()
-    except NotImplementedError as exc:
-        raise MonotonicityError(
-            f"bound {b.name!r} does not expose a monotone/single-minimum shape"
-        ) from exc
+    turn = b.increase_start()
 
     f_of = primes.psi_lookup(hi) if use_psi else primes.pi_lookup(hi)
 

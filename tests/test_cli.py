@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -41,6 +42,14 @@ def run(capsys, *argv):
 
 
 class TestPi:
+    @pytest.fixture
+    def legendre_queries(self, monkeypatch):
+        """The x of each Legendre query pi_at makes, in order."""
+        queries, query = [], primes.pi_point_legendre
+        monkeypatch.setattr(primes, "pi_point_legendre",
+                            lambda x, cap: queries.append(x) or query(x, cap=cap))
+        return queries
+
     def test_pi_100(self, capsys):
         code, out, _ = run(capsys, "pi", "100")
         assert code == 0
@@ -51,25 +60,18 @@ class TestPi:
         assert code == 0
         assert out.strip() == "6"
 
-    def test_pi_legendre(self, capsys):
-        code, out, _ = run(capsys, "pi", "1000000", "--method", "legendre")
-        assert code == 0
-        assert out.strip() == "78498"
-        # above the cap, auto takes the same route
-        code, out, _ = run(capsys, "pi", "10000000000")
-        assert code == 0
-        assert out.strip() == "455052511"
+    def test_pi_legendre(self, capsys, legendre_queries):
+        assert run(capsys, "pi", "1000000") == (0, "78498\n", "")
+        # above the cap, a Legendre query
+        assert run(capsys, "pi", "10000000000") == (0, "455052511\n", "")
+        assert legendre_queries == [10**10]
 
-    def test_pi_sieve(self, capsys):
-        code, out, _ = run(capsys, "pi", "100", "--method", "sieve")
-        assert code == 0
-        assert out.strip() == "25"
-        # the sieve serves n up to the cap and refuses the next one
-        code, out, _ = run(capsys, "--cap", "1000", "pi", "1000", "--method", "sieve")
-        assert code == 0
-        assert out.strip() == "168"
-        err = TestEdgeInputs.rejected(capsys, "--cap", "1000", "pi", "1001", "--method", "sieve")
-        assert "cap" in err
+    def test_pi_sieve(self, capsys, legendre_queries):
+        # the words serve n up to the cap, and the next n takes a Legendre query
+        assert run(capsys, "--cap", "1000", "pi", "1000") == (0, "168\n", "")
+        assert legendre_queries == []
+        assert run(capsys, "--cap", "1000", "pi", "1001") == (0, "168\n", "")
+        assert legendre_queries == [1001]
 
     def test_pi_floors_exactly_above_the_cap(self, capsys):
         # as a float, x would round up to the prime 1000003
@@ -334,7 +336,7 @@ class TestEdgeInputs:
         assert 1e305 < float(out) < 1e306
 
     def test_negative_cap(self, capsys):
-        assert "--cap" in self.rejected(capsys, "--cap", "-5", "pi", "100")
+        assert "cap -5 must be >= 0" in self.rejected(capsys, "--cap", "-5", "pi", "100")
 
     @pytest.mark.parametrize("cap, x", [
         ("100000000000000000000000", "1" + "0" * 42),  # once numpy's bare size error
@@ -344,15 +346,17 @@ class TestEdgeInputs:
         err = self.rejected(capsys, "--cap", cap, "pi", x)
         assert f"MAX_CAP = {primes.MAX_CAP}" in err
 
-    @pytest.mark.parametrize("method", ["auto", "legendre", "sieve"])
-    def test_pi_far_above_the_cap(self, capsys, method):
-        assert "cap" in self.rejected(capsys, "pi", "1e30", "--method", method)
+    @pytest.mark.parametrize("x", ["1e30"], ids=["auto"])
+    def test_pi_far_above_the_cap(self, capsys, x):
+        assert "cap" in self.rejected(capsys, "pi", x)
 
     @pytest.mark.parametrize("argv, quoted", [
-        (("pi", "1e4000"), "isqrt(1.000000e+4000) = 1.000000e+2000"),
-        (("pi", "1e4000", "--method", "sieve"), "query 1.000000e+4000 exceeds"),
-        (("psi", "1e400"), "argument 1.000000e+400 exceeds"),
-        (("--cap", "9" * 400, "pi", "10"), "cap 1.000000e+400 is above"),
+        pytest.param(("pi", "1e4000"), "isqrt(1.000000e+4000) = 1.000000e+2000",
+                     id="argv0-isqrt(1.000000e+4000) = 1.000000e+2000"),
+        pytest.param(("psi", "1e400"), "argument 1.000000e+400 exceeds",
+                     id="argv2-argument 1.000000e+400 exceeds"),
+        pytest.param(("--cap", "9" * 400, "pi", "10"), "cap 1.000000e+400 is above",
+                     id="argv3-cap 1.000000e+400 is above"),
     ])
     def test_a_huge_number_is_quoted_short(self, capsys, argv, quoted):
         # quoted in full, 1e4000 and its root once made a 6,090-character line
@@ -418,6 +422,30 @@ class TestUsage:
         assert run(capsys, "--threads", "1", "verify")[0] == 2
         assert run(capsys, "--threads", "-1", "scan", "--bound", "cheb_upper", "--dir",
                    "upper", "--from", "96098", "--to", "96200")[0] == 2
+
+    def test_every_option_is_named_here(self):
+        # a new option, or one dropped, changes this test on purpose
+        def options(parser, path=()):
+            found = {" ".join(path): {o for a in parser._actions for o in a.option_strings}}
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        found.update(options(child, (*path, name)))
+            return found
+
+        help_ = {"-h", "--help"}
+        assert options(build_parser()) == {
+            "": {"--cap", *help_},
+            "pi": help_,
+            "psi": help_,
+            "bound": help_,
+            "bound list": help_,
+            "bound eval": help_,
+            "scan": {"--bound", "--dir", "--from", "--to", *help_},
+            "crossover": {"--left", "--right", "--from", "--to", *help_},
+            "verify": {"--claims", "--format", *help_},
+            "table": {"--from", "--to", "--step", "--bounds", *help_},
+        }
 
     def test_failed_parse_leaves_the_parser_usable(self, capsys):
         assert run(capsys, "psi")[0] == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pibounds import cli, primes, scan
 from pibounds.bounds import builtin_bounds, evaluate
-from pibounds.errors import ConfigurationError, ResourceLimitError
+from pibounds.errors import ResourceLimitError
 from pibounds.primes import (
     cumulative_pi,
     pi_at,
@@ -37,52 +37,43 @@ def cli_refused(capsys, *argv):
     return capsys.readouterr().err
 
 
-def flagged(lo, hi, base):
-    bits = sieve_segment(lo, hi, base)
+def flagged(lo, hi):
+    bits = sieve_segment(lo, hi)
     return [lo + i for i, b in enumerate(bits) if b]
 
 
 class TestSieveSegment:
     def test_first_decade(self):
-        assert flagged(2, 12, [2, 3]) == [2, 3, 5, 7, 11]
+        assert flagged(2, 12) == [2, 3, 5, 7, 11]
 
     def test_ninety_to_hundred(self):
         # trial division over the decade gives 97 as the only prime
-        assert flagged(90, 100, [2, 3, 5, 7]) == [97]
+        assert flagged(90, 100) == [97]
 
     def test_singleton_prime(self):
-        assert flagged(7, 7, [2]) == [7]
-        assert flagged(97, 97, [2, 3, 5, 7]) == [97]
+        assert flagged(7, 7) == [7]
+        assert flagged(97, 97) == [97]
 
     def test_singleton_composite(self):
-        assert flagged(91, 91, [2, 3, 5, 7]) == []
-
-    def test_extra_and_unsorted_base_entries_are_harmless(self):
-        assert flagged(2, 12, [9, 3, 2, 4]) == [2, 3, 5, 7, 11]
-
-    def test_missing_base_primes(self):
-        with pytest.raises(ConfigurationError):
-            sieve_segment(2, 200, [2, 3, 5])
-        with pytest.raises(ConfigurationError):  # 5 is missing below the largest, 7
-            sieve_segment(2, 100, [2, 3, 7])
+        assert flagged(91, 91) == []
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            sieve_segment(1, 10, [2, 3])
+            sieve_segment(1, 10)
         with pytest.raises(ValueError):
-            sieve_segment(10, 9, [2, 3])
+            sieve_segment(10, 9)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 48, 2237])
     def test_every_integer_up_to_the_root_as_base(self, r):
-        # how the table build finds its base primes
+        # _windows takes the base primes from _prime_flags(isqrt(r)), as the table build does
         expect = [n for n in range(2, r + 1) if is_prime_trial(n)]
-        assert flagged(2, r, range(2, isqrt(r) + 1)) == expect
+        assert flagged(2, r) == expect
 
 
 class TestSieveSegmentContract:
-    """sieve_segment, public, returns a fresh array (and checks its base
-    primes: TestSieveSegment), while the table build sieves every segment in
-    one buffer of its own."""
+    """sieve_segment, public, copies the windows the table build sieves into a
+    fresh array of all the integers, while the build packs each window's flags
+    from one buffer that the next window reuses."""
 
     def test_returns_fresh_arrays_and_a_build_reuses_one_buffer(self, monkeypatch):
         buffers = []
@@ -96,8 +87,8 @@ class TestSieveSegmentContract:
         monkeypatch.setattr(primes, "_sieve", recording)
         primes._rank(3 * primes.SEGMENT_LENGTH - 1)
         assert len(buffers) == 3 and all(b is buffers[0] for b in buffers)
-        a = sieve_segment(2, 5000, range(2, 71))
-        b = sieve_segment(2, 5000, range(2, 71))
+        a = sieve_segment(2, 5000)
+        b = sieve_segment(2, 5000)
         assert np.array_equal(a, b) and not np.shares_memory(a, b)
         assert not any(np.shares_memory(flags, buffers[0]) for flags in (a, b))
 
@@ -108,7 +99,7 @@ class TestSieveSegmentContract:
     ])
     def test_flags_equal_the_rank_words(self, lo, hi):
         found = primes.prime_array(hi)
-        flags = sieve_segment(lo, hi, primes.prime_array(isqrt(hi)))
+        flags = sieve_segment(lo, hi)
         assert (np.flatnonzero(flags) + lo).tolist() == found[found >= lo].tolist()
 
 
@@ -124,7 +115,7 @@ def eratosthenes(limit):
 
 class TestOddWheelSieve:
     """sieve_segment sieves the odd integers from a wheel of 3, 5, 7, 11 and 13
-    and strides only the odd base entries from 17 on; every range it returns
+    and strides only the odd base primes from 17 on; every range it returns
     equals one unsegmented pass over all the integers."""
 
     SEG = primes.SEGMENT_LENGTH
@@ -132,11 +123,9 @@ class TestOddWheelSieve:
     REFERENCE = eratosthenes(TOP)
 
     def check(self, lo, hi):
-        root = isqrt(hi)
-        for base in (np.flatnonzero(self.REFERENCE[: root + 1]), range(2, root + 1)):
-            flags = sieve_segment(lo, hi, base)
-            assert flags.dtype == np.uint8 and flags.size == hi - lo + 1
-            assert np.array_equal(flags, self.REFERENCE[lo : hi + 1]), (lo, hi)
+        flags = sieve_segment(lo, hi)
+        assert flags.dtype == np.uint8 and flags.size == hi - lo + 1
+        assert np.array_equal(flags, self.REFERENCE[lo : hi + 1]), (lo, hi)
 
     def test_every_range_from_2_to_17(self):
         for lo in range(2, 18):
@@ -153,8 +142,8 @@ class TestOddWheelSieve:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
     def test_singletons_at_the_wheel_primes(self, p):
         self.check(p, p)
-        assert flagged(p, p, [2, 3]) == [p]
-        assert flagged(p * p, p * p, range(2, p + 1)) == []
+        assert flagged(p, p) == [p]
+        assert flagged(p * p, p * p) == []
 
     @pytest.mark.parametrize("hi", [
         64 * 1000 - 1, 64 * 1000, 64 * 1001 - 1, SEG - 1, SEG, 2 * SEG - 1, 2 * SEG,
@@ -165,13 +154,12 @@ class TestOddWheelSieve:
             self.check(max(lo, 2), hi)
 
     def test_even_composite_base_entries_are_not_strided(self):
-        # an odd stride from an even multiple would clear odd integers that
-        # sit next to the multiples of 18 and 20
-        base = [2, 3, 5, 7, 11, 13, 17, 18, 19, 20, 21, 22]
-        assert flagged(2, 528, base) == np.flatnonzero(self.REFERENCE[:529]).tolist()
+        # the base holds no even entry, and each stride of 2p starts at an odd
+        # multiple: one from an even multiple would clear the odd integers beside it
+        assert flagged(2, 528) == np.flatnonzero(self.REFERENCE[:529]).tolist()
         lo = 10**6 + 1
         expect = (np.flatnonzero(self.REFERENCE[lo : lo + 5001]) + lo).tolist()
-        assert flagged(lo, lo + 5000, range(2, isqrt(lo + 5000) + 1)) == expect
+        assert flagged(lo, lo + 5000) == expect
 
 
 def psi_steps_per_power(limit):
@@ -643,8 +631,8 @@ class TestEntryChecks:
         lambda capsys: refused(lambda: pi_point_legendre(1001**2, cap=1000)),
         lambda capsys: refused(lambda: scan.verify_pi(
             builtin_bounds()["cheb_upper"], Direction.UPPER_STRICT, 30, 1001, cap=1000)),
-        lambda capsys: cli_refused(capsys, "--cap", "1000", "pi", "1001", "--method", "sieve"),
-    ], ids=["psi_at", "pi_point_legendre", "scan", "pi --method sieve"])
+        lambda capsys: cli_refused(capsys, "--cap", "1000", "table", "--from", "0", "--to", "1002001"),
+    ], ids=["psi_at", "pi_point_legendre", "scan", "table"])
     def test_every_cap_site_gives_the_shared_text(self, no_tables, capsys, refusal):
         assert "exceeds the scan cap 1000; raise the cap to allow it" in refusal(capsys)
 
@@ -659,9 +647,9 @@ class TestLegendreCeiling:
 
         monkeypatch.setattr(primes.np, "arange", refuse)
 
-    @pytest.mark.parametrize("method", ["auto", "legendre"])
-    def test_the_largest_cap_does_not_lift_it(self, capsys, method):
-        err = cli_refused(capsys, "--cap", str(primes.MAX_CAP), "pi", "1e18", "--method", method)
+    @pytest.mark.parametrize("x", ["1e18"], ids=["auto"])
+    def test_the_largest_cap_does_not_lift_it(self, capsys, x):
+        err = cli_refused(capsys, "--cap", str(primes.MAX_CAP), "pi", x)
         assert "isqrt(1000000000000000000) = 1000000000" in err
         assert f"LEGENDRE_MAX_ROOT = {primes.LEGENDRE_MAX_ROOT}" in err
 

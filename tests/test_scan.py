@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibounds import primes, scan
-from pibounds.bounds import chebyshev_constants, evaluate
-from pibounds.errors import CrossoverNotFoundError, DomainError, ResourceLimitError
+from pibounds.bounds import BoundExpr, chebyshev_constants, evaluate
+from pibounds.errors import (
+    CrossoverNotFoundError,
+    DomainError,
+    MonotonicityError,
+    ResourceLimitError,
+)
 from pibounds.scan import (
     Direction,
     Status,
@@ -312,6 +317,26 @@ class TestAnalyticCrossover:
     def test_domain_checked(self, registry):
         with pytest.raises(DomainError):
             analytic_crossover(registry["pan_upper"], registry["unit_lower"], 3, 10)
+
+
+class Turnless(BoundExpr):
+    """A kernel and a curvature, and no turn for a scan to start from."""
+
+    def values_with_error(self, xs, logs):
+        return xs / logs, 8.0 * np.finfo(float).eps * xs / logs
+
+    def curvature(self, xs, logs):
+        return np.zeros_like(xs)
+
+
+@pytest.mark.parametrize("scan_of", [
+    lambda f, g: verify_pi(f, "upper", 30, 100),
+    lambda f, g: analytic_crossover(f, g, 30, 100),
+    lambda f, g: analytic_crossover(g, f, 30, 100),
+], ids=["verify_pi", "crossover-left", "crossover-right"])
+def test_a_shape_without_a_turn_is_refused(registry, scan_of):
+    with pytest.raises(MonotonicityError, match="^bound 'turnless' does not expose"):
+        scan_of(Turnless("turnless", 2.0), registry["cheb_upper"])
 
 
 class TestExpThreshold:
