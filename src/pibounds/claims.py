@@ -2,9 +2,11 @@
 
 Each claim packages a runnable check (range scan, crossover search, or
 constant comparison) together with its expected outcome, including the
-expected *failures* (C1, C4 encode counterexamples: the claim matches only
-when the verifier reports the violation at the documented witness).  run_all
-produces an ordered Report serializable to text and to a fixed JSON schema.
+expected *failures* (C1, C4 encode counterexamples: fail_at names the one
+integer where the claim matches only when the verifier reports a violation).
+A range check of named bounds starts where they are stated to hold, at the
+floor of their latest valid_from.  run_all produces an ordered Report
+serializable to text and to a fixed JSON schema.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from . import primes, scan
-from .bounds import BoundExpr, ScaledLog, ShiftedLog, chebyshev_constants, evaluate, lookup_bound
+from .bounds import BoundExpr, ScaledLog, ShiftedLog, evaluate, lookup_bound
 from .errors import CrossoverNotFoundError, ResourceLimitError, UnknownNameError
 from .primes import DEFAULT_CAP
 from .scan import Direction, Status, Verdict
@@ -105,10 +107,8 @@ def builtin_claims() -> list[Claim]:
             "pi(100)=25 exceeds the Chebyshev-constant upper bound (~24.0067) at x=100",
             ClaimKind.PI_CHECK,
             dict(
-                bound="cheb_upper", direction="upper", lo=100, hi=100,
-                expect="FAIL", expect_witness=100,
-                pi_points=[(100, 25)],
-                eval_points=[("cheb_upper", 100.0, 24.0067225069, 1e-9)],
+                bound="cheb_upper", direction="upper", fail_at=100, pi=25,
+                eval_points=[(100.0, 24.0067225069, 1e-9)],
             ),
         ),
         Claim(
@@ -116,10 +116,7 @@ def builtin_claims() -> list[Claim]:
             "Chebyshev-constant upper bound holds on [96098, 112006]; the analytic "
             "tail argument covers every larger x",
             ClaimKind.PI_CHECK,
-            dict(
-                bound="cheb_upper", direction="upper", lo=96098, hi=112006,
-                expect="PASS", tail="pan_upper",
-            ),
+            dict(bound="cheb_upper", direction="upper", hi=112006, tail="pan_upper"),
         ),
         Claim(
             "C3",
@@ -133,9 +130,8 @@ def builtin_claims() -> list[Claim]:
             "the Chebyshev-constant upper bound fails at 96097: pi=9260 vs ~9259.92",
             ClaimKind.PI_CHECK,
             dict(
-                bound="cheb_upper", direction="upper", lo=96097, hi=96097,
-                expect="FAIL", expect_witness=96097, margin_abs=(0.07, 0.09),
-                pi_points=[(96097, 9260)],
+                bound="cheb_upper", direction="upper", fail_at=96097, pi=9260,
+                margin_abs=(0.07, 0.09),
             ),
         ),
         Claim(
@@ -144,92 +140,83 @@ def builtin_claims() -> list[Claim]:
             "under 17 (x/log x at 16.999 is ~6.0000257 > pi=6)",
             ClaimKind.PI_CHECK,
             dict(
-                bound="unit_lower", direction="lower", lo=17, hi=MILLION,
-                expect="PASS",
-                sub_fail=dict(lo=16, hi=16, expect_witness=16),
-                eval_points=[("unit_lower", 16.999, 6.0000257, 5e-7)],
+                bound="unit_lower", direction="lower", hi=MILLION, sub_fail=16,
+                eval_points=[(16.999, 6.0000257, 5e-7)],
             ),
         ),
         Claim(
             "C6a",
             "three-term series lower bound (k=1.8) holds from 32299",
             ClaimKind.PI_CHECK,
-            dict(bound="dusart_lower", direction="lower", lo=32299, hi=MILLION, expect="PASS"),
+            dict(bound="dusart_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C6b",
             "three-term series upper bound (k=2.51) holds from 355991",
             ClaimKind.PI_CHECK,
-            dict(bound="dusart_upper", direction="upper", lo=355991, hi=FIVE_MILLION, expect="PASS"),
+            dict(bound="dusart_upper", direction="upper", hi=FIVE_MILLION),
         ),
         Claim(
             "C7a",
             "1.095*x/log x exceeds pi(x) from 284860",
             ClaimKind.PI_CHECK,
-            dict(bound="d1095", direction="upper", lo=284860, hi=FIVE_MILLION, expect="PASS"),
+            dict(bound="d1095", direction="upper", hi=FIVE_MILLION),
         ),
         Claim(
             "C7b",
             "1.25506*x/log x exceeds pi(x) from 17",
             ClaimKind.PI_CHECK,
-            dict(bound="d125506", direction="upper", lo=17, hi=MILLION, expect="PASS"),
+            dict(bound="d125506", direction="upper", hi=MILLION),
         ),
         Claim(
             "C8a",
             "x/(log x - 28/29) stays below pi(x) from 3299",
             ClaimKind.PI_CHECK,
-            dict(bound="pan_lower", direction="lower", lo=3299, hi=MILLION, expect="PASS"),
+            dict(bound="pan_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C8b",
             "x/(log x - 1.11) exceeds pi(x) from 4",
             ClaimKind.PI_CHECK,
-            dict(bound="pan_upper", direction="upper", lo=4, hi=MILLION, expect="PASS"),
+            dict(bound="pan_upper", direction="upper", hi=MILLION),
         ),
         Claim(
             "C9",
             "psi(x) stays below its affine-log upper bound from 30",
             ClaimKind.PSI_CHECK,
-            dict(bound="psi_upper", direction="upper", lo=30, hi=MILLION, expect="PASS"),
+            dict(bound="psi_upper", direction="upper", hi=MILLION),
         ),
         Claim(
             "C10",
             "psi(x) stays above its affine-log lower bound from 30",
             ClaimKind.PSI_CHECK,
-            dict(bound="psi_lower", direction="lower", lo=30, hi=MILLION, expect="PASS"),
+            dict(bound="psi_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C11",
             "sandwich psi(x) <= pi(x)*log x <= 2*psi(x) at every integer in [2, 10^6]",
             ClaimKind.PSI_CHECK,
-            dict(method="sandwich", lo=2, hi=MILLION, expect="PASS"),
+            dict(method="sandwich", lo=2, hi=MILLION),
         ),
         Claim(
             "C12",
             "c1*x/log x < pi(x) < 2*c2*x/log x on [30, 10^6]",
             ClaimKind.PI_CHECK,
-            dict(
-                parts=[("cheb_lower", "lower"), ("cheb_upper_2x", "upper")],
-                lo=30, hi=MILLION, expect="PASS",
-            ),
+            dict(parts=[("cheb_lower", "lower"), ("cheb_upper_2x", "upper")], hi=MILLION),
         ),
         Claim(
             "C13",
             "the k=2.51 series bound drops below x/(log x - 1.11) exactly from 28516",
             ClaimKind.CROSSOVER,
-            dict(
-                left="dusart_upper", right="pan_upper", lo=30, hi=50000,
-                expected_threshold=28516, expected_sign_changes=1,
-            ),
+            dict(left="dusart_upper", right="pan_upper", lo=30, hi=50000,
+                 expected_threshold=28516),
         ),
         Claim(
             "C14",
             "the k=2.51 series bound drops below x/(log x - 1.08366) exactly from 2846396",
             ClaimKind.CROSSOVER,
-            dict(
-                left="dusart_upper", right="legendre_a", lo=MILLION + 1, hi=FIVE_MILLION,
-                expected_threshold=2846396, expected_sign_changes=1,
-            ),
+            dict(left="dusart_upper", right="legendre_a", lo=MILLION + 1, hi=FIVE_MILLION,
+                 expected_threshold=2846396),
         ),
         Claim(
             "C15",
@@ -241,25 +228,32 @@ def builtin_claims() -> list[Claim]:
     ]
 
 
+def _parts(p: dict[str, Any]) -> list[tuple[str, str]]:
+    """The (bound name, direction) pairs a range check scans."""
+    return p.get("parts") or [(p["bound"], p["direction"])]
+
+
 def _claim_range(claim: Claim) -> tuple[int, int]:
+    """The integers a claim checks: its fail_at alone, or from its lo (else the
+    floor of the latest valid_from of its bounds) to its hi; (0, 0) for a constant."""
     p = claim.payload
-    if "lo" in p and "hi" in p:
-        return int(p["lo"]), int(p["hi"])
-    return 0, 0
+    if "fail_at" in p:
+        return p["fail_at"], p["fail_at"]
+    if "hi" not in p:
+        return 0, 0
+    lo = p["lo"] if "lo" in p else math.floor(max(lookup_bound(n).valid_from for n, _ in _parts(p)))
+    return lo, p["hi"]
 
 
-def _expect_fail(v: Verdict, witness: int | None, where: str = "",
+def _expect_fail(v: Verdict, where: str = "",
                  margin_abs: tuple[float, float] | None = None) -> list[str]:
-    """What is amiss with v as a FAIL at witness, with |margin| in margin_abs."""
+    """What is amiss with v as a FAIL with |margin| in margin_abs."""
     if v.status is not Status.FAIL:
         return [f"expected FAIL{where}, got {v.status.value}"]
-    problems = []
-    if witness is not None and v.witness != witness:
-        problems.append(f"expected witness {witness}{where}, got {v.witness}")
     lo_m, hi_m = margin_abs or (0.0, math.inf)
     if not lo_m <= abs(v.min_margin) <= hi_m:
-        problems.append(f"witness margin |{v.min_margin:.6f}| outside [{lo_m}, {hi_m}]")
-    return problems
+        return [f"witness margin |{v.min_margin:.6f}| outside [{lo_m}, {hi_m}]"]
+    return []
 
 
 def _expect_pass(verdicts: list[tuple[str | None, Verdict]], where: str = "") -> list[str]:
@@ -268,20 +262,19 @@ def _expect_pass(verdicts: list[tuple[str | None, Verdict]], where: str = "") ->
     return [f"expected PASS{where}, got " + ", ".join(bad)] if bad else []
 
 
-def _expect_crossover(left: BoundExpr, right: BoundExpr, p: dict[str, Any], *,
+def _expect_crossover(left: BoundExpr, right: BoundExpr, lo: int, hi: int, threshold: int, *,
                       cap: int) -> tuple[tuple, list[str]]:
-    """The crossover of left below right on [p["lo"], p["hi"]], and what is
-    amiss with it as a flip at p["expected_threshold"] with no ambiguous point
-    and, where p gives them, p["expected_sign_changes"]."""
+    """The crossover of left below right on [lo, hi], and what is amiss with
+    it as one flip at threshold with no ambiguous point."""
     try:
-        res = scan.analytic_crossover(left, right, int(p["lo"]), int(p["hi"]), cap=cap)
+        res = scan.analytic_crossover(left, right, lo, hi, cap=cap)
     except CrossoverNotFoundError as exc:
         return ("FAIL", None, None, None), [str(exc)]
     problems = []
-    if res.threshold != p["expected_threshold"]:
-        problems.append(f"threshold {res.threshold}, expected {p['expected_threshold']}")
-    if "expected_sign_changes" in p and res.sign_changes != p["expected_sign_changes"]:
-        problems.append(f"sign_changes {res.sign_changes}, expected {p['expected_sign_changes']}")
+    if res.threshold != threshold:
+        problems.append(f"threshold {res.threshold}, expected {threshold}")
+    if res.sign_changes != 1:
+        problems.append(f"sign_changes {res.sign_changes}, expected 1")
     if res.ambiguous_points:
         problems.append(f"{len(res.ambiguous_points)} ambiguous comparison points")
     verdict = "PASS" if not res.ambiguous_points else "AMBIGUOUS"
@@ -296,19 +289,15 @@ def _within(label: str, got: float, expected: float, tol: float, problems: list[
     return tol - diff
 
 
-def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
+def _run_range_check(claim: Claim, lo: int, hi: int, *, cap: int) -> tuple[tuple, list[str]]:
     p = claim.payload
-    lo, hi = int(p["lo"]), int(p["hi"])
-    use_psi = claim.kind is ClaimKind.PSI_CHECK
-    verify = scan.verify_psi if use_psi else scan.verify_pi
-    problems: list[str] = []
+    verify = scan.verify_psi if claim.kind is ClaimKind.PSI_CHECK else scan.verify_pi
 
     if p.get("method") == "sandwich":
         verdicts = [(None, scan.verify_sandwich(lo, hi, cap=cap))]
     else:
-        parts = p.get("parts") or [(p["bound"], p["direction"])]
         verdicts = [(bname, verify(lookup_bound(bname), dirname, lo, hi, cap=cap))
-                    for bname, dirname in parts]
+                    for bname, dirname in _parts(p)]
 
     # primary verdict: a FAIL or AMBIGUOUS part if any, else the tightest margin
     def rank(item):
@@ -318,24 +307,23 @@ def _run_range_check(claim: Claim, *, cap: int) -> tuple[tuple, list[str]]:
 
     _, primary = min(verdicts, key=rank)
 
-    expect = p.get("expect", "PASS")
-    if expect == "PASS":
-        problems.extend(_expect_pass(verdicts))
+    # a FAIL is expected only on fail_at's one integer, which is then its witness
+    if "fail_at" in p:
+        problems = _expect_fail(primary, margin_abs=p.get("margin_abs"))
     else:
-        problems.extend(_expect_fail(primary, p.get("expect_witness"),
-                                     margin_abs=p.get("margin_abs")))
+        problems = _expect_pass(verdicts)
 
     if "sub_fail" in p:
-        sf = p["sub_fail"]
-        v2 = verify(lookup_bound(p["bound"]), p["direction"], int(sf["lo"]), int(sf["hi"]),
-                    cap=cap)
-        problems.extend(_expect_fail(v2, sf["expect_witness"], f" on [{sf['lo']}, {sf['hi']}]"))
+        x = p["sub_fail"]
+        v2 = verify(lookup_bound(p["bound"]), p["direction"], x, x, cap=cap)
+        problems.extend(_expect_fail(v2, f" on [{x}, {x}]"))
 
-    for x, expected in p.get("pi_points", []):
-        _within(f"pi({x})", primes.pi_at(x, cap=cap), expected, 0, problems)
+    if "pi" in p:
+        _within(f"pi({lo})", primes.pi_at(lo, cap=cap), p["pi"], 0, problems)
 
-    for bname, x, expected, tol in p.get("eval_points", []):
-        _within(f"{bname}({x})", evaluate(lookup_bound(bname), x).value, expected, tol, problems)
+    for x, expected, tol in p.get("eval_points", []):
+        _within(f"{p['bound']}({x})", evaluate(lookup_bound(p["bound"]), x).value, expected, tol,
+                problems)
 
     if "tail" in p:
         problems.extend(_check_tail(lookup_bound(p["tail"]), lookup_bound(p["bound"]), hi, cap=cap))
@@ -361,9 +349,7 @@ def _check_tail(tail: ShiftedLog, bound: ScaledLog, scan_hi: int, *, cap: int) -
     if not t <= scan_hi + 1:
         problems.append(f"analytic tail threshold {t:.2f} beyond scanned range end {scan_hi}")
     hi_pt = math.ceil(t)
-    problems.extend(_expect_crossover(tail, bound,
-                                      dict(lo=hi_pt - 1, hi=hi_pt, expected_threshold=hi_pt),
-                                      cap=cap)[1])
+    problems.extend(_expect_crossover(tail, bound, hi_pt - 1, hi_pt, hi_pt, cap=cap)[1])
     tail_hi = max(scan_hi, min(cap, MILLION))
     window = scan.verify_pi(tail, Direction.UPPER_STRICT, hi_pt, tail_hi, cap=cap)
     problems.extend(_expect_pass([(tail.name, window)], f" on [{hi_pt}, {tail_hi}]"))
@@ -375,11 +361,9 @@ def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
     if p["kind"] == "exp_threshold":
         t = scan.exp_threshold(lookup_bound(p["tail"]).shift, lookup_bound(p["bound"]).scale)
         checks = [("exp_threshold", t, p["expected"], p["tol"])]
-    elif p["kind"] == "chebyshev":
-        checks = [(name, got, expected, tol) for name, got, (expected, tol)
-                  in zip(("c1", "c2"), chebyshev_constants(), p["expected"])]
-    else:
-        return ("FAIL", None, None, None), [f"unknown constant check {p['kind']!r}"]
+    else:  # "chebyshev": c1 and c2 as the scans take them, the scales of two bounds
+        checks = [(name, lookup_bound(bname).scale, expected, tol) for name, bname, (expected, tol)
+                  in zip(("c1", "c2"), ("cheb_lower", "cheb_upper"), p["expected"])]
     problems: list[str] = []
     slack = min(_within(*check, problems) for check in checks)
     verdict = "PASS" if not problems else "FAIL"
@@ -389,23 +373,23 @@ def _run_constant(claim: Claim) -> tuple[tuple, list[str]]:
 def run_claim(claim: Claim, *, cap: int = DEFAULT_CAP) -> ClaimOutcome:
     """Run one claim; SKIPPED (never a false MATCH) when the cap is too low."""
     start = time.perf_counter()
+    lo, hi = _claim_range(claim)
     # a runner returns the four fields it decided, verdict through
     # guard_at_witness, and its problems; the outcome is built here alone
     try:
         if claim.kind is ClaimKind.CROSSOVER:
             p = claim.payload
-            decided, problems = _expect_crossover(lookup_bound(p["left"]),
-                                                  lookup_bound(p["right"]), p, cap=cap)
+            decided, problems = _expect_crossover(lookup_bound(p["left"]), lookup_bound(p["right"]),
+                                                  lo, hi, p["expected_threshold"], cap=cap)
         elif claim.kind is ClaimKind.CONSTANT_VALUE:
             decided, problems = _run_constant(claim)
         else:
-            decided, problems = _run_range_check(claim, cap=cap)
+            decided, problems = _run_range_check(claim, lo, hi, cap=cap)
         status = "MISMATCH" if problems else "MATCH"
     except ResourceLimitError as exc:
         decided, problems, status = (None, None, None, None), [str(exc)], "SKIPPED"
     elapsed_ms = int(round((time.perf_counter() - start) * 1000.0))
-    return ClaimOutcome(claim, status, *decided, _claim_range(claim), elapsed_ms,
-                        "; ".join(problems))
+    return ClaimOutcome(claim, status, *decided, (lo, hi), elapsed_ms, "; ".join(problems))
 
 
 def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,

@@ -136,9 +136,13 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
 
     The table build's sieve: the flags of the odd integers of each window of
     _windows are copied into place, and of the even integers only 2 is set.
+    An end above MAX_CAP, the limit of the build, is refused before any array
+    is sized.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if hi > MAX_CAP:
+        raise ResourceLimitError(f"sieve end {_quote(hi)} is above MAX_CAP = {MAX_CAP}")
     flags = np.zeros(hi - lo + 1, dtype=np.uint8)
     for start, end, odd in _windows(lo, hi):
         flags[(start | 1) - lo : end - lo + 1 : 2] = odd

@@ -55,7 +55,7 @@ def log_points(sample):
     glibc's cited bound is not assumed."""
     xs = [x for b in builtin_bounds().values()
           for x in (b.increase_start(), b.guard_increase_start())]
-    xs += [x for c in builtin_claims() for _, x, _, _ in c.payload.get("eval_points", [])]
+    xs += [x for c in builtin_claims() for x, _, _ in c.payload.get("eval_points", [])]
     if sample:
         xs += random.Random(2030).sample(range(2, primes.DEFAULT_CAP + 2), 10_000)
     return xs

@@ -109,32 +109,34 @@ class TestRunClaim:
         # a FAIL expectation must not match when the scan passes
         fake = Claim(
             "X1", "synthetic", ClaimKind.PI_CHECK,
-            dict(bound="cheb_upper", direction="upper", lo=96098, hi=96098,
-                 expect="FAIL", expect_witness=96098),
+            dict(bound="cheb_upper", direction="upper", fail_at=96098),
         )
         out = run_claim(fake)
         assert out.status == "MISMATCH"
 
     @pytest.mark.parametrize("cid, change, note", [
-        ("C1", dict(expect_witness=99), "expected witness 99, got 100"),
-        ("C4", dict(margin_abs=(0.01, 0.02)), "witness margin |{m:.6f}| outside [0.01, 0.02]"),
-        ("C5", dict(sub_fail=dict(lo=16, hi=16, expect_witness=15)),
-         "expected witness 15 on [16, 16], got 16"),
-        ("C5", dict(sub_fail=dict(lo=17, hi=17, expect_witness=17)),
-         "expected FAIL on [17, 17], got PASS"),
-        ("C5", dict(eval_points=[("unit_lower", 16.999, 6.0001, 5e-7)]),
-         "unit_lower(16.999) = {unit!r}, expected 6.0001 +/- 5e-07"),
-        ("C3", dict(tol=1e-4), "exp_threshold = {t!r}, expected 112005.18 +/- 0.0001"),
-        ("C15", dict(expected=[(0.92, 1e-11), (1.10555042752, 1e-10)]),
-         "c1 = {c1!r}, expected 0.92 +/- 1e-11"),
-        ("C13", dict(expected_threshold=28515), "threshold 28516, expected 28515"),
-        ("C13", dict(expected_sign_changes=2), "sign_changes 1, expected 2"),
-        ("C1", dict(pi_points=[(100, 26)]), "pi(100) = 25, expected 26 +/- 0"),
+        pytest.param("C4", dict(margin_abs=(0.01, 0.02)),
+                     "witness margin |{m:.6f}| outside [0.01, 0.02]",
+                     id="C4-change1-witness margin |{m:.6f}| outside [0.01, 0.02]"),
+        pytest.param("C5", dict(sub_fail=17), "expected FAIL on [17, 17], got PASS",
+                     id="C5-change3-expected FAIL on [17, 17], got PASS"),
+        pytest.param("C5", dict(eval_points=[(16.999, 6.0001, 5e-7)]),
+                     "unit_lower(16.999) = {unit!r}, expected 6.0001 +/- 5e-07",
+                     id="C5-change4-unit_lower(16.999) = {unit!r}, expected 6.0001 +/- 5e-07"),
+        pytest.param("C3", dict(tol=1e-4), "exp_threshold = {t!r}, expected 112005.18 +/- 0.0001",
+                     id="C3-change5-exp_threshold = {t!r}, expected 112005.18 +/- 0.0001"),
+        pytest.param("C15", dict(expected=[(0.92, 1e-11), (1.10555042752, 1e-10)]),
+                     "c1 = {c1!r}, expected 0.92 +/- 1e-11",
+                     id="C15-change6-c1 = {c1!r}, expected 0.92 +/- 1e-11"),
+        pytest.param("C13", dict(expected_threshold=28515), "threshold 28516, expected 28515",
+                     id="C13-change7-threshold 28516, expected 28515"),
+        pytest.param("C1", dict(pi=26), "pi(100) = 25, expected 26 +/- 0",
+                     id="C1-change9-pi(100) = 25, expected 26 +/- 0"),
     ])
     def test_a_missed_expectation_says_what_was_expected_and_got(self, cid, change, note):
         # a FAIL is checked by one helper, its status first and then its
-        # witness and margin, a value within a tolerance by another, and a
-        # crossover by a third
+        # margin, a value within a tolerance by another, and a crossover by a
+        # third
         claim = by_id(cid)
         out = run_claim(dataclasses.replace(claim, payload={**claim.payload, **change}))
         c1, c2 = chebyshev_constants()
@@ -145,7 +147,7 @@ class TestRunClaim:
 
     def test_an_unknown_bound_in_a_payload_lists_the_valid_names(self):
         fake = Claim("X2", "synthetic", ClaimKind.PI_CHECK,
-                     dict(bound="nope", direction="upper", lo=100, hi=100, expect="PASS"))
+                     dict(bound="nope", direction="upper", hi=100))
         with pytest.raises(UnknownNameError) as err:
             run_claim(fake)
         assert str(err.value) == f"unknown bound 'nope'; valid names: {', '.join(builtin_bounds())}"
@@ -156,12 +158,14 @@ class TestRunClaim:
             "C3": "exp_threshold = 124373.17672466126, expected 112005.18 +/- 0.01"}, id="shift"),
         pytest.param(dict(cheb_upper=dict(scale=1.001 * chebyshev_constants()[1])), {
             "C2": "",
-            "C3": "exp_threshold = 100437.6966913679, expected 112005.18 +/- 0.01"}, id="scale"),
+            "C3": "exp_threshold = 100437.6966913679, expected 112005.18 +/- 0.01",
+            "C15": f"c2 = {1.001 * chebyshev_constants()[1]!r}, expected 1.10555042752 +/- 1e-10"},
+            id="scale"),
     ])
     def test_c2_and_c3_read_their_constants_from_the_bounds_they_name(
             self, monkeypatch, change, notes):
         # the scans and the tail checks take 1.11 and c2 from the registry, so
-        # a registry bound that drifts is what C2's tail and C3 see
+        # a registry bound that drifts is what C2's tail, C3 and C15 see
         drifted = tuple(dataclasses.replace(b, **change.get(b.name, {}))
                         for b in bounds._builtin_entries())
         monkeypatch.setattr(bounds, "_builtin_entries", lambda: drifted)
@@ -169,6 +173,25 @@ class TestRunClaim:
         assert {cid: out.note for cid, out in got.items()} == notes
         assert {cid: out.status for cid, out in got.items()} == {
             cid: "MISMATCH" if note else "MATCH" for cid, note in notes.items()}
+
+    def test_a_range_claim_starts_at_the_valid_from_of_its_bounds(self, monkeypatch):
+        # C2 states no start of its own: with cheb_upper stated to hold from
+        # 96097, C2 scans from there and finds C4's counterexample
+        drifted = tuple(dataclasses.replace(b, valid_from=96097.0) if b.name == "cheb_upper" else b
+                        for b in bounds._builtin_entries())
+        monkeypatch.setattr(bounds, "_builtin_entries", lambda: drifted)
+        out = run_claim(by_id("C2"))
+        assert (out.status, out.verdict, out.witness, out.scan_range, out.note) == (
+            "MISMATCH", "FAIL", 96097, (96097, 112006), "expected PASS, got cheb_upper:FAIL")
+
+    def test_every_crossover_expects_one_flip(self, monkeypatch):
+        # C13's search and C2's flip at ceil(t) alike
+        found = scan.analytic_crossover
+        monkeypatch.setattr(scan, "analytic_crossover", lambda *args, **kwargs: dataclasses.replace(
+            found(*args, **kwargs), sign_changes=2))
+        got = {cid: run_claim(by_id(cid)) for cid in ("C2", "C13")}
+        assert {cid: (out.status, out.verdict, out.note) for cid, out in got.items()} == {
+            cid: ("MISMATCH", "PASS", "sign_changes 2, expected 1") for cid in got}
 
     def test_c2_tail_flips_at_the_ceiling_of_its_threshold(self):
         assert _check_tail(builtin_bounds()["pan_upper"], builtin_bounds()["cheb_upper"], 112006,
@@ -205,12 +228,11 @@ class TestRunClaim:
             "beyond scanned range end 100000"]
 
     def test_cap_yields_skipped_not_mismatch(self):
-        for cid in ("C14", "C6b"):
-            claim = by_id(cid)
-            out = run_claim(claim, cap=10**6)
+        for cid, scan_range in (("C14", (10**6 + 1, 5 * 10**6)), ("C6b", (355991, 5 * 10**6))):
+            out = run_claim(by_id(cid), cap=10**6)
             assert out.status == "SKIPPED"
             assert out.verdict is None
-            assert out.scan_range == (claim.payload["lo"], claim.payload["hi"])
+            assert out.scan_range == scan_range
             assert out.note == (
                 "scan end 5000000 exceeds the scan cap 1000000; raise the cap to allow it"
             )
@@ -223,7 +245,7 @@ class TestRunClaim:
         refuted = Claim(
             "X2", "synthetic", ClaimKind.CROSSOVER,
             dict(left="pan_upper", right="dusart_upper", lo=30, hi=50000,
-                 expected_threshold=28516, expected_sign_changes=1),
+                 expected_threshold=28516),
         )
         out = run_claim(refuted)
         assert (out.status, out.verdict, out.witness, out.min_margin) == (
@@ -239,6 +261,30 @@ class TestRunClaim:
 
 
 class TestRunAll:
+    def test_range_claims_take_their_start_from_their_bounds(self, full_report):
+        # a range check that names bounds carries no lo: it scans the one
+        # integer of its fail_at, or from the floor of its bounds' latest
+        # valid_from, the start `bound list` prints
+        registry = builtin_bounds()
+        starts = {}
+        for o in full_report.outcomes:
+            p = o.claim.payload
+            names = [p["bound"]] if "bound" in p else [n for n, _ in p.get("parts", [])]
+            if o.claim.kind is ClaimKind.CONSTANT_VALUE or not names:
+                continue
+            assert "lo" not in p, o.claim.id
+            if "fail_at" in p:
+                assert o.scan_range == (p["fail_at"], p["fail_at"]), o.claim.id
+                starts[o.claim.id] = "fail_at"
+            else:
+                start = math.floor(max(registry[n].valid_from for n in names))
+                assert o.scan_range == (start, p["hi"]), o.claim.id
+                starts[o.claim.id] = start
+        assert starts == {
+            "C1": "fail_at", "C2": 96098, "C4": "fail_at", "C5": 17, "C6a": 32299,
+            "C6b": 355991, "C7a": 284860, "C7b": 17, "C8a": 3299, "C8b": 4, "C9": 30,
+            "C10": 30, "C12": 30}
+
     def test_full_report_contains_every_claim_once(self, full_report):
         ids = [o.claim.id for o in full_report.outcomes]
         assert ids == ALL_IDS
@@ -338,6 +384,7 @@ def _expected_guard(outcome):
     p = outcome.claim.payload
     kind = outcome.claim.kind
     w = outcome.witness
+    lo, hi = outcome.scan_range
     if w is None:
         return None
     if kind is ClaimKind.CROSSOVER:
@@ -345,7 +392,7 @@ def _expected_guard(outcome):
         f, g = registry[p["left"]], registry[p["right"]]
         guards = []
         for n in (w, w - 1):
-            if n >= p["lo"]:
+            if n >= lo:
                 guards.append(evaluate(f, n).abs_error_bound + evaluate(g, n).abs_error_bound)
         return max(guards)
     if p.get("method") == "sandwich":
@@ -359,7 +406,7 @@ def _expected_guard(outcome):
     # the bound whose verdict the outcome reports
     for name, dirname in parts:
         direction = Direction.UPPER_STRICT if dirname == "upper" else Direction.LOWER_STRICT
-        v = verify(registry[name], direction, p["lo"], p["hi"])
+        v = verify(registry[name], direction, lo, hi)
         if (v.witness, v.min_margin) == (w, outcome.min_margin):
             bound = registry[name]
             break

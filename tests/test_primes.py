@@ -63,6 +63,20 @@ class TestSieveSegment:
         with pytest.raises(ValueError):
             sieve_segment(10, 9)
 
+    def test_an_end_above_max_cap_is_refused_at_once(self, monkeypatch):
+        # the windows would sieve every base prime up to isqrt(10^14) for 11 integers
+        def refuse(lo, hi):
+            raise AssertionError(f"[{lo}, {hi}] was sieved")
+
+        monkeypatch.setattr(primes, "_windows", refuse)
+        assert refused(lambda: sieve_segment(10**14 - 10, 10**14)) == (
+            "sieve end 100000000000000 is above MAX_CAP = 1000000000")
+
+    def test_an_end_at_max_cap_is_sieved(self):
+        lo = primes.MAX_CAP - 10
+        assert flagged(lo, primes.MAX_CAP) == [
+            n for n in range(lo, primes.MAX_CAP + 1) if is_prime_trial(n)]
+
     @pytest.mark.parametrize("r", [2, 3, 4, 48, 2237])
     def test_every_integer_up_to_the_root_as_base(self, r):
         # _windows takes the base primes from _prime_flags(isqrt(r)), as the table build does

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pibounds import bounds
+from pibounds import bounds, claims
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pibounds"
 
@@ -70,5 +70,24 @@ def bound_constants_in_claims():
 
 def test_claims_names_bounds_and_never_their_constants():
     # a claim that restates 1.11 or c2 checks its own copy, not the number the
-    # scans run with; ints stay out, as expected_sign_changes=1 equals psi_upper's offset
+    # scans run with; ints stay out, as the one flip a crossover expects equals
+    # psi_upper's offset
     assert bound_constants_in_claims() == []
+
+
+def unread_payload_keys():
+    """Keys of the builtin_claims() payloads that no string constant of
+    claims.py names outside builtin_claims and the docstrings."""
+    tree = ast.parse((SRC / "claims.py").read_text())
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+            and ast.get_docstring(node) is not None}
+    named = {node.value for top in tree.body if getattr(top, "name", None) != "builtin_claims"
+             for node in ast.walk(top) if isinstance(node, ast.Constant)
+             and type(node.value) is str and id(node) not in docs}
+    return sorted({key for claim in claims.builtin_claims() for key in claim.payload} - named)
+
+
+def test_every_payload_key_is_read_by_claims():
+    # a key that no code reads states a fact that nothing checks
+    assert unread_payload_keys() == []
