@@ -40,7 +40,6 @@ class ClaimKind(Enum):
 @dataclass(frozen=True)
 class Claim:
     id: str
-    description: str
     kind: ClaimKind
     payload: dict[str, Any]
 
@@ -104,7 +103,6 @@ def builtin_claims() -> list[Claim]:
     return [
         Claim(
             "C1",
-            "pi(100)=25 exceeds the Chebyshev-constant upper bound (~24.0067) at x=100",
             ClaimKind.PI_CHECK,
             dict(
                 bound="cheb_upper", direction="upper", fail_at=100, pi=25,
@@ -113,21 +111,17 @@ def builtin_claims() -> list[Claim]:
         ),
         Claim(
             "C2",
-            "Chebyshev-constant upper bound holds on [96098, 112006]; the analytic "
-            "tail argument covers every larger x",
             ClaimKind.PI_CHECK,
             dict(bound="cheb_upper", direction="upper", hi=112006, tail="pan_upper"),
         ),
         Claim(
             "C3",
-            "tail threshold exp(1.11*c2/(c2-1)) equals 112005.18 within 0.01",
             ClaimKind.CONSTANT_VALUE,
             dict(kind="exp_threshold", tail="pan_upper", bound="cheb_upper",
                  expected=112005.18, tol=0.01),
         ),
         Claim(
             "C4",
-            "the Chebyshev-constant upper bound fails at 96097: pi=9260 vs ~9259.92",
             ClaimKind.PI_CHECK,
             dict(
                 bound="cheb_upper", direction="upper", fail_at=96097, pi=9260,
@@ -136,8 +130,6 @@ def builtin_claims() -> list[Claim]:
         ),
         Claim(
             "C5",
-            "x/log x < pi(x) for all real x >= 17, failing for arguments just "
-            "under 17 (x/log x at 16.999 is ~6.0000257 > pi=6)",
             ClaimKind.PI_CHECK,
             dict(
                 bound="unit_lower", direction="lower", hi=MILLION, sub_fail=16,
@@ -146,82 +138,68 @@ def builtin_claims() -> list[Claim]:
         ),
         Claim(
             "C6a",
-            "three-term series lower bound (k=1.8) holds from 32299",
             ClaimKind.PI_CHECK,
             dict(bound="dusart_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C6b",
-            "three-term series upper bound (k=2.51) holds from 355991",
             ClaimKind.PI_CHECK,
             dict(bound="dusart_upper", direction="upper", hi=FIVE_MILLION),
         ),
         Claim(
             "C7a",
-            "1.095*x/log x exceeds pi(x) from 284860",
             ClaimKind.PI_CHECK,
             dict(bound="d1095", direction="upper", hi=FIVE_MILLION),
         ),
         Claim(
             "C7b",
-            "1.25506*x/log x exceeds pi(x) from 17",
             ClaimKind.PI_CHECK,
             dict(bound="d125506", direction="upper", hi=MILLION),
         ),
         Claim(
             "C8a",
-            "x/(log x - 28/29) stays below pi(x) from 3299",
             ClaimKind.PI_CHECK,
             dict(bound="pan_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C8b",
-            "x/(log x - 1.11) exceeds pi(x) from 4",
             ClaimKind.PI_CHECK,
             dict(bound="pan_upper", direction="upper", hi=MILLION),
         ),
         Claim(
             "C9",
-            "psi(x) stays below its affine-log upper bound from 30",
             ClaimKind.PSI_CHECK,
             dict(bound="psi_upper", direction="upper", hi=MILLION),
         ),
         Claim(
             "C10",
-            "psi(x) stays above its affine-log lower bound from 30",
             ClaimKind.PSI_CHECK,
             dict(bound="psi_lower", direction="lower", hi=MILLION),
         ),
         Claim(
             "C11",
-            "sandwich psi(x) <= pi(x)*log x <= 2*psi(x) at every integer in [2, 10^6]",
             ClaimKind.PSI_CHECK,
             dict(method="sandwich", lo=2, hi=MILLION),
         ),
         Claim(
             "C12",
-            "c1*x/log x < pi(x) < 2*c2*x/log x on [30, 10^6]",
             ClaimKind.PI_CHECK,
             dict(parts=[("cheb_lower", "lower"), ("cheb_upper_2x", "upper")], hi=MILLION),
         ),
         Claim(
             "C13",
-            "the k=2.51 series bound drops below x/(log x - 1.11) exactly from 28516",
             ClaimKind.CROSSOVER,
             dict(left="dusart_upper", right="pan_upper", lo=30, hi=50000,
                  expected_threshold=28516),
         ),
         Claim(
             "C14",
-            "the k=2.51 series bound drops below x/(log x - 1.08366) exactly from 2846396",
             ClaimKind.CROSSOVER,
             dict(left="dusart_upper", right="legendre_a", lo=MILLION + 1, hi=FIVE_MILLION,
                  expected_threshold=2846396),
         ),
         Claim(
             "C15",
-            "c1 = 0.921292022934 within 1e-11 and c2 = 1.10555042752 within 1e-10, "
-            "both built from their defining logarithms",
             ClaimKind.CONSTANT_VALUE,
             dict(kind="chebyshev", expected=[(0.921292022934, 1e-11), (1.10555042752, 1e-10)]),
         ),
@@ -338,8 +316,11 @@ def _check_tail(tail: ShiftedLog, bound: ScaledLog, scan_hi: int, *, cap: int) -
     Above t = exp(shift*c/(c-1)) -- the exact real solution of
     x/(log x - shift) <= c*x/log x, for the tail's shift and the bound's scale
     c -- the shifted-log upper bound implies the scaled-log one, so the finite
-    scan plus the shifted bound covers all real x >= the scan start.  Checked
-    numerically: t lands inside the scanned window, a guarded crossover search
+    scan plus the shifted bound covers all real x >= the scan start.  The
+    shifted bound rests on Dusart (arXiv:1002.0442, 2010): pi(x) <=
+    x/(log x - 1.1) for x >= 60184, and a shift >= 1.1 only raises the bound,
+    so it holds from ceil(t) once ceil(t) >= 60184.  Checked numerically: t
+    lands inside the scanned window, a guarded crossover search
     finds the tail bound flipping below the scaled one exactly at ceil(t), and
     the tail bound itself is scan-verified from ceil(t) to the largest horizon
     the cap allows.

@@ -76,14 +76,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from . import primes
-# scan calls no evaluate; it keeps the name for bench/tracer.py, which patches scan.evaluate
-from .bounds import BoundExpr, evaluate  # noqa: F401
+from .bounds import BoundExpr, evaluate
 from .errors import CrossoverNotFoundError, DomainError
 from .primes import DEFAULT_CAP, PSI_ERR_FACTOR
 
@@ -133,8 +132,8 @@ class CrossoverResult:
     """Smallest scanned n from which a relation holds onward.
 
     threshold may be hi+1 when the last scanned point still violates.
-    min_margin (0 at an exact tie) and guard_at_witness are the smaller |diff|
-    and the larger guard of the last failure and the integer after it, or of lo.
+    min_margin and guard_at_witness are the smaller |diff| and the larger
+    guard of the last failure and the integer after it, or of lo.
     """
 
     threshold: int
@@ -168,10 +167,9 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
     order they were compared, its first entry the range's first integer, and
     the integers between two neighbours in ascending order classify as both
     do when both fail, else pass (see Segments).  Only a range with a failure
-    needs that order, so only it is sorted.  A diff of +inf marks a provable
-    tie that passes.  The witness is the last failure if any, else the least
-    integer of least diff; a crossover's flank is read at the last failure
-    and the integer after it, or at lo.
+    needs that order, so only it is sorted.  The witness is the last failure
+    if any, else the least integer of least diff; a crossover's flank is read
+    at the last failure and the integer after it, or at lo.
     """
     fail = diff < -guard
     fail_count = int(np.count_nonzero(fail))
@@ -206,8 +204,7 @@ def _classify(diff: np.ndarray, guard: np.ndarray, ns: np.ndarray) -> _Summary:
         witness=int(ns[i]),
         margin=float(diff[i]),
         guard=float(guard[i]),
-        flank=(min(0.0 if d == math.inf else abs(d) for d in diff[flank].tolist()),
-               max(guard[flank].tolist())),
+        flank=(float(np.abs(diff[flank]).min()), float(guard[flank].max())),
         ambiguous=ambiguous,
         state_changes=changes,
     )
@@ -310,16 +307,14 @@ def _chord(f: BoundExpr, g: BoundExpr):
     start = max(f.guard_increase_start(), g.guard_increase_start())
 
     def bracket(a, b, at_a, at_b, best):
-        # an exact tie is d = 0, which decides nothing
-        d_a, d_b = (np.where(np.isinf(at[0]), 0.0, at[0]) for at in (at_a, at_b))
         xs = a.astype(np.float64)
         logs = np.log(xs)
         # on [a, b], d sags at most M h^2 / 8 below its chord, M bounding |f''| + |g''|
         sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * ((b - a) ** 2 / 8.0)
         sag *= 1.0 + _CERT_SLACK
         bar = 2.0 * (1.0 + _CERT_SLACK) * _stretch_guard(a, start, at_a[1], at_b[1])
-        low = np.fmax(np.minimum(d_a - at_a[1], d_b - at_b[1]),  # every integer PASS,
-                      np.minimum(-d_a - at_a[1], -d_b - at_b[1]))  # or every one FAIL
+        low = np.fmax(np.minimum(at_a[0] - at_a[1], at_b[0] - at_b[1]),  # every integer PASS,
+                      np.minimum(-at_a[0] - at_a[1], -at_b[0] - at_b[1]))  # or every one FAIL
         # x (1 - slack) - sag never falls as x rises, in floats too: the larger low decides
         return low * (1.0 - _CERT_SLACK) - sag > bar, np.full(a.size, np.inf)  # no closest margin
 
@@ -431,22 +426,23 @@ def analytic_crossover(f: BoundExpr, g: BoundExpr, lo: int, hi: int,
 
     Pure expression comparison; no prime data involved.  Every integer is
     decided, most of them a piece at a time (see Brackets), and sign
-    alternations are recorded as evidence of a single crossing.  An exact
-    floating-point tie counts as satisfied (the relation is non-strict), which
-    also covers comparing an expression against itself.
+    alternations are recorded as evidence of a single crossing.  The one
+    provable tie, an expression compared with itself (the same shape and
+    parameters, whatever its name and valid_from), holds from lo with a
+    margin of 0; any other float tie falls inside its guard, AMBIGUOUS.
     """
     _check_range(lo, hi, cap)
     f.check_domain(lo)
     g.check_domain(lo)
+    if replace(f, name=g.name, valid_from=g.valid_from) == g:
+        return CrossoverResult(lo, None, 0, [], 0.0, 2.0 * evaluate(f, lo).abs_error_bound)
 
     def margins(ns: np.ndarray) -> np.ndarray:
         xs = ns.astype(np.float64)
         logs = np.log(xs)
         fv, fe = f.values_with_error(xs, logs)
         gv, ge = g.values_with_error(xs, logs)
-        diff = gv - fv
-        diff[diff == 0.0] = np.inf  # an exact tie satisfies the relation
-        return np.stack((diff, fe + ge))
+        return np.stack((gv - fv, fe + ge))
 
     out = _scan(margins, _chord(f, g), lo, hi)
     if out.last_fail is not None and out.last_fail >= hi:
@@ -460,9 +456,8 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:
     """Check psi(n) <= pi(n)*log(n) <= 2*psi(n) at every integer in [lo, hi].
 
     Comparisons are non-strict.  At n=2 both sides of the lower comparison are
-    the same quantity (log 2), an exact tie by construction; that provable tie
-    is admitted as a pass and excluded from margin bookkeeping, so min_margin
-    reports the tightest genuinely decided point.
+    the same quantity (psi(2) = pi(2) log 2), an identity, so there the upper
+    comparison alone decides, and its margin is log 2.
     """
     _check_range(lo, hi, cap)
     pi_of = primes.pi_lookup(hi)
@@ -472,9 +467,9 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:
         """Diff, guard (the error bound of both hi and lo), hi rows, lo rows."""
         pi_log = pi_of(ns) * np.log(ns.astype(np.float64))
         psi_vals = psi_of(ns)
-        diff = np.minimum(pi_log - psi_vals, 2.0 * psi_vals - pi_log)
+        diff = 2.0 * psi_vals - pi_log
+        np.minimum(pi_log - psi_vals, diff, out=diff, where=ns != 2)  # the identity at n=2
         guard = 2.0 * (_EPS * np.abs(pi_log) + PSI_ERR_FACTOR * np.abs(psi_vals))
-        diff[(diff == 0.0) & (ns == 2)] = np.inf  # the provable tie at n=2
         return np.stack((diff, guard, pi_log, 2.0 * psi_vals, psi_vals, pi_log))
 
     return _to_verdict(_scan(margins, _monotone(2), lo, hi))

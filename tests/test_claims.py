@@ -108,7 +108,7 @@ class TestRunClaim:
     def test_expected_fail_is_not_a_free_pass(self):
         # a FAIL expectation must not match when the scan passes
         fake = Claim(
-            "X1", "synthetic", ClaimKind.PI_CHECK,
+            "X1", ClaimKind.PI_CHECK,
             dict(bound="cheb_upper", direction="upper", fail_at=96098),
         )
         out = run_claim(fake)
@@ -146,7 +146,7 @@ class TestRunClaim:
                                        m=out.min_margin)
 
     def test_an_unknown_bound_in_a_payload_lists_the_valid_names(self):
-        fake = Claim("X2", "synthetic", ClaimKind.PI_CHECK,
+        fake = Claim("X2", ClaimKind.PI_CHECK,
                      dict(bound="nope", direction="upper", hi=100))
         with pytest.raises(UnknownNameError) as err:
             run_claim(fake)
@@ -243,7 +243,7 @@ class TestRunClaim:
         # dusart_upper drops below pan_upper from 28516 (C13), so pan_upper <=
         # dusart_upper fails at every n from there to the end of the range
         refuted = Claim(
-            "X2", "synthetic", ClaimKind.CROSSOVER,
+            "X2", ClaimKind.CROSSOVER,
             dict(left="pan_upper", right="dusart_upper", lo=30, hi=50000,
                  expected_threshold=28516),
         )
@@ -258,6 +258,49 @@ class TestRunClaim:
         rep = run_all()
         assert [(o.claim.id, o.status) for o in rep.outcomes] == [
             ("X2", "MISMATCH"), ("C3", "MATCH")]
+
+
+def test_c2_tail_rests_on_dusart_2010():
+    # Dusart (arXiv:1002.0442, 2010): pi(x) <= x/(log x - 1.1) for x >= 60184.
+    # A larger shift gives a larger bound, so C2's tail bound holds from there,
+    # and its flip at ceil(t) lies past that start
+    p = by_id("C2").payload
+    tail, bound = builtin_bounds()[p["tail"]], builtin_bounds()[p["bound"]]
+    assert tail.shift >= 1.1
+    assert math.ceil(scan.exp_threshold(tail.shift, bound.scale)) >= 60184
+    dusart = ShiftedLog("dusart_2010", 60184.0, 1.1)
+    assert scan.last_violation(dusart, "upper", 4, 5 * 10**6).last_failure == 60183
+
+
+# the last failure of each bound a range claim names, from the first integer
+# of its domain (2 for psi) to the claim's hi; None where it never fails
+LAST_FAILURES = {
+    "cheb_upper": 96097, "unit_lower": 16, "dusart_lower": 32298, "dusart_upper": 355990,
+    "d1095": 284859, "pan_lower": 3298, "cheb_lower": 10, "pan_upper": 24254,
+    "d125506": None, "cheb_upper_2x": None, "psi_upper": None, "psi_lower": None,
+}
+RANGE_CHECKS = [
+    pytest.param(c.kind, name, direction, c.payload["hi"], id=f"{c.id}-{name}")
+    for c in builtin_claims() if "hi" in c.payload and {"bound", "parts"} & c.payload.keys()
+    for name, direction in claims._parts(c.payload)
+]
+
+
+def test_every_bound_of_a_range_claim_has_its_last_failure_pinned():
+    assert sorted(p.values[1] for p in RANGE_CHECKS) == sorted(LAST_FAILURES)
+
+
+@pytest.mark.parametrize("kind, name, direction, hi", RANGE_CHECKS)
+def test_each_stated_start_lies_past_the_last_failure_but_c8b(kind, name, direction, hi):
+    b = builtin_bounds()[name]
+    if kind is ClaimKind.PSI_CHECK:  # psi has no last_violation: it passes or not
+        assert LAST_FAILURES[name] is None
+        assert scan.verify_psi(b, direction, 2, hi).status is scan.Status.PASS
+        return
+    res = scan.last_violation(b, direction, math.floor(b.domain_start()) + 1, hi)
+    assert (res.last_failure, res.ambiguous_points) == (LAST_FAILURES[name], [])
+    # the paper's point: x/(log x - 1.11) is stated from 4, yet fails up to 24254
+    assert (res.last_failure is None or res.last_failure < b.valid_from) == (name != "pan_upper")
 
 
 class TestRunAll:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pibounds import primes, scan
-from pibounds.bounds import BoundExpr, chebyshev_constants, evaluate
+from pibounds.bounds import BoundExpr, ScaledLog, chebyshev_constants, evaluate
 from pibounds.errors import (
     CrossoverNotFoundError,
     DomainError,
@@ -192,8 +193,10 @@ class TestSandwich:
         assert v.witness == 4
 
     def test_exact_tie_at_two_is_admitted(self):
+        # psi(2) = pi(2) log 2 is an identity, so the upper comparison alone decides
         v = verify_sandwich(2, 2)
         assert v.status is Status.PASS
+        assert v.min_margin == math.log(2)
 
     def test_range_validation(self):
         with pytest.raises(ResourceLimitError):
@@ -278,9 +281,26 @@ class TestAnalyticCrossover:
         assert res.last_failure is None
         assert res.sign_changes == 0
         assert res.ambiguous_points == []
-        # a tie passes as a diff of inf, yet its margin, taken at lo, is 0
+        # answered before the scan: the margin at lo is 0
         assert res.min_margin == 0.0
         assert res.guard_at_witness == 2.0 * evaluate(b, 10).abs_error_bound
+
+    def test_a_copy_under_another_name_and_start_is_the_same_expression(self, registry):
+        b = registry["pan_upper"]
+        copy = dataclasses.replace(b, name="copy", valid_from=1e6)
+        assert analytic_crossover(b, copy, 10, 1000) == analytic_crossover(b, b, 10, 1000)
+
+    def test_a_float_tie_of_two_expressions_is_ambiguous(self):
+        # f > g at every x > 1, yet their floats tie on [41305, 41308]: a tie
+        # there falls inside the guard, and no integer is decided
+        f = ScaledLog("f", 2.0, math.nextafter(1.1, 2.0))
+        g = ScaledLog("g", 2.0, 1.1)
+        xs = np.arange(41305, 41309, dtype=np.float64)
+        f_vals, g_vals = (b.values_with_error(xs, np.log(xs))[0] for b in (f, g))
+        assert (f_vals == g_vals).all()
+        res = analytic_crossover(f, g, 41305, 41308)
+        assert res.ambiguous_points == [41305, 41306, 41307, 41308]
+        assert (res.last_failure, res.sign_changes, res.min_margin) == (None, 0, 0.0)
 
     def test_not_found(self, registry):
         # below 28516 the series bound exceeds the shifted bound throughout
@@ -477,7 +497,7 @@ def compared(draw):
     them in that keeps the range's first integer first."""
     ns = sorted(draw(st.sets(st.integers(2, 10**6), min_size=1, max_size=30)))
     k = len(ns)
-    diff = draw(st.lists(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 5.0, math.inf]),
+    diff = draw(st.lists(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 5.0]),
                          min_size=k, max_size=k))
     guard = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k, max_size=k))
     order = [0, *draw(st.permutations(range(1, k)))]
@@ -498,7 +518,7 @@ class TestClassifyOrder:
     @pytest.mark.parametrize("diff, witness, ambiguous, fail_count", [
         ([3.0, 0.5, 2.0, 0.5, 4.0], 5, [], 0),  # a tie at the least diff: the earliest wins
         ([3.0, 0.1, 2.0, -0.2, 0.0], 14, [5, 14, 20], 0),  # ambiguous points, ascending
-        ([math.inf] * 5, 2, [], 0),  # exact ties throughout: lo
+        ([2.0] * 5, 2, [], 0),  # equal diffs throughout: lo
         ([1.0, -1.0, 2.0, -1.0, -1.0], 20, [], 8),  # 14 to 20 fail, and 5
     ])
     @settings(max_examples=30, deadline=None)
@@ -516,7 +536,6 @@ def per_sign_chord(f, g, a, b, at_a, at_b):
     one FAIL, one per sign of d."""
     slack = scan._CERT_SLACK
     start = max(f.guard_increase_start(), g.guard_increase_start())
-    d_a, d_b = (np.where(np.isinf(at[0]), 0.0, at[0]) for at in (at_a, at_b))
     xs = a.astype(np.float64)
     logs = np.log(xs)
     sag = (f.curvature(xs, logs) + g.curvature(xs, logs)) * ((b - a) ** 2 / 8.0)
@@ -524,7 +543,7 @@ def per_sign_chord(f, g, a, b, at_a, at_b):
     bar = 2.0 * (1.0 + slack) * np.where(a >= start, np.maximum(at_a[1], at_b[1]), np.inf)
     decided = np.zeros(a.size, dtype=bool)
     for sign in (1.0, -1.0):
-        low = np.minimum(sign * d_a - at_a[1], sign * d_b - at_b[1])
+        low = np.minimum(sign * at_a[0] - at_a[1], sign * at_b[0] - at_b[1])
         decided |= low * (1.0 - slack) - sag > bar
     return decided
 
@@ -569,7 +588,7 @@ class TestBracketFolds:
         jitter = 1.0 + scan._CERT_SLACK * rng.uniform(-4.0, 4.0, (2, n))
         sign = np.where(rng.random((2, n)) < 0.9, 1.0, -1.0) * rng.choice([1.0, -1.0], n)
         diffs = sign * need * jitter
-        diffs[rng.random((2, n)) < 0.05] = np.inf
+        diffs[rng.random((2, n)) < 0.05] = 0.0
         at_a, at_b = np.stack((diffs[0], guards[0])), np.stack((diffs[1], guards[1]))
 
         decided, low = scan._chord(f, g)(a, b, at_a, at_b, 0.0)
@@ -579,7 +598,7 @@ class TestBracketFolds:
         # both signs are decided, and neither always
         for side in (diffs[0] > 0, diffs[0] < 0):
             assert 0 < np.count_nonzero(expected & side) < np.count_nonzero(side)
-        assert not expected[np.isinf(diffs).any(axis=0) | (a < start)].any()
+        assert not expected[(diffs == 0.0).any(axis=0) | (a < start)].any()
 
 
 class TestConcurrency:

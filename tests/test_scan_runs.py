@@ -160,13 +160,12 @@ def sandwich_per_integer(lo, hi):
     ns = np.arange(lo, hi + 1)
     pi_log = primes.cumulative_pi(hi)[lo : hi + 1] * np.log(ns.astype(np.float64))
     psi = primes.psi_array(hi)[lo : hi + 1]
-    diff = np.minimum(pi_log - psi, 2.0 * psi - pi_log)
+    # psi(2) = pi(2) log 2 is an identity: there the upper comparison alone decides
+    diff = np.where(ns == 2, 2.0 * psi - pi_log, np.minimum(pi_log - psi, 2.0 * psi - pi_log))
     guard = np.finfo(np.float64).eps * (2.0 * np.abs(pi_log) + 8.0 * np.abs(psi))
     fails, ambiguous = [], []
     closest = None
     for n, d, g in zip(ns.tolist(), diff.tolist(), guard.tolist()):
-        if n == 2 and d == 0.0:
-            d = math.inf  # log 2 <= log 2: the provable tie passes, with no margin
         if d < -g:
             fails.append((n, d, g))
         elif not d > g:
@@ -220,9 +219,11 @@ def crossover_per_integer(f, g, lo, hi):
     logs = np.log(xs)
     fv, fe = f.values_with_error(xs, logs)
     gv, ge = g.values_with_error(xs, logs)
+    # the one provable tie: an expression compared with itself, whatever its name and start
+    same = dataclasses.replace(f, name=g.name, valid_from=g.valid_from) == g
     fails, ambiguous, states = [], [], []
     for n, d, guard in zip(range(lo, hi + 1), (gv - fv).tolist(), (fe + ge).tolist()):
-        if d == 0.0 or d > guard:  # an exact tie satisfies the relation
+        if same or d > guard:
             states.append(1)
         elif d < -guard:
             fails.append(n)

@@ -10,11 +10,6 @@ from pibounds import bounds, claims
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pibounds"
 
-# (module, name) imported and never used there, each with the reason it stays
-KEPT = {
-    ("scan", "evaluate"): "bench/tracer.py patches scan.evaluate; ROADMAP item 1 removes it",
-}
-
 
 def unused_imports(path):
     """Names path imports and never reads, apart from those its __all__ re-exports."""
@@ -34,8 +29,7 @@ def unused_imports(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_imports_a_name_it_never_uses(path):
-    # a name kept on purpose must still be unused, so a stale entry shows too
-    assert unused_imports(path) == sorted(n for m, n in KEPT if m == path.stem)
+    assert unused_imports(path) == []
 
 
 def private_without_caller():
@@ -91,3 +85,15 @@ def unread_payload_keys():
 def test_every_payload_key_is_read_by_claims():
     # a key that no code reads states a fact that nothing checks
     assert unread_payload_keys() == []
+
+
+def unread_claim_fields():
+    """Fields of claims.Claim that no attribute access in src reads."""
+    read = {node.attr for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    return sorted({f.name for f in dataclasses.fields(claims.Claim)} - read)
+
+
+def test_every_claim_field_is_read_in_src():
+    # a field that no code reads, as a key no code reads, states a fact that nothing checks
+    assert unread_claim_fields() == []
