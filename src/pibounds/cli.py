@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from decimal import Decimal, InvalidOperation
@@ -168,9 +169,27 @@ def _cmd_table(args) -> int:
     for b in bounds:
         b.check_domain(float(rows[0]))
     print(",".join(["x", "pi", *names]))
-    for x, pi in zip(rows, counts):
-        values = [repr(evaluate(b, float(x)).value) for b in bounds]
-        print(",".join([str(x), str(pi), *values]))
+    # a block of rows at a time, so memory stays at one block: one kernel call
+    # per bound and one rank read in pi_rows.  A non-finite cell ends the table
+    # after the rows before it, refused as evaluate refuses it
+    for at in range(0, len(rows), primes.ROW_BLOCK):
+        block = rows[at : at + primes.ROW_BLOCK]
+        columns = [map(str, block), map(str, itertools.islice(counts, len(block)))]
+        cut, culprit = len(block), None  # the first non-finite cell, by row then bound
+        if bounds:  # with no bound the rows may start at 0, where log warns
+            xs = np.arange(block.start, block.stop, block.step, dtype=np.int64).astype(float)
+            logs = np.log(xs)
+        for b in bounds:
+            vals, errs = b.values_with_error(xs, logs)
+            bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(errs)))
+            if bad.size and bad[0] < cut:
+                cut, culprit = int(bad[0]), b
+            columns.append(map(repr, vals.tolist()))
+        if cut:
+            print("\n".join(itertools.islice(map(",".join, zip(*columns)), cut)))
+        if culprit is not None:
+            raise DomainError(f"bound {culprit.name!r} has no finite value or error bound "
+                              f"at x={float(block[cut])}")
     return 0
 
 

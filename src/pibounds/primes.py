@@ -52,6 +52,7 @@ DEFAULT_CAP = 5_000_000
 MAX_CAP = 10**9
 LEGENDRE_MAX_ROOT = 5 * 10**6
 SEGMENT_LENGTH = 1 << 20
+ROW_BLOCK = 4096  # rows that pi_rows counts up to the cap, and table prints, at once
 
 _EPS = sys.float_info.epsilon
 
@@ -391,7 +392,8 @@ def _legendre_root(n: int, cap: int) -> int:
 def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     """pi at each x of rows, an ascending range of integers >= 0, in order.
 
-    Rows up to the cap, or up to 2, read the rank directory.  Past it a
+    Rows up to the cap, or up to 2, read the rank directory in one vector
+    count a block of ROW_BLOCK rows, and yield Python ints.  Past it a
     running count over windows of SEGMENT_LENGTH integers sieved in one buffer
     (the segmented sieve of an interval, Bays and Hudson, BIT 17, 1977) starts
     from pi(cap) off the words, or from one Legendre query at the first row
@@ -423,14 +425,16 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
                 f"than one at LEGENDRE_MAX_ROOT; raise the cap to allow it"
             )
         sieve = not wide or rows.step <= SEGMENT_LENGTH
-    words, before = _rank(split if sieve and below else below[-1]) if below else (None, None)
+    pi_of = pi_lookup(split if sieve and below else below[-1]) if below else None
 
     def counts() -> Iterator[int]:
-        yield from (_pi_le(words, before, x) for x in below)
+        for at in range(0, len(below), ROW_BLOCK):
+            block = below[at : at + ROW_BLOCK]
+            yield from pi_of(np.arange(block.start, block.stop, block.step, dtype=np.int64)).tolist()
         if not sieve:
             yield from (pi_point_legendre(x, cap=cap) for x in above)
             return
-        count = _pi_le(words, before, split) if below else pi_point_legendre(base, cap=cap)
+        count = int(pi_of(np.array([split]))[0]) if below else pi_point_legendre(base, cap=cap)
         if not below:
             yield count
         upto = np.zeros(SEGMENT_LENGTH // 2 + 1, dtype=np.uint32)  # upto[k]: primes among k odd

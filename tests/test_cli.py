@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from pibounds import primes
-from pibounds.bounds import builtin_bounds
+from pibounds.bounds import ScaledLog, builtin_bounds, evaluate
 from pibounds.cli import build_parser, floor_exact, main
 
 from numerics import integers_where_log_differs
@@ -21,16 +23,27 @@ PINNED = ROOT / "bench" / "reference" / "verify_full.json"
 
 # prints on stderr the SIMD targets numpy dispatches to, the points where a
 # point value is off the scans' kernel (the integers on stdin and a seeded
-# sample) and the sampled logs not within eps; then runs verify
+# sample), the sampled logs not within eps and the rows of a 2,000-row table
+# over every builtin bound whose cells are not what `bound eval` prints at
+# their x; then runs verify
 VERIFY_CHILD = """
-import json, sys
+import contextlib, io, json, sys
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from pibounds.bounds import builtin_bounds, evaluate
 from pibounds.cli import main
 from numerics import log_points, logs_outside_eps, point_sample, points_off_the_kernel
 print(*[t for t in __cpu_dispatch__ if __cpu_features__[t]], file=sys.stderr)
 xs = json.load(sys.stdin) + point_sample(1000, seed=33)
 print("points off the kernel:", points_off_the_kernel(xs), file=sys.stderr)
 print("logs outside eps:", logs_outside_eps(log_points(sample=True)), file=sys.stderr)
+bounds = builtin_bounds()
+with contextlib.redirect_stdout(io.StringIO()) as table:
+    main(["table", "--from", "4", "--to", "4997504", "--step", "2500",
+          "--bounds", ",".join(bounds)])
+rows = [row.split(",") for row in table.getvalue().splitlines()[1:]]
+off = [x for x, _, *cells in rows
+       if cells != [repr(evaluate(b, float(x)).value) for b in bounds.values()]]
+print("table rows off bound eval:", len(rows), off, file=sys.stderr)
 sys.exit(main(["verify", "--format", "json"]))
 """
 
@@ -211,7 +224,9 @@ class TestVerify:
         CPU has.  NPY_DISABLE_CPU_FEATURES turns the targets this CPU has off
         from the top down, one setting a subprocess, to numpy's baseline, and
         each must print the pinned report, give point values equal to the
-        scans' kernel and a log within eps at the seeded sample.  The points
+        scans' kernel, table cells equal to `bound eval`'s values, which the
+        table takes from the kernel a block at a time, and a log within eps at
+        the seeded sample.  The points
         include the integers where this CPU's top path differs from libm.  No
         target the CPU lacks is simulated, so another machine may run a path
         that this one never does."""
@@ -226,7 +241,8 @@ class TestVerify:
             done = subprocess.run([sys.executable, "-c", VERIFY_CHILD], env=env, input=differ,
                                   capture_output=True, text=True, timeout=60)
             assert done.stderr.splitlines() == [" ".join(found[:k]), "points off the kernel: []",
-                                                "logs outside eps: []"], done.stderr
+                                                "logs outside eps: []",
+                                                "table rows off bound eval: 2000 []"], done.stderr
             obj = json.loads(done.stdout)
             for e in obj["claims"]:
                 e["elapsed_ms"] = 0
@@ -289,6 +305,72 @@ class TestTable:
             for row in out.splitlines()[1:]:
                 x, pi, _ = row.split(",")
                 assert int(pi) == primes.pi_at(int(x), cap=1000)
+
+    def test_blocks_give_the_scalar_path_cell_for_cell(self, capsys):
+        # two full blocks and a partial one; the old path, a scalar evaluate
+        # per cell and pi_at per row, is the oracle
+        bounds = builtin_bounds()
+        code, out, _ = run(capsys, "table", "--from", "4", "--to", "10000",
+                           "--bounds", ",".join(bounds))
+        assert code == 0
+        want = [",".join(["x", "pi", *bounds])]
+        want += [",".join([str(x), str(primes.pi_at(x)),
+                           *(repr(evaluate(b, float(x)).value) for b in bounds.values())])
+                 for x in range(4, 10001)]
+        assert out.splitlines() == want
+        code, out, _ = run(capsys, "table", "--from", "0", "--to", "9000")
+        assert code == 0
+        assert out.splitlines() == ["x,pi"] + [f"{x},{primes.pi_at(x)}" for x in range(9001)]
+
+    @pytest.mark.parametrize("rows, cap", [
+        (range(0, 9000), 10**4),  # the rank directory, in blocks
+        (range(0, 3000), 1000),  # then a sieved running count
+        (range(500, 10**8, 2 * 10**7), 10**4),  # then a Legendre query a row
+    ], ids=["below", "sieved", "legendre"])
+    def test_pi_rows_yields_python_ints(self, rows, cap):
+        counts = list(primes.pi_rows(rows, cap=cap))
+        assert {type(pi) for pi in counts} == {int}
+        assert counts == [primes.pi_at(x, cap=cap) for x in rows]
+
+    def test_a_non_finite_cell_ends_the_table_after_the_rows_before_it(self, capsys,
+                                                                        monkeypatch):
+        # inf in the second block, not at its first row; neither the first
+        # column's bad cell a row later nor the last column's in the same row
+        # comes first
+        kernel = ScaledLog.values_with_error
+        bad = {"unit_lower": 5001.0, "cheb_upper": 5000.0, "d125506": 5000.0}
+
+        def patched(self, xs, logs):
+            vals, errs = kernel(self, xs, logs)
+            return np.where(xs == bad.get(self.name), np.inf, vals), errs
+
+        code, want, _ = run(capsys, "table", "--from", "2", "--to", "4999",
+                            "--bounds", ",".join(bad))
+        assert code == 0
+        monkeypatch.setattr(ScaledLog, "values_with_error", patched)
+        code, out, err = run(capsys, "table", "--from", "2", "--to", "6000",
+                             "--bounds", ",".join(bad))
+        assert (code, out) == (2, want)
+        assert err == ("error: bound 'cheb_upper' has no finite value or error bound "
+                       "at x=5000.0\n")
+
+    def test_a_long_table_streams(self, traced_peak):
+        # one block fits under the bound; a whole column of floats, strings or
+        # lines of these 2*10**5 rows would not
+        primes.pi_at(200_099)  # the rank directory, built before tracing
+
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        def table():
+            with contextlib.redirect_stdout(Discard()):
+                return main(["table", "--from", "100", "--to", "200099",
+                             "--bounds", "cheb_upper"])
+
+        code, peak = traced_peak(table)
+        assert code == 0
+        assert peak < 4 * 2**20
 
     def test_sparse_rows_far_past_the_cap_are_point_queries(self, capsys):
         # wider than the cap, 10**7 apart: a Legendre query a row, not a sieve of 10**8
