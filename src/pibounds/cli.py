@@ -165,22 +165,21 @@ def _cmd_table(args) -> int:
     rows = range(args.start, args.end + 1, args.step)
     # raise every error before the header: pi_rows refuses rows it cannot
     # count, and each bound's domain is a half-line, so the first row decides it
-    counts = primes.pi_rows(rows, cap=args.cap)
+    blocks = primes.pi_rows(rows, cap=args.cap)
     for b in bounds:
         b.check_domain(float(rows[0]))
     print(",".join(["x", "pi", *names]))
-    # a block of rows at a time, so memory stays at one block: one kernel call
-    # per bound and one rank read in pi_rows.  A non-finite cell ends the table
-    # after the rows before it, refused as evaluate refuses it
-    for at in range(0, len(rows), primes.ROW_BLOCK):
-        block = rows[at : at + primes.ROW_BLOCK]
-        columns = [map(str, block), map(str, itertools.islice(counts, len(block)))]
-        cut, culprit = len(block), None  # the first non-finite cell, by row then bound
+    # a block of rows at a time, as pi_rows yields them, so memory stays at one
+    # block: one kernel call per bound.  A non-finite cell ends the table after
+    # the rows before it, refused as evaluate refuses it
+    for xs, counts in blocks:
+        columns = [map(str, xs.tolist()), map(str, counts.tolist())]
+        cut, culprit = xs.size, None  # the first non-finite cell, by row then bound
         if bounds:  # with no bound the rows may start at 0, where log warns
-            xs = np.arange(block.start, block.stop, block.step, dtype=np.int64).astype(float)
-            logs = np.log(xs)
+            floats = xs.astype(float)
+            logs = np.log(floats)
         for b in bounds:
-            vals, errs = b.values_with_error(xs, logs)
+            vals, errs = b.values_with_error(floats, logs)
             bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(errs)))
             if bad.size and bad[0] < cut:
                 cut, culprit = int(bad[0]), b
@@ -189,7 +188,7 @@ def _cmd_table(args) -> int:
             print("\n".join(itertools.islice(map(",".join, zip(*columns)), cut)))
         if culprit is not None:
             raise DomainError(f"bound {culprit.name!r} has no finite value or error bound "
-                              f"at x={float(block[cut])}")
+                              f"at x={float(xs[cut])}")
     return 0
 
 

@@ -52,7 +52,7 @@ DEFAULT_CAP = 5_000_000
 MAX_CAP = 10**9
 LEGENDRE_MAX_ROOT = 5 * 10**6
 SEGMENT_LENGTH = 1 << 20
-ROW_BLOCK = 4096  # rows that pi_rows counts up to the cap, and table prints, at once
+ROW_BLOCK = 4096  # rows in a block of pi_rows, at most: a table prints a block at once
 
 _EPS = sys.float_info.epsilon
 
@@ -326,7 +326,7 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
-    """pi(floor(x)); sieve lookup below the cap, Legendre query above it.
+    """pi(floor(x)); a rank lookup up to max(cap, 2), a Legendre query above it.
 
     Raises ResourceLimitError when isqrt(x) exceeds the cap or
     LEGENDRE_MAX_ROOT (see pi_point_legendre).
@@ -335,9 +335,7 @@ def pi_at(x: float, *, cap: int = DEFAULT_CAP) -> int:
         raise ValueError(f"pi_at requires a finite x >= 0, got {x}")
     check_cap(cap)
     n = math.floor(x)
-    if n < 2:
-        return 0
-    return _pi_le(*_rank(n), n) if n <= cap else pi_point_legendre(n, cap=cap)
+    return _pi_le(*_rank(n), n) if n <= max(cap, 2) else pi_point_legendre(n, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +387,23 @@ def _legendre_root(n: int, cap: int) -> int:
     return root
 
 
-def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
-    """pi at each x of rows, an ascending range of integers >= 0, in order.
+def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(xs, counts) for rows, an ascending range of integers >= 0, in blocks: xs an
+    int64 array of 1 to ROW_BLOCK consecutive rows, counts pi at each.
 
-    Rows up to the cap, or up to 2, read the rank directory in one vector
-    count a block of ROW_BLOCK rows, and yield Python ints.  Past it a
-    running count over windows of SEGMENT_LENGTH integers sieved in one buffer
-    (the segmented sieve of an interval, Bays and Hudson, BIT 17, 1977) starts
-    from pi(cap) off the words, or from one Legendre query at the first row
-    when the rows start above the cap.  Where the stretch above the cap is
-    wider than the cap and its rows lie more than a window apart, each row is
-    a Legendre query instead, so no window without a row is sieved.  Such a
-    wide stretch is refused when its rows, each taken as a Legendre query,
-    would cost more in that query's x^(3/4) time than one query at
-    LEGENDRE_MAX_ROOT; dense rows sieve in less.  The base primes, as a
-    Legendre query's, need isqrt of the last row within the cap and
-    LEGENDRE_MAX_ROOT.  Every refusal comes here, before the first count.
+    Rows up to the cap, or up to 2, read the rank directory in one vector count
+    a block.  Past it a running count over windows of SEGMENT_LENGTH integers
+    sieved in one buffer (the segmented sieve of an interval, Bays and Hudson,
+    BIT 17, 1977), each window's rows cut into blocks, starts from pi(cap) off
+    the words, or from one Legendre query at the row before the first when the
+    rows start above the cap.  Where the stretch above the cap is wider than
+    the cap and its rows lie more than a window apart, each row is a Legendre
+    query instead, so no window without a row is sieved.  Such a wide stretch
+    is refused when its rows, each taken as a Legendre query, would cost more
+    in that query's x^(3/4) time than one query at LEGENDRE_MAX_ROOT; dense
+    rows sieve in less.  The base primes, as a Legendre query's, need isqrt of
+    the last row within the cap and LEGENDRE_MAX_ROOT.  Every refusal comes
+    here, before the first block.
     """
     if rows.step < 0:
         raise ValueError(f"pi_rows needs ascending rows, got {rows}")
@@ -416,7 +415,7 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
     if above:
         last = above[-1]
         root = _legendre_root(last, cap)
-        base = split if below else above[0]  # a sieved stretch runs from base + 1 to last
+        base = split if below else above[0]  # the stretch above the cap, from here to last
         wide = last - base > cap
         if wide and len(above) ** 2 * root**3 > LEGENDRE_MAX_ROOT**3:
             raise ResourceLimitError(
@@ -427,28 +426,30 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[int]:
         sieve = not wide or rows.step <= SEGMENT_LENGTH
     pi_of = pi_lookup(split if sieve and below else below[-1]) if below else None
 
-    def counts() -> Iterator[int]:
-        for at in range(0, len(below), ROW_BLOCK):
-            block = below[at : at + ROW_BLOCK]
-            yield from pi_of(np.arange(block.start, block.stop, block.step, dtype=np.int64)).tolist()
+    def blocks(stretch: range) -> Iterator[np.ndarray]:
+        for at in range(0, len(stretch), ROW_BLOCK):
+            block = stretch[at : at + ROW_BLOCK]
+            yield np.arange(block.start, block.stop, block.step, dtype=np.int64)
+
+    def row_blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for xs in blocks(below):
+            yield xs, pi_of(xs)
         if not sieve:
-            yield from (pi_point_legendre(x, cap=cap) for x in above)
+            for xs in blocks(above):
+                yield xs, np.array([pi_point_legendre(x, cap=cap) for x in xs.tolist()])
             return
-        count = int(pi_of(np.array([split]))[0]) if below else pi_point_legendre(base, cap=cap)
-        if not below:
-            yield count
+        count = int(pi_of(np.array([split]))[0]) if below else pi_point_legendre(base - 1, cap=cap)
         upto = np.zeros(SEGMENT_LENGTH // 2 + 1, dtype=np.uint32)  # upto[k]: primes among k odd
         step = rows.step
-        for lo, hi, flags in _windows(base + 1, last):
+        for lo, hi, flags in _windows(split + 1 if below else base, last):
             np.cumsum(flags, out=upto[1 : flags.size + 1])
-            first = last - (last - lo) // step * step  # the first row in [lo, hi]
-            xs = np.arange(first, hi + 1, step, dtype=np.int64)
-            found = upto.take((xs - (lo | 1)) // 2 + 1).astype(np.int64)
-            found += count
-            yield from found.tolist()
+            for xs in blocks(range(last - (last - lo) // step * step, hi + 1, step)):
+                found = upto.take((xs - (lo | 1)) // 2 + 1).astype(np.int64)
+                found += count
+                yield xs, found
             count += int(upto[flags.size])
 
-    return counts()
+    return row_blocks()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pibounds.bounds import ScaledLog, builtin_bounds, evaluate
 from pibounds.cli import build_parser, floor_exact, main
 
 from numerics import integers_where_log_differs
-from oracle import pi_oracle_trial_division
+from oracle import pi_oracle_trial_division, pi_rows_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "bench" / "reference" / "verify_full.json"
@@ -85,6 +85,12 @@ class TestPi:
         assert legendre_queries == []
         assert run(capsys, "--cap", "1000", "pi", "1001") == (0, "168\n", "")
         assert legendre_queries == [1001]
+
+    def test_pi_of_2_reads_the_words_at_cap_0(self, capsys, legendre_queries):
+        # as a table's rows do; psi's table is sized from n, so it refuses 2
+        assert run(capsys, "--cap", "0", "pi", "2") == (0, "1\n", "")
+        assert legendre_queries == []
+        assert run(capsys, "--cap", "0", "psi", "2")[0] == 2
 
     def test_pi_floors_exactly_above_the_cap(self, capsys):
         # as a float, x would round up to the prime 1000003
@@ -327,10 +333,8 @@ class TestTable:
         (range(0, 3000), 1000),  # then a sieved running count
         (range(500, 10**8, 2 * 10**7), 10**4),  # then a Legendre query a row
     ], ids=["below", "sieved", "legendre"])
-    def test_pi_rows_yields_python_ints(self, rows, cap):
-        counts = list(primes.pi_rows(rows, cap=cap))
-        assert {type(pi) for pi in counts} == {int}
-        assert counts == [primes.pi_at(x, cap=cap) for x in rows]
+    def test_pi_rows_yields_blocks_of_rows_and_their_counts(self, rows, cap):
+        pi_rows_counts(rows, cap=cap)
 
     def test_a_non_finite_cell_ends_the_table_after_the_rows_before_it(self, capsys,
                                                                         monkeypatch):
@@ -354,10 +358,16 @@ class TestTable:
         assert err == ("error: bound 'cheb_upper' has no finite value or error bound "
                        "at x=5000.0\n")
 
-    def test_a_long_table_streams(self, traced_peak):
+    @pytest.mark.parametrize("argv, read", [
+        (["--from", "100", "--to", "200099", "--bounds", "cheb_upper"], 200_099),
+        # past the cap: a Legendre query at 5*10**6 on the primes up to its
+        # root 2236, then a sieved running count
+        (["--from", "5000001", "--to", "5200000"], 2236),
+    ], ids=["below", "past_cap"])
+    def test_a_long_table_streams(self, traced_peak, argv, read):
         # one block fits under the bound; a whole column of floats, strings or
-        # lines of these 2*10**5 rows would not
-        primes.pi_at(200_099)  # the rank directory, built before tracing
+        # lines of these 2*10**5 rows would not, nor a window's rows as ints
+        primes.pi_at(read)  # the rank directory it reads, built before tracing
 
         class Discard(io.TextIOBase):
             def write(self, text):
@@ -365,8 +375,7 @@ class TestTable:
 
         def table():
             with contextlib.redirect_stdout(Discard()):
-                return main(["table", "--from", "100", "--to", "200099",
-                             "--bounds", "cheb_upper"])
+                return main(["table", *argv])
 
         code, peak = traced_peak(table)
         assert code == 0

@@ -23,7 +23,7 @@ from pibounds.primes import (
 )
 from pibounds.scan import Direction
 
-from oracle import is_prime_trial, pi_oracle_trial_division
+from oracle import is_prime_trial, pi_oracle_trial_division, pi_rows_counts
 
 
 def refused(query):
@@ -707,12 +707,7 @@ class TestPiRows:
         (5 * ROWS_CAP + 1, 6 * ROWS_CAP + 2, 104_729),  # far above, one row per window or fewer
     ])
     def test_rows_equal_point_queries(self, start, stop, step):
-        rows = range(start, stop, step)
-        counts = list(primes.pi_rows(rows, cap=ROWS_CAP))
-        assert len(counts) == len(rows)
-        for x, count in zip(rows, counts):
-            want = pi_at(x) if x <= ROWS_CAP else pi_point_legendre(x, cap=ROWS_CAP)
-            assert count == want, x
+        pi_rows_counts(range(start, stop, step), cap=ROWS_CAP)
 
     @pytest.mark.parametrize("start, stop, step", [
         (2, 1201, 500),  # the last row at or below the cap lies 498 below it
@@ -720,12 +715,7 @@ class TestPiRows:
         (0, 10**6, 3),  # wider than the cap, a sieved running count
     ])
     def test_rows_past_the_cap_count_on_from_the_cap(self, start, stop, step):
-        rows = range(start, stop, step)
-        counts = list(primes.pi_rows(rows, cap=1000))
-        assert len(counts) == len(rows)
-        for x in (*rows[:3], *rows[-3:]):
-            want = pi_at(x) if x <= 1000 else pi_point_legendre(x, cap=1000)
-            assert counts[rows.index(x)] == want, x
+        pi_rows_counts(range(start, stop, step), cap=1000)
 
     @pytest.mark.parametrize("cap, stop, want", [
         (0, 2, [0, 0]),
@@ -733,7 +723,13 @@ class TestPiRows:
         (2, 5, [0, 0, 1, 2, 2]),
     ])
     def test_tiny_caps(self, cap, stop, want):
-        assert list(primes.pi_rows(range(0, stop), cap=cap)) == want
+        assert pi_rows_counts(range(0, stop), cap=cap) == want
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_pi_at_reads_the_words_up_to_2_as_pi_rows_does(self, cap):
+        # both count 0..2 off the words whatever the cap; psi still refuses 2
+        # at these caps, as its table is sized from n
+        assert [pi_at(x, cap=cap) for x in range(3)] == pi_rows_counts(range(3), cap=cap) == [0, 0, 1]
 
     def test_one_legendre_query_for_every_row_above_the_cap(self, monkeypatch):
         queries = []
@@ -745,17 +741,15 @@ class TestPiRows:
 
         monkeypatch.setattr(primes, "pi_point_legendre", counted)
         rows = range(10**7 + 1, 10**7 + 10**6, 997)
-        assert len(list(primes.pi_rows(rows, cap=10**6))) == len(rows)
-        assert queries == [rows[0]]
+        pi_rows_counts(rows, cap=10**6)  # its oracle reads the words, with no query
+        assert queries == [rows[0] - 1]  # the count before the first row sieved
         queries.clear()
-        list(primes.pi_rows(range(10**6 - 10, 2 * 10**6, 997), cap=10**6))
+        pi_rows_counts(range(10**6 - 10, 2 * 10**6, 997), cap=10**6)
         assert queries == []  # pi(cap) from the words stands in
-        queries.clear()
         # wider than the cap and more than a window apart: a query a row
         rows = range(0, 10**8, 10**7 + 1)
-        counts = list(primes.pi_rows(rows, cap=10**4))
+        pi_rows_counts(rows, cap=10**4)
         assert queries == list(rows[1:])
-        assert counts == [0, *map(legendre, rows[1:])]
 
     def test_rows_that_do_not_ascend_are_refused(self, no_tables):
         with pytest.raises(ValueError, match="ascending"):
@@ -777,8 +771,7 @@ class TestPiRows:
             with pytest.raises(ResourceLimitError, match="cap 1000"):
                 primes.pi_rows(rows, cap=1000)
         else:
-            counts = list(primes.pi_rows(rows, cap=1000))
-            assert counts[-1] == pi_point_legendre(rows[-1], cap=1000)
+            pi_rows_counts(rows, cap=1000)
 
 
 def log_lcm(n):

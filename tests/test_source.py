@@ -97,3 +97,29 @@ def unread_claim_fields():
 def test_every_claim_field_is_read_in_src():
     # a field that no code reads, as a key no code reads, states a fact that nothing checks
     assert unread_claim_fields() == []
+
+
+def constants_read_away():
+    """Upper-case module constants of src that another src module reads, by
+    import or as an attribute, apart from DEFAULT_CAP, public API, and
+    PSI_ERR_FACTOR, the guard that scan puts on primes' psi sums."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defined = {stem: {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                      for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                      if isinstance(t, ast.Name) and t.id.isupper()}
+               for stem, tree in trees.items()}
+    read = set()
+    for stem, tree in trees.items():
+        theirs = set().union(*(names for other, names in defined.items() if other != stem))
+        theirs -= defined[stem]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read |= {node.attr} & theirs
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names} & theirs
+    return sorted(read - {"DEFAULT_CAP", "PSI_ERR_FACTOR"})
+
+
+def test_module_constants_are_read_at_home():
+    # a constant another module reads splits one decision between two places
+    assert constants_read_away() == []
