@@ -18,7 +18,6 @@ from .primes import (
     pi_at,
     pi_point_legendre,
     psi_at,
-    sieve_segment,
 )
 from .scan import (
     CrossoverResult,
@@ -26,9 +25,7 @@ from .scan import (
     Status,
     Verdict,
     analytic_crossover,
-    count_violations,
     exp_threshold,
-    last_violation,
     verify_pi,
     verify_psi,
     verify_sandwich,
@@ -41,8 +38,6 @@ __all__ = [
     "EvalResult", "builtin_bounds", "chebyshev_constants", "evaluate",
     "Claim", "ClaimKind", "Report", "builtin_claims", "run_all", "run_claim",
     "DEFAULT_CAP", "PsiValue", "pi_at", "pi_point_legendre", "psi_at",
-    "sieve_segment",
     "CrossoverResult", "Direction", "Status", "Verdict", "analytic_crossover",
-    "count_violations", "exp_threshold", "last_violation", "verify_pi",
-    "verify_psi", "verify_sandwich",
+    "exp_threshold", "verify_pi", "verify_psi", "verify_sandwich",
 ]

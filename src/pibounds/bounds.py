@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cache, cached_property
 
@@ -119,6 +119,15 @@ class BoundExpr:
             )
 
 
+def _require_finite(shape: BoundExpr) -> None:
+    """Refuse a shape whose valid_from or constant is not finite: the kernel
+    would carry it into every value as an inf or nan margin."""
+    for f in fields(shape)[1:]:  # every field after the name is a number
+        value = getattr(shape, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(shape).__name__} needs a finite {f.name}, got {value}")
+
+
 @dataclass(frozen=True)
 class ScaledLog(BoundExpr):
     """B(x) = scale * x / log(x) for x > 1."""
@@ -126,6 +135,7 @@ class ScaledLog(BoundExpr):
     scale: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.scale > 0:
             raise ValueError("ScaledLog needs a positive scale")
 
@@ -150,6 +160,9 @@ class ShiftedLog(BoundExpr):
     """B(x) = x / (log(x) - shift) for log(x) > shift."""
 
     shift: float
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     def domain_start(self) -> float:
         return math.exp(self.shift)
@@ -186,6 +199,7 @@ class DusartSeries(BoundExpr):
     k: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.k > 0:
             raise ValueError("DusartSeries needs a positive k")
 
@@ -226,6 +240,7 @@ class PsiAffine(BoundExpr):
     offset: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.slope > 0 and 0 <= self.log2_coeff <= 7.0 * self.slope):
             raise ValueError("PsiAffine needs slope > 0 and 0 <= log2_coeff <= 7 * slope")
 
@@ -337,11 +352,13 @@ def evaluate(b: BoundExpr, x: float) -> EvalResult:
 
     The kernel runs on a float64 scalar, with numpy's log as the scans take
     it, so the value and guard equal a scan's at x bit for bit, without the
-    per-array cost of a one-element array.
+    per-array cost of a one-element array.  Its overflow is silenced here, as
+    the finite check below refuses what overflows.
     """
     b.check_domain(x)
     x64 = np.float64(x)
-    vals, errs = b.values_with_error(x64, np.log(x64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, errs = b.values_with_error(x64, np.log(x64))
     value, error = float(vals), float(errs)
     if not (math.isfinite(value) and math.isfinite(error)):
         raise DomainError(f"bound {b.name!r} has no finite value or error bound at x={x}")

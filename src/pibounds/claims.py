@@ -59,7 +59,7 @@ class ClaimOutcome:
 
 @dataclass
 class Report:
-    config: dict[str, Any]
+    cap: int
     outcomes: list[ClaimOutcome]
     total_seconds: float
 
@@ -73,7 +73,7 @@ class Report:
                    "range": list(o.scan_range), "elapsed_ms": o.elapsed_ms}
                   for o in self.outcomes]
         return {
-            "config": {"cap": self.config["cap"], "guard_policy": self.config["guard_policy"]},
+            "config": {"cap": self.cap, "guard_policy": GUARD_POLICY},
             "claims": claims,
             "all_match": self.all_match,
         }
@@ -82,7 +82,7 @@ class Report:
         return json.dumps(self.to_json_obj(), indent=2)
 
     def to_text(self) -> str:
-        lines = [f"cap={self.config['cap']}  guard_policy={self.config['guard_policy']}"]
+        lines = [f"cap={self.cap}  guard_policy={GUARD_POLICY}"]
         for o in self.outcomes:
             margin = "-" if o.min_margin is None else f"{o.min_margin:.6g}"
             witness = "-" if o.witness is None else str(o.witness)
@@ -398,8 +398,4 @@ def run_all(ids: Iterable[str] | None = None, *, cap: int = DEFAULT_CAP,
         selected = registry
     outcomes = [run_claim(c, cap=cap) for c in selected]
     total = time.perf_counter() - start
-    return Report(
-        config={"cap": cap, "guard_policy": GUARD_POLICY},
-        outcomes=outcomes,
-        total_seconds=total,
-    )
+    return Report(cap=cap, outcomes=outcomes, total_seconds=total)

@@ -115,9 +115,7 @@ def _cmd_bound_list(args) -> int:
 
 def _cmd_bound_eval(args) -> int:
     b = lookup_bound(args.name)
-    with np.errstate(over="ignore", invalid="ignore"):  # evaluate refuses what overflows
-        res = evaluate(b, args.x)
-    print(res.value)
+    print(evaluate(b, args.x).value)
     return 0
 
 

@@ -460,7 +460,6 @@ def pi_rows(rows: range, *, cap: int = DEFAULT_CAP) -> Iterator[tuple[np.ndarray
 class PsiValue:
     """psi(x) with its term count and accumulated rounding-error bound."""
 
-    x: int
     value: float
     term_count: int
     error_bound: float
@@ -474,12 +473,12 @@ def psi_at(x: int, *, cap: int = DEFAULT_CAP) -> PsiValue:
     n = int(x)
     check_cap(cap)
     if n < 2:
-        return PsiValue(n, 0.0, 0, 0.0)
+        return PsiValue(0.0, 0, 0.0)
     check_cap(cap, n, "psi_at argument")
     sums, _, higher = _psi_table(n)
     count = _pi_le(*_rank(n), n) + int(higher.searchsorted(n, "right"))
     total = sums.item(count)
-    return PsiValue(n, total, count, PSI_ERR_FACTOR * total)
+    return PsiValue(total, count, PSI_ERR_FACTOR * total)
 
 
 def _prefix_sums(terms: np.ndarray, total: int) -> tuple[np.ndarray, int]:

@@ -477,6 +477,14 @@ def verify_sandwich(lo: int, hi: int, *, cap: int = DEFAULT_CAP) -> Verdict:
 
 def exp_threshold(m: float, C: float) -> float:
     """exp(m*C/(C-1)): the real solution of x/(log x - m) <= C*x/log x."""
+    if not (math.isfinite(m) and math.isfinite(C)):
+        raise DomainError(f"exp_threshold requires a finite m and C, got m={m}, C={C}")
     if not C > 1.0:
         raise DomainError(f"exp_threshold requires C > 1, got C={C}")
-    return math.exp(m * C / (C - 1.0))
+    try:
+        t = math.exp(m * C / (C - 1.0))
+    except OverflowError:
+        t = math.inf
+    if t == math.inf:  # the exponent itself may overflow to inf, and exp(inf) raises nothing
+        raise DomainError(f"exp_threshold(m={m}, C={C}) overflows the float range")
+    return t

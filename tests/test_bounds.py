@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -150,6 +151,15 @@ class TestEvaluate:
             evaluate(registry["unit_lower"], x)
         assert len(str(err.value)) < 200
 
+    @pytest.mark.parametrize("name", ["cheb_upper", "cheb_upper_2x", "d1095", "d125506",
+                                      "psi_upper"])
+    def test_an_overflow_ends_in_the_one_refusal(self, registry, name):
+        # x is finite, but the kernel overflows there; evaluate silences numpy's
+        # warning itself, so a library call is refused as the CLI's is
+        with pytest.raises(DomainError, match=f"^bound {name!r} has no finite value or error "
+                                              "bound at x=1.7e"):
+            evaluate(registry[name], 1.7e308)
+
     def test_a_point_value_is_the_scans_kernel_value_bit_for_bit(self):
         # evaluate runs the kernel on a float64 scalar; the scans run it on
         # arrays.  The integers where numpy's log differs from libm's are where
@@ -254,7 +264,23 @@ class TestMonotonicity:
                 assert not falls.size, xs[falls[:5]]
 
 
+def non_finite_fields():
+    """(shape, field, value): every number of every shape, each replaced by
+    inf, -inf and nan in an otherwise valid instance."""
+    shapes = [ScaledLog("s", 2.0, 1.5), ShiftedLog("t", 4.0, 1.11), DusartSeries("d", 2.0, 2.51),
+              PsiAffine("p", 2.0, 1.0, 0.5, 1.0, 1.0)]
+    return [pytest.param(shape, f.name, value, id=f"{type(shape).__name__}-{f.name}-{value}")
+            for shape in shapes for f in dataclasses.fields(shape) if f.name != "name"
+            for value in (math.inf, -math.inf, math.nan)]
+
+
 class TestVariantValidation:
+    @pytest.mark.parametrize("shape, field, value", non_finite_fields())
+    def test_every_number_must_be_finite(self, shape, field, value):
+        # once a scan with an inf margin, a nan margin, or "requires x > nan"
+        with pytest.raises(ValueError, match=f"needs a finite {field}, got {value}$"):
+            dataclasses.replace(shape, **{field: value})
+
     def test_scaled_log_needs_positive_scale(self):
         with pytest.raises(ValueError):
             ScaledLog("bad", 2.0, -1.0)

@@ -373,6 +373,16 @@ class TestExpThreshold:
         with pytest.raises(DomainError):
             exp_threshold(1.11, 0.5)
 
+    @pytest.mark.parametrize("m, C, message", [
+        (1.11, math.inf, "requires a finite m and C"),
+        (math.nan, 2.0, "requires a finite m and C"),
+        (1e3, 1.0000001, "overflows the float range"),
+    ], ids=["C-inf", "m-nan", "overflow"])
+    def test_a_non_finite_input_or_result_is_refused(self, m, C, message):
+        # each once gave nan, or a bare OverflowError, in place of a DomainError
+        with pytest.raises(DomainError, match=message):
+            exp_threshold(m, C)
+
     def test_threshold_separates_the_bounds(self, registry):
         # direct evaluation on either side of the real crossover point
         _, c2 = chebyshev_constants()

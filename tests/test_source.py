@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import pibounds
 from pibounds import bounds, claims
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pibounds"
@@ -123,3 +124,18 @@ def constants_read_away():
 def test_module_constants_are_read_at_home():
     # a constant another module reads splits one decision between two places
     assert constants_read_away() == []
+
+
+def exports_unread_in_src():
+    """Names of pibounds.__all__ that no src module other than __init__ reads,
+    as a Name or an attribute."""
+    read = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for path in SRC.glob("*.py") if path.stem != "__init__"
+            for node in ast.walk(ast.parse(path.read_text()))}
+    return sorted(set(pibounds.__all__) - read)
+
+
+def test_every_export_is_read_in_src():
+    # a name the package exports and never uses itself is API kept for
+    # callers outside it: it lives in its module, not in the package root
+    assert exports_unread_in_src() == []
